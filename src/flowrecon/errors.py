@@ -27,7 +27,31 @@ class LevelOutOfRange(FlowReconError):
 
 
 class LevelMismatch(FlowReconError):
-    """Aggregation level of the input does not match the detail bank."""
+    """An aggregation level disagrees with its window or with the level asked for."""
+
+
+class WrongShape(FlowReconError):
+    """A signal does not hold the number of slots or windows its type requires."""
+
+
+class NonFiniteValues(FlowReconError):
+    """A signal holds NaN or infinite values."""
+
+
+class SlotOutOfRange(FlowReconError):
+    """A slot index lies outside the 288-slot day grid."""
+
+
+class UnknownScenario(FlowReconError):
+    """A donor profile names a scenario other than 1 or 2."""
+
+
+class NotBlockConstant(FlowReconError):
+    """A Scenario-2 profile is not constant on each 20-minute block."""
+
+
+class SharesNotNormalized(FlowReconError):
+    """Percent-of-daily-total shares do not sum to one."""
 
 
 class MissingColumn(FlowReconError):

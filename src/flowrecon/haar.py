@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, LevelOutOfRange, NotDyadicallyDivisible, OddLength
+from .errors import (
+    LengthMismatch,
+    LevelOutOfRange,
+    NonFiniteValues,
+    NotDyadicallyDivisible,
+    OddLength,
+    WrongShape,
+)
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -21,9 +28,9 @@ SQRT2 = float(np.sqrt(2.0))
 def _as_signal(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("signal must be a non-empty 1-D sequence of reals")
+        raise WrongShape("signal must be a non-empty 1-D sequence of reals")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("signal values must be finite")
+        raise NonFiniteValues("signal values must be finite")
     return arr
 
 

@@ -20,9 +20,13 @@ import numpy as np
 
 from .errors import (
     EmptyInput,
+    LevelMismatch,
     LevelOutOfRange,
     MissingColumn,
     MixedSensors,
+    NonFiniteValues,
+    SlotOutOfRange,
+    WrongShape,
 )
 from .haar import max_levels
 
@@ -87,15 +91,15 @@ class DaySignal:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (SLOTS_PER_DAY,):
-            raise ValueError(
+            raise WrongShape(
                 f"expected {SLOTS_PER_DAY} slots, got shape {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
-            raise ValueError("day values must be finite")
+            raise NonFiniteValues("day values must be finite")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "filled_slots", frozenset(self.filled_slots))
         if any(not 0 <= s < SLOTS_PER_DAY for s in self.filled_slots):
-            raise ValueError("filled slot index out of range")
+            raise SlotOutOfRange("filled slot index out of range")
 
     @property
     def daily_total(self) -> float:
@@ -117,15 +121,15 @@ class AggregatedSignal:
         if not 1 <= self.level <= MAX_AGGREGATION_LEVEL:
             raise LevelOutOfRange(f"level {self.level} outside 1..{MAX_AGGREGATION_LEVEL}")
         if self.window_minutes != BASE_WINDOW_MINUTES << self.level:
-            raise ValueError(
+            raise LevelMismatch(
                 f"window {self.window_minutes} min does not match level {self.level}"
             )
         if vals.shape != (SLOTS_PER_DAY >> self.level,):
-            raise ValueError(
+            raise WrongShape(
                 f"expected {SLOTS_PER_DAY >> self.level} windows, got {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
-            raise ValueError("aggregated values must be finite")
+            raise NonFiniteValues("aggregated values must be finite")
 
 
 def _open_text(source):

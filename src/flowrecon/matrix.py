@@ -18,7 +18,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyDayList, NoTypicalDays
+from .errors import (
+    EmptyDayList,
+    NonFiniteValues,
+    NotBlockConstant,
+    NoTypicalDays,
+    UnknownScenario,
+    WrongShape,
+)
 from .ingest import BASE_WINDOW_MINUTES, SLOTS_PER_DAY, DaySignal
 
 TYPICAL_WEEKDAYS = frozenset({1, 2, 3})  # Tuesday, Wednesday, Thursday (Monday = 0)
@@ -57,15 +64,15 @@ class MatrixProfile:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (SLOTS_PER_DAY,):
-            raise ValueError(f"expected {SLOTS_PER_DAY} slots, got {vals.shape}")
+            raise WrongShape(f"expected {SLOTS_PER_DAY} slots, got {vals.shape}")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("profile values must be finite")
+            raise NonFiniteValues("profile values must be finite")
         if self.scenario not in (SCENARIO_SLOT_MEAN, SCENARIO_BLOCK_RATE):
-            raise ValueError(f"unknown scenario {self.scenario}")
+            raise UnknownScenario(f"unknown scenario {self.scenario}")
         if self.scenario == SCENARIO_BLOCK_RATE:
             blocks = vals.reshape(-1, RATE_BLOCK_SLOTS)
             if not (blocks == blocks[:, :1]).all():
-                raise ValueError("scenario-2 profile must be constant per 20-minute block")
+                raise NotBlockConstant("scenario-2 profile must be constant per 20-minute block")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "member_dates", tuple(self.member_dates))
 

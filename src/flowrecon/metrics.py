@@ -21,9 +21,10 @@ from .errors import (
     ConstantInput,
     EmptyResults,
     LengthMismatch,
+    ZeroDailyTotal,
 )
 from .ingest import BASE_WINDOW_MINUTES, DaySignal
-from .reconstruct import PercentSignal, normalize_percent
+from .reconstruct import PercentSignal, check_shares
 
 ERROR_METRIC_LABEL = "MAPE (interpretation)"
 
@@ -86,7 +87,8 @@ def pearson(a, b) -> float:
     dy = y - y.mean()
     nx = np.sqrt(np.sum(dx * dx))
     ny = np.sqrt(np.sum(dy * dy))
-    if nx == 0.0 or ny == 0.0:
+    # a constant vector's float mean can differ from its value: test ptp too
+    if nx == 0.0 or ny == 0.0 or np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise ConstantInput("correlation undefined for a constant vector")
     r = float(np.sum(dx * dy) / (nx * ny))
     return max(-1.0, min(1.0, r))
@@ -135,22 +137,45 @@ def evaluate_day(
     baseline: DaySignal,
     level: int,
 ) -> DayResult:
-    """Score one reconstruction and its staircase baseline on percent signals."""
-    orig_pct = normalize_percent(original)
-    recon_pct = normalize_percent(reconstructed)
-    base_pct = normalize_percent(baseline)
-    mape = mean_abs_pct_error(orig_pct, recon_pct)
-    base_mape = mean_abs_pct_error(orig_pct, base_pct)
+    """Score one reconstruction and its staircase baseline on percent signals.
+
+    One pass over the (original, reconstruction, baseline) share rows. It
+    makes the checks of :func:`normalize_percent` and equals, up to float
+    rounding, :func:`pearson`, :func:`mean_abs_pct_error` and
+    :func:`share_mean_abs_diff` of those shares, which are its reference.
+    """
+    values = np.array((original.values, reconstructed.values, baseline.values))
+    totals = values.sum(axis=1)
+    if (totals <= 0).any():
+        raise ZeroDailyTotal(f"daily totals {totals.tolist()} are not all positive")
+    shares = values / totals[:, None]
+    check_shares(shares)
+    orig = shares[0]
+    included = orig > 0
+    kept = int(np.count_nonzero(included))
+    if not kept:
+        raise AllZeroOriginal("no slot with a positive original share")
+    diffs = np.abs(shares[1:] - orig)
+    # dividing, not multiplying by 1/orig: a subnormal share's reciprocal overflows
+    relative = np.divide(diffs, orig, out=np.zeros(diffs.shape), where=included)
+    error_pct = relative.sum(axis=1) / kept * 100.0
+    share_mad = diffs.sum(axis=1) / orig.size
+    centred = shares - shares.sum(axis=1, keepdims=True) / orig.size
+    gram = centred @ centred.T
+    norms = np.sqrt(gram.diagonal())
+    if not ((norms > 0).all() and (shares.max(axis=1) > shares.min(axis=1)).all()):
+        raise ConstantInput("correlation undefined for a constant vector")
+    corr = (gram[0, 1:] / (norms[0] * norms[1:])).clip(-1.0, 1.0)
     return DayResult(
         date=original.date,
         level=level,
-        correlation=pearson(orig_pct.values, recon_pct.values),
-        error_pct=mape.error_pct,
-        baseline_correlation=pearson(orig_pct.values, base_pct.values),
-        baseline_error_pct=base_mape.error_pct,
-        share_mad=share_mean_abs_diff(orig_pct, recon_pct),
-        baseline_share_mad=share_mean_abs_diff(orig_pct, base_pct),
-        excluded_slots=mape.excluded_slots,
+        correlation=float(corr[0]),
+        error_pct=float(error_pct[0]),
+        baseline_correlation=float(corr[1]),
+        baseline_error_pct=float(error_pct[1]),
+        share_mad=float(share_mad[0]),
+        baseline_share_mad=float(share_mad[1]),
+        excluded_slots=orig.size - kept,
     )
 
 

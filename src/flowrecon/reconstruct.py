@@ -1,13 +1,22 @@
 """Detail transplantation: rebuild a 5-minute day from aggregated counts.
 
-The donor profile is decomposed once per level; its detail coefficients
-are kept and its approximation discarded. A target day's aggregated
-counts are inserted as the approximation vector and the inverse transform
-produces a 288-slot signal. Inserting raw counts (instead of orthonormal
-coefficients, which would carry a 2**(k/2) factor) distorts the output
-scale, so comparisons run on percent-of-daily-total signals; raw negative
-slots are allowed and only clamped when exporting vehicle counts. Set
-``rescale_approximation`` for count-faithful output instead.
+The paper puts a target day's level-k counts in place of the approximation
+of the donor profile's Haar decomposition and inverts the transform. That
+is linear, so :func:`reconstruct_day` computes it in closed form::
+
+    values = repeat(c * counts, 2**k) + r_k = 2**k * c * staircase + r_k
+
+where ``r_k`` (the inverse of the donor's details alone) is the profile
+minus its own 2**k-block means, ``c = 2**(-k/2)`` for raw counts and
+``c = 2**(-k)`` with ``rescale_approximation`` (the target's orthonormal
+approximation, which makes the output count-faithful: staircase + r_k).
+
+The paper's "distortion" is the raw mode's ``2**(k/2) * staircase + r_k``:
+after percent normalisation the donor detail is weighted down by
+2**(-k/2) relative to the count-conserving staircase. So comparisons run
+on percent-of-daily-total signals; raw negative slots are allowed and only
+clamped when exporting vehicle counts. :mod:`flowrecon.haar` keeps the
+paper's transform as the reference and test oracle for the closed form.
 """
 
 from __future__ import annotations
@@ -19,9 +28,15 @@ from datetime import date
 
 import numpy as np
 
-from .errors import LengthMismatch, LevelMismatch, LevelOutOfRange, ZeroDailyTotal
+from .errors import (
+    LevelMismatch,
+    LevelOutOfRange,
+    NonFiniteValues,
+    SharesNotNormalized,
+    WrongShape,
+    ZeroDailyTotal,
+)
 from .formatting import format_number
-from .haar import WaveletDecomposition, haar_forward, haar_inverse
 from .ingest import (
     MAX_AGGREGATION_LEVEL,
     SLOTS_PER_DAY,
@@ -31,19 +46,17 @@ from .ingest import (
 )
 from .matrix import MatrixProfile
 
+SHARE_SUM_TOL = 1e-9
 
-@dataclass(frozen=True)
-class DetailBank:
-    """Frozen detail coefficients of one donor profile.
 
-    The same bank reconstructs every target day at its level; the arrays
-    are read-only so a corpus run cannot mutate the donor data.
-    """
-
-    levels: int
-    details: tuple[np.ndarray, ...]
-    scenario: int
-    member_dates: tuple[date, ...]
+def check_shares(shares: np.ndarray) -> None:
+    """Reject share vectors (along the last axis) that are non-finite or do not sum to 1."""
+    sums = shares.sum(axis=-1)
+    if (abs(sums - 1.0) <= SHARE_SUM_TOL).all():
+        return
+    if not np.isfinite(shares).all():
+        raise NonFiniteValues("shares must be finite")
+    raise SharesNotNormalized(f"shares sum to {sums!r}, expected 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,65 +73,9 @@ class PercentSignal:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (SLOTS_PER_DAY,):
-            raise ValueError(f"expected {SLOTS_PER_DAY} slots, got {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("shares must be finite")
-        total = vals.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"shares sum to {total!r}, expected 1")
+            raise WrongShape(f"expected {SLOTS_PER_DAY} slots, got {vals.shape}")
+        check_shares(vals)
         object.__setattr__(self, "values", vals)
-
-
-def extract_details(matrix: MatrixProfile, levels: int) -> DetailBank:
-    """Decompose the donor profile and keep only its detail coefficients."""
-    if not 1 <= levels <= MAX_AGGREGATION_LEVEL:
-        raise LevelOutOfRange(f"levels {levels} outside 1..{MAX_AGGREGATION_LEVEL}")
-    decomposition = haar_forward(matrix.values, levels)
-    frozen = []
-    for det in decomposition.details:
-        arr = det.copy()
-        arr.setflags(write=False)
-        frozen.append(arr)
-    # the donor approximation is deliberately dropped
-    return DetailBank(levels, tuple(frozen), matrix.scenario, matrix.member_dates)
-
-
-def substitute_approximation(
-    bank: DetailBank,
-    aggregated: AggregatedSignal,
-    rescale_approximation: bool = False,
-) -> WaveletDecomposition:
-    """Pair the bank's details with a target day's aggregated counts.
-
-    By default the counts go in verbatim; with ``rescale_approximation``
-    they are divided by 2**(levels/2), which makes them the orthonormal
-    approximation of the target day and yields count-faithful output.
-    """
-    if aggregated.level != bank.levels:
-        raise LevelMismatch(
-            f"aggregated level {aggregated.level} != bank levels {bank.levels}"
-        )
-    expected = SLOTS_PER_DAY >> bank.levels
-    approx = np.asarray(aggregated.values, dtype=float)
-    if approx.size != expected:
-        raise LengthMismatch(
-            f"approximation length {approx.size}, expected {expected}"
-        )
-    if rescale_approximation:
-        approx = approx / 2 ** (bank.levels / 2)
-    return WaveletDecomposition(bank.levels, approx.copy(), bank.details)
-
-
-def reconstruct_from_bank(
-    bank: DetailBank,
-    aggregated: AggregatedSignal,
-    rescale_approximation: bool = False,
-    sensor_id: str = "",
-) -> DaySignal:
-    """Inverse-transform the substituted decomposition into a 288-slot day."""
-    decomposition = substitute_approximation(bank, aggregated, rescale_approximation)
-    values = haar_inverse(decomposition)
-    return DaySignal(aggregated.source_date, sensor_id, values, frozenset())
 
 
 def reconstruct_day(
@@ -128,9 +85,17 @@ def reconstruct_day(
     rescale_approximation: bool = False,
     sensor_id: str = "",
 ) -> DaySignal:
-    """Full per-day pipeline: extract details, substitute, invert."""
-    bank = extract_details(matrix, levels)
-    return reconstruct_from_bank(bank, aggregated, rescale_approximation, sensor_id)
+    """The donor's level-``levels`` Haar detail under the target day's counts."""
+    if not 1 <= levels <= MAX_AGGREGATION_LEVEL:
+        raise LevelOutOfRange(f"levels {levels} outside 1..{MAX_AGGREGATION_LEVEL}")
+    if aggregated.level != levels:
+        raise LevelMismatch(f"aggregated level {aggregated.level} != levels {levels}")
+    block = 1 << levels
+    scale = 2.0 ** (-levels if rescale_approximation else -levels / 2)
+    blocks = matrix.values.reshape(-1, block)
+    residual = blocks - blocks.sum(axis=1, keepdims=True) * (1.0 / block)
+    values = residual + (aggregated.values * scale)[:, None]
+    return DaySignal(aggregated.source_date, sensor_id, values.ravel(), frozenset())
 
 
 def normalize_percent(day: DaySignal) -> PercentSignal:
@@ -144,8 +109,8 @@ def normalize_percent(day: DaySignal) -> PercentSignal:
 def staircase_baseline(aggregated: AggregatedSignal, sensor_id: str = "") -> DaySignal:
     """Spread each window count uniformly over its slots.
 
-    Equals the inverse transform of the substituted approximation with an
-    all-zero detail bank, rescaled to conserve counts. This is the
+    Equals the inverse transform of the counts as the approximation with
+    all-zero details, rescaled to conserve counts. This is the
     comparison floor for any reconstruction.
     """
     block = 1 << aggregated.level

@@ -1,0 +1,167 @@
+"""Closed-form reconstruction and single-pass scoring against their references.
+
+``reconstruct_day`` is checked against the paper's Haar path (forward
+transform of the donor, counts swapped in as the approximation, inverse
+transform). ``evaluate_day`` is checked against the composition of
+``normalize_percent``, ``pearson``, ``mean_abs_pct_error`` and
+``share_mean_abs_diff`` it replaced.
+"""
+
+from dataclasses import fields
+from datetime import date
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from flowrecon.errors import FlowReconError
+from flowrecon.haar import WaveletDecomposition, haar_forward, haar_inverse
+from flowrecon.ingest import SLOTS_PER_DAY, DaySignal, aggregate
+from flowrecon.matrix import build_matrix_scenario1, build_matrix_scenario2
+from flowrecon.metrics import (
+    DayResult,
+    evaluate_day,
+    mean_abs_pct_error,
+    pearson,
+    share_mean_abs_diff,
+)
+from flowrecon.reconstruct import normalize_percent, reconstruct_day, staircase_baseline
+
+DAY = date(2012, 4, 10)
+DONOR_DATES = [date(2012, 4, 3), date(2012, 4, 4), date(2012, 4, 5)]
+
+flows = hnp.arrays(float, SLOTS_PER_DAY, elements=st.floats(0.0, 1000.0))
+
+
+@st.composite
+def near_empty_flows(draw):
+    """A day carrying 0-5 vehicles in a handful of slots, zero everywhere else."""
+    values = np.zeros(SLOTS_PER_DAY)
+    for _ in range(draw(st.integers(0, 5))):
+        values[draw(st.integers(0, SLOTS_PER_DAY - 1))] += 1.0
+    return values
+
+
+target_flows = st.one_of(flows, near_empty_flows())
+
+
+def haar_path(matrix, agg, level, rescale):
+    details = haar_forward(matrix.values, level).details
+    approx = agg.values / 2 ** (level / 2) if rescale else agg.values
+    return haar_inverse(WaveletDecomposition(level, approx, details))
+
+
+def reference_evaluate(original, reconstructed, baseline, level):
+    orig = normalize_percent(original)
+    recon = normalize_percent(reconstructed)
+    base = normalize_percent(baseline)
+    mape = mean_abs_pct_error(orig, recon)
+    base_mape = mean_abs_pct_error(orig, base)
+    return DayResult(
+        date=original.date,
+        level=level,
+        correlation=pearson(orig.values, recon.values),
+        error_pct=mape.error_pct,
+        baseline_correlation=pearson(orig.values, base.values),
+        baseline_error_pct=base_mape.error_pct,
+        share_mad=share_mean_abs_diff(orig, recon),
+        baseline_share_mad=share_mean_abs_diff(orig, base),
+        excluded_slots=mape.excluded_slots,
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except FlowReconError as exc:
+        return type(exc)
+
+
+def assert_same_outcome(original, reconstructed, baseline, level):
+    want = outcome(reference_evaluate, original, reconstructed, baseline, level)
+    got = outcome(evaluate_day, original, reconstructed, baseline, level)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert isinstance(got, DayResult)
+    for field in fields(DayResult):
+        assert getattr(got, field.name) == pytest.approx(
+            getattr(want, field.name), rel=1e-12, abs=1e-12
+        ), field.name
+
+
+def donor(scenario, donor_flows):
+    days = [DaySignal(d, "s1", v) for d, v in zip(DONOR_DATES, donor_flows)]
+    build = build_matrix_scenario1 if scenario == 1 else build_matrix_scenario2
+    return build(days)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    donor_flows=st.lists(flows, min_size=1, max_size=3),
+    target=target_flows,
+    scenario=st.sampled_from((1, 2)),
+    level=st.integers(1, 5),
+    rescale=st.booleans(),
+)
+def test_closed_form_matches_haar_path(donor_flows, target, scenario, level, rescale):
+    matrix = donor(scenario, donor_flows)
+    agg = aggregate(DaySignal(DAY, "s1", target), level)
+    got = reconstruct_day(matrix, agg, level, rescale).values
+    want = haar_path(matrix, agg, level, rescale)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    donor_flows=st.lists(flows, min_size=1, max_size=3),
+    target=target_flows,
+    scenario=st.sampled_from((1, 2)),
+    level=st.integers(1, 5),
+    rescale=st.booleans(),
+)
+def test_evaluate_day_matches_reference_composition(donor_flows, target, scenario, level, rescale):
+    original = DaySignal(DAY, "s1", target)
+    agg = aggregate(original, level)
+    reconstructed = reconstruct_day(donor(scenario, donor_flows), agg, level, rescale)
+    assert_same_outcome(original, reconstructed, staircase_baseline(agg), level)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    original=target_flows,
+    reconstructed=hnp.arrays(float, SLOTS_PER_DAY, elements=st.floats(-1000.0, 1000.0)),
+    baseline=target_flows,
+)
+def test_evaluate_day_matches_reference_on_signed_inputs(original, reconstructed, baseline):
+    assert_same_outcome(
+        DaySignal(DAY, "s1", original),
+        DaySignal(DAY, "s1", reconstructed),
+        DaySignal(DAY, "s1", baseline),
+        3,
+    )
+
+
+@pytest.mark.parametrize(
+    "original, reconstructed, baseline",
+    [
+        # zero totals, in each position
+        (np.zeros(SLOTS_PER_DAY), np.ones(SLOTS_PER_DAY), np.ones(SLOTS_PER_DAY)),
+        (np.arange(SLOTS_PER_DAY, dtype=float), np.zeros(SLOTS_PER_DAY), np.ones(SLOTS_PER_DAY)),
+        (np.arange(SLOTS_PER_DAY, dtype=float), np.ones(SLOTS_PER_DAY), np.zeros(SLOTS_PER_DAY)),
+        # all-zero original with a non-zero reconstruction and baseline
+        (np.zeros(SLOTS_PER_DAY), np.arange(SLOTS_PER_DAY, dtype=float), np.ones(SLOTS_PER_DAY)),
+        # constant signals, in each position
+        (np.full(SLOTS_PER_DAY, 3.0), np.arange(SLOTS_PER_DAY, dtype=float), np.ones(SLOTS_PER_DAY)),
+        (np.arange(1, SLOTS_PER_DAY + 1, dtype=float), np.full(SLOTS_PER_DAY, 7.0), np.ones(SLOTS_PER_DAY)),
+        (np.arange(1, SLOTS_PER_DAY + 1, dtype=float), np.arange(SLOTS_PER_DAY, dtype=float), np.full(SLOTS_PER_DAY, 0.25)),
+    ],
+)
+def test_evaluate_day_raises_like_reference(original, reconstructed, baseline):
+    days = [DaySignal(DAY, "s1", v) for v in (original, reconstructed, baseline)]
+    want = outcome(reference_evaluate, *days, 2)
+    assert isinstance(want, type) and issubclass(want, FlowReconError)
+    assert outcome(evaluate_day, *days, 2) is want

@@ -51,6 +51,9 @@ def test_pearson_errors():
         pearson([1, 1, 1], [1, 2, 3])
     with pytest.raises(ConstantInput):
         pearson([5], [5])
+    # 288 equal shares: their float mean is not exactly the share
+    with pytest.raises(ConstantInput):
+        pearson(np.arange(SLOTS_PER_DAY), np.full(SLOTS_PER_DAY, 1.0 / SLOTS_PER_DAY))
 
 
 def test_pearson_affine_invariance():

@@ -4,24 +4,15 @@ from datetime import date
 import numpy as np
 import pytest
 
-from flowrecon.errors import (
-    LengthMismatch,
-    LevelMismatch,
-    LevelOutOfRange,
-    ZeroDailyTotal,
-)
+from flowrecon.errors import LevelMismatch, LevelOutOfRange, ZeroDailyTotal
 from flowrecon.haar import WaveletDecomposition, haar_forward, haar_inverse
 from flowrecon.ingest import SLOTS_PER_DAY, AggregatedSignal, DaySignal, aggregate
 from flowrecon.matrix import build_matrix_scenario1, build_matrix_scenario2
 from flowrecon.metrics import pearson
 from flowrecon.reconstruct import (
-    DetailBank,
-    extract_details,
     normalize_percent,
     reconstruct_day,
-    reconstruct_from_bank,
     staircase_baseline,
-    substitute_approximation,
     write_reconstruction_csv,
     write_reconstruction_json,
 )
@@ -45,15 +36,36 @@ def constant_matrix(value=10.0):
     return build_matrix_scenario1([day])
 
 
-def zero_bank(levels):
-    details = tuple(np.zeros(SLOTS_PER_DAY >> j) for j in range(1, levels + 1))
-    return DetailBank(levels, details, 1, ())
+def zero_details(levels):
+    return tuple(np.zeros(SLOTS_PER_DAY >> j) for j in range(1, levels + 1))
+
+
+def approximation_part(agg, level):
+    """Inverse transform of the counts as the approximation, with zero details."""
+    return haar_inverse(WaveletDecomposition(level, agg.values, zero_details(level)))
+
+
+def detail_part(matrix, level):
+    """Inverse transform of the donor's details, with a zero approximation."""
+    details = haar_forward(matrix.values, level).details
+    return haar_inverse(WaveletDecomposition(level, np.zeros(SLOTS_PER_DAY >> level), details))
+
+
+def scaled_staircase(agg, level, rescale=False):
+    """c_k * counts spread over each window: the reconstruction under zero donor detail."""
+    scale = 2.0 ** (-level if rescale else -level / 2)
+    return np.repeat(agg.values * scale, 1 << level)
 
 
 def test_extract_details_constant_matrix_is_all_zero():
-    bank = extract_details(constant_matrix(), 4)
-    for det in bank.details:
-        assert np.max(np.abs(det)) == 0.0
+    # a constant donor has no detail, so the output is exactly c_k * staircase
+    rng = np.random.default_rng(3)
+    day = bimodal_day(rng)
+    for level in range(1, 6):
+        agg = aggregate(day, level)
+        for rescale in (False, True):
+            recon = reconstruct_day(constant_matrix(), agg, level, rescale)
+            assert np.array_equal(recon.values, scaled_staircase(agg, level, rescale))
 
 
 def test_extract_details_scenario2_zero_fine_levels():
@@ -62,49 +74,44 @@ def test_extract_details_scenario2_zero_fine_levels():
         DaySignal(date(2012, 3, 6 + i), "s1", rng.uniform(10, 300, SLOTS_PER_DAY))
         for i in range(3)
     ]
-    bank = extract_details(build_matrix_scenario2(days), 4)
-    assert np.max(np.abs(bank.details[0])) < 1e-9
-    assert np.max(np.abs(bank.details[1])) < 1e-9
-    assert np.max(np.abs(bank.details[2])) > 0
-    assert np.max(np.abs(bank.details[3])) > 0
+    matrix = build_matrix_scenario2(days)
+    day = bimodal_day(rng)
+    for level in (1, 2, 3, 4):
+        agg = aggregate(day, level)
+        residual = reconstruct_day(matrix, agg, level).values - scaled_staircase(agg, level)
+        if level <= 2:
+            assert np.max(np.abs(residual)) == 0.0
+        else:
+            assert np.max(np.abs(residual)) > 0
 
 
 def test_extract_details_level1_matches_pair_differences():
     rng = np.random.default_rng(6)
     days = [DaySignal(date(2012, 3, 6), "s1", rng.uniform(0, 300, SLOTS_PER_DAY))]
     profile = build_matrix_scenario1(days)
-    bank = extract_details(profile, 1)
-    expected = (profile.values[0::2] - profile.values[1::2]) / np.sqrt(2)
-    np.testing.assert_allclose(bank.details[0], expected, atol=1e-12)
+    agg = aggregate(bimodal_day(rng), 1)
+    residual = reconstruct_day(profile, agg, 1).values - scaled_staircase(agg, 1)
+    half_diff = (profile.values[0::2] - profile.values[1::2]) / 2
+    np.testing.assert_allclose(residual[0::2], half_diff, atol=1e-12)
+    np.testing.assert_allclose(residual[1::2], -half_diff, atol=1e-12)
 
 
 def test_extract_details_level_bounds():
+    agg = aggregate(bimodal_day(np.random.default_rng(7)), 1)
     for bad in (0, 6):
         with pytest.raises(LevelOutOfRange):
-            extract_details(constant_matrix(), bad)
+            reconstruct_day(constant_matrix(), agg, bad)
 
 
 def test_substitute_shapes_and_mismatch():
     rng = np.random.default_rng(9)
     day = bimodal_day(rng)
-    bank = extract_details(constant_matrix(), 4)
-    agg4 = aggregate(day, 4)
-    dec = substitute_approximation(bank, agg4)
-    assert dec.approximation.size == 18
-    assert dec.levels == 4
-    np.testing.assert_array_equal(dec.approximation, agg4.values)
+    recon = reconstruct_day(constant_matrix(), aggregate(day, 4), 4)
+    assert recon.values.shape == (SLOTS_PER_DAY,)
+    assert recon.date == day.date
 
     with pytest.raises(LevelMismatch):
-        substitute_approximation(bank, aggregate(day, 1))
-
-
-def test_substitute_length_check_on_handbuilt_bank():
-    rng = np.random.default_rng(10)
-    day = bimodal_day(rng)
-    # bank levels says 4 but detail shapes are for a shorter ladder
-    bank = DetailBank(4, tuple(np.zeros(4) for _ in range(4)), 1, ())
-    with pytest.raises(LengthMismatch):
-        substitute_approximation(bank, aggregate(day, 4))
+        reconstruct_day(constant_matrix(), aggregate(day, 1), 4)
 
 
 def test_zero_bank_inverse_is_scaled_staircase():
@@ -112,12 +119,12 @@ def test_zero_bank_inverse_is_scaled_staircase():
     day = bimodal_day(rng)
     for level in (1, 2, 3, 4):
         agg = aggregate(day, level)
-        raw = haar_inverse(substitute_approximation(zero_bank(level), agg))
+        raw = approximation_part(agg, level)
         stair = staircase_baseline(agg)
         np.testing.assert_allclose(raw / 2 ** (level / 2), stair.values, atol=1e-9)
         # with the rescale flag the inverse IS the staircase
         rescaled = haar_inverse(
-            substitute_approximation(zero_bank(level), agg, rescale_approximation=True)
+            WaveletDecomposition(level, agg.values / 2 ** (level / 2), zero_details(level))
         )
         np.testing.assert_allclose(rescaled, stair.values, atol=1e-9)
 
@@ -137,8 +144,8 @@ def test_self_consistency_orthonormal_coefficients_directly():
     rng = np.random.default_rng(16)
     day = bimodal_day(rng)
     dec = haar_forward(day.values, 3)
-    bank = extract_details(build_matrix_scenario1([day]), 3)
-    rebuilt = haar_inverse(WaveletDecomposition(3, dec.approximation, bank.details))
+    donor_details = haar_forward(build_matrix_scenario1([day]).values, 3).details
+    rebuilt = haar_inverse(WaveletDecomposition(3, dec.approximation, donor_details))
     assert np.max(np.abs(rebuilt - day.values)) < 1e-9
 
 
@@ -223,13 +230,9 @@ def test_superposition_of_reconstruction():
         matrix = build_matrix_scenario1([matrix_day])
         day = bimodal_day(rng)
         agg = aggregate(day, level)
-        bank = extract_details(matrix, level)
-        recon = reconstruct_from_bank(bank, agg).values
-        approx_part = haar_inverse(substitute_approximation(zero_bank(level), agg))
-        detail_part = haar_inverse(
-            WaveletDecomposition(level, np.zeros(SLOTS_PER_DAY >> level), bank.details)
-        )
-        assert np.max(np.abs(recon - (approx_part + detail_part))) < 1e-9
+        recon = reconstruct_day(matrix, agg, level).values
+        expected = approximation_part(agg, level) + detail_part(matrix, level)
+        assert np.max(np.abs(recon - expected)) < 1e-9
 
 
 def test_scale_decomposition_of_scaled_input():
@@ -239,28 +242,26 @@ def test_scale_decomposition_of_scaled_input():
     matrix = build_matrix_scenario1([DaySignal(DAY, "s1", rng.uniform(0, 200, SLOTS_PER_DAY))])
     level = 3
     agg = aggregate(day, level)
-    bank = extract_details(matrix, level)
-    approx_part = haar_inverse(substitute_approximation(zero_bank(level), agg))
-    detail_part = haar_inverse(
-        WaveletDecomposition(level, np.zeros(SLOTS_PER_DAY >> level), bank.details)
-    )
+    approx = approximation_part(agg, level)
+    detail = detail_part(matrix, level)
     for c in (0.5, 2.0, 10.0):
         scaled = AggregatedSignal(agg.window_minutes, c * agg.values, agg.source_date, level)
-        recon_c = reconstruct_from_bank(bank, scaled).values
-        assert np.max(np.abs(recon_c - (c * approx_part + detail_part))) < 1e-9
+        recon_c = reconstruct_day(matrix, scaled, level).values
+        assert np.max(np.abs(recon_c - (c * approx + detail))) < 1e-9
 
 
 def test_detail_bank_is_immutable_and_reused():
+    # the donor profile is read, never written, and reuse gives identical output
     rng = np.random.default_rng(55)
     matrix = build_matrix_scenario1([bimodal_day(rng, date(2012, 3, 6))])
-    bank = extract_details(matrix, 3)
-    snapshot = [d.copy() for d in bank.details]
-    with pytest.raises((ValueError, RuntimeError)):
-        bank.details[0][0] = 99.0
-    for _ in range(5):
-        reconstruct_from_bank(bank, aggregate(bimodal_day(rng), 3))
-    for before, after in zip(snapshot, bank.details):
-        assert np.array_equal(before, after)
+    snapshot = matrix.values.copy()
+    agg = aggregate(bimodal_day(rng), 3)
+    first = reconstruct_day(matrix, agg, 3).values
+    for rescale in (False, True) * 3:
+        again = reconstruct_day(matrix, agg, 3, rescale).values
+        assert np.array_equal(matrix.values, snapshot)
+        if not rescale:
+            assert np.array_equal(again, first)
 
 
 def test_output_length_is_always_full_grid():
