@@ -91,4 +91,9 @@ class EmptyResults(FlowReconError):
 
 
 class InvalidParams(FlowReconError):
-    """Synthetic profile parameters violate their invariants."""
+    """Arguments violate their type's invariants.
+
+    Raised for synthetic profile parameters, day-selection criteria, a date
+    span ending before it starts, a non-positive base window and a day
+    result whose correlation or error lies outside its range.
+    """

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InvalidParams,
     LengthMismatch,
     LevelOutOfRange,
     NonFiniteValues,
@@ -41,7 +42,7 @@ def max_levels(length: int) -> int:
     5
     """
     if length < 1:
-        raise ValueError("length must be >= 1")
+        raise WrongShape("length must be >= 1")
     # count of trailing zero bits
     return (length & -length).bit_length() - 1
 
@@ -124,7 +125,7 @@ class WaveletDecomposition:
                     f"detail level {j} has length {det.size}, expected {n >> j}"
                 )
         if self.base_window_minutes < 1:
-            raise ValueError("base_window_minutes must be positive")
+            raise InvalidParams("base_window_minutes must be positive")
 
     @property
     def signal_length(self) -> int:

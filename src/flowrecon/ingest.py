@@ -1,16 +1,25 @@
 """Loop-detector CSV ingestion onto a fixed 5-minute day grid.
 
-Rows with unparseable timestamps, off-grid timestamps or invalid flows are
-rejected and counted; repeated (sensor, timestamp) keys keep the first
-occurrence. Missing slots are zero-filled and tracked per day, and daily
-signals can be re-windowed onto the dyadic aggregation ladder
-(10, 20, 40, 80, 160 minutes).
+Row rules of :func:`parse_sensor_csv`:
+
+- Blank lines are skipped and not counted.
+- Of repeated header names the last column wins; a short row reads its
+  missing cells as absent, and a blank sensor cell as the fallback sensor.
+- A row is rejected and counted when its timestamp is absent, unparseable,
+  tz-aware or off the 5-minute grid, or its flow is absent, unparseable,
+  NaN, infinite or negative.
+- The first row of each (sensor, timestamp) key wins; later ones are
+  counted as duplicates.
+
+Missing slots are zero-filled and tracked per day, and daily signals can be
+re-windowed onto the dyadic aggregation ladder (10, 20, 40, 80, 160 minutes).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
@@ -20,6 +29,7 @@ import numpy as np
 
 from .errors import (
     EmptyInput,
+    InvalidParams,
     LevelMismatch,
     LevelOutOfRange,
     MissingColumn,
@@ -42,15 +52,13 @@ SEVERITY_LADDER = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorRecord:
     """One validated detector reading on the base grid."""
 
     timestamp: datetime
     sensor_id: str
     flow_total: float
-    class_flows: tuple[tuple[str, float], ...] = ()
-    class_speeds: tuple[tuple[str, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -61,8 +69,6 @@ class CsvSchema:
     flow_total: str = "flow_total"
     sensor_id: str | None = "sensor_id"
     fallback_sensor_id: str = "unknown"
-    class_flow_columns: tuple[tuple[str, str], ...] = ()
-    class_speed_columns: tuple[tuple[str, str], ...] = ()
     delimiter: str = ","
     timestamp_format: str | None = None  # None: ISO-8601 at minute resolution
 
@@ -163,18 +169,9 @@ def _parse_flow(text):
         value = float(text)
     except ValueError:
         return None
-    if not np.isfinite(value) or value < 0:
+    if not math.isfinite(value) or value < 0:
         return None
     return value
-
-
-def _optional_columns(row, columns):
-    out = []
-    for label, column in columns:
-        value = _parse_flow(row.get(column))
-        if value is not None:
-            out.append((label, value))
-    return tuple(out)
 
 
 def parse_sensor_csv(source, schema: CsvSchema = CsvSchema()) -> ParseResult:
@@ -193,27 +190,34 @@ def parse_sensor_csv(source, schema: CsvSchema = CsvSchema()) -> ParseResult:
     """
     stream, owns = _open_text(source)
     try:
-        reader = csv.DictReader(stream, delimiter=schema.delimiter)
-        if reader.fieldnames is None:
+        reader = csv.reader(stream, delimiter=schema.delimiter)
+        header = next(reader, None)
+        if header is None:
             raise EmptyInput("input CSV has no header row")
-        header = set(reader.fieldnames)
+        column = {name: i for i, name in enumerate(header)}  # last repeat wins
         for required in (schema.timestamp, schema.flow_total):
-            if required not in header:
+            if required not in column:
                 raise MissingColumn(
-                    f"required column {required!r} not in header {sorted(header)}"
+                    f"required column {required!r} not in header {sorted(column)}"
                 )
-        sensor_col = schema.sensor_id if schema.sensor_id in header else None
+        ts_col, flow_col = column[schema.timestamp], column[schema.flow_total]
+        sensor_col = column.get(schema.sensor_id)
+        width = len(header)
 
         records: list[SensorRecord] = []
         seen: set[tuple[str, datetime]] = set()
         rejected = duplicates = 0
         for row in reader:
-            ts = _parse_timestamp(row.get(schema.timestamp), schema.timestamp_format)
-            flow = _parse_flow(row.get(schema.flow_total))
+            if not row:
+                continue  # blank line
+            if len(row) < width:
+                row += [None] * (width - len(row))  # short row: cells absent
+            ts = _parse_timestamp(row[ts_col], schema.timestamp_format)
+            flow = _parse_flow(row[flow_col])
             if ts is None or flow is None:
                 rejected += 1
                 continue
-            sensor = (row.get(sensor_col) or "").strip() if sensor_col else ""
+            sensor = (row[sensor_col] or "").strip() if sensor_col is not None else ""
             if not sensor:
                 sensor = schema.fallback_sensor_id
             key = (sensor, ts)
@@ -221,15 +225,7 @@ def parse_sensor_csv(source, schema: CsvSchema = CsvSchema()) -> ParseResult:
                 duplicates += 1  # erroneously repeated reading: keep the first
                 continue
             seen.add(key)
-            records.append(
-                SensorRecord(
-                    timestamp=ts,
-                    sensor_id=sensor,
-                    flow_total=flow,
-                    class_flows=_optional_columns(row, schema.class_flow_columns),
-                    class_speeds=_optional_columns(row, schema.class_speed_columns),
-                )
-            )
+            records.append(SensorRecord(ts, sensor, flow))
         return ParseResult(records, rejected, duplicates)
     finally:
         if owns:
@@ -247,33 +243,38 @@ def slot_start(day: date, slot: int) -> datetime:
     return datetime.combine(day, time()) + timedelta(minutes=slot * BASE_WINDOW_MINUTES)
 
 
+def _single_sensor(records: list[SensorRecord], sensor_id: str | None) -> str:
+    """The one sensor the records come from; ``sensor_id`` may name it."""
+    sensors = {r.sensor_id for r in records}
+    if len(sensors) > 1:
+        raise MixedSensors(f"records span sensors {sorted(sensors)}")
+    if sensor_id is None:
+        return sensors.pop() if sensors else "unknown"
+    if sensors and sensor_id not in sensors:
+        raise MixedSensors(f"records from {sensors.pop()!r} labelled {sensor_id!r}")
+    return sensor_id
+
+
 def assemble_day(
     records: Iterable[SensorRecord], day: date, sensor_id: str | None = None
 ) -> DaySignal:
     """Place one day's records on the 288-slot grid, zero-filling gaps.
 
-    Records dated outside ``day`` are ignored. Slots without a record are
-    set to zero and reported in ``filled_slots``.
+    Records dated outside ``day`` are ignored; of records sharing a slot the
+    first is placed. Slots without a record are set to zero and reported in
+    ``filled_slots``. Raises ``MixedSensors`` if the records span sensors or
+    ``sensor_id`` names another sensor than theirs.
     """
     records = list(records)
-    sensors = {r.sensor_id for r in records}
-    if len(sensors) > 1:
-        raise MixedSensors(f"records span sensors {sorted(sensors)}")
-    if sensor_id is None:
-        sensor_id = sensors.pop() if sensors else "unknown"
-
-    values = np.zeros(SLOTS_PER_DAY)
-    covered: set[int] = set()
+    sensor_id = _single_sensor(records, sensor_id)
+    placed: dict[int, float] = {}
     for rec in records:
-        if rec.timestamp.date() != day:
-            continue
-        slot = _slot_of(rec.timestamp)
-        if slot in covered:
-            continue
-        covered.add(slot)
-        values[slot] = rec.flow_total
-    filled = frozenset(range(SLOTS_PER_DAY)) - covered
-    return DaySignal(day, sensor_id, values, frozenset(filled))
+        if rec.timestamp.date() == day:
+            placed.setdefault(_slot_of(rec.timestamp), rec.flow_total)
+    values = np.zeros(SLOTS_PER_DAY)
+    values[list(placed)] = list(placed.values())
+    filled = frozenset(range(SLOTS_PER_DAY)).difference(placed)
+    return DaySignal(day, sensor_id, values, filled)
 
 
 def day_to_records(day: DaySignal) -> list[SensorRecord]:
@@ -370,16 +371,14 @@ def gap_report(
     """Count absent grid slots per month across [start, end].
 
     Months are classified by how much data is missing: up to one hour
-    (12 slots), one day (288), one week (2016), or more.
+    (12 slots), one day (288), one week (2016), or more. Raises
+    ``MixedSensors`` as :func:`assemble_day` does, and ``InvalidParams`` if
+    ``end`` precedes ``start``.
     """
     records = list(records)
-    sensors = {r.sensor_id for r in records}
-    if len(sensors) > 1:
-        raise MixedSensors(f"records span sensors {sorted(sensors)}")
-    if sensor_id is None:
-        sensor_id = sensors.pop() if sensors else "unknown"
+    sensor_id = _single_sensor(records, sensor_id)
     if end < start:
-        raise ValueError("span end precedes start")
+        raise InvalidParams("span end precedes start")
 
     present: dict[tuple[int, int], set[datetime]] = {}
     for rec in records:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     EmptyDayList,
+    InvalidParams,
     NonFiniteValues,
     NotBlockConstant,
     NoTypicalDays,
@@ -48,9 +49,9 @@ class DaySelectionCriteria:
         object.__setattr__(self, "allowed_weekdays", frozenset(self.allowed_weekdays))
         object.__setattr__(self, "excluded_dates", frozenset(self.excluded_dates))
         if not self.allowed_weekdays:
-            raise ValueError("allowed_weekdays must not be empty")
+            raise InvalidParams("allowed_weekdays must not be empty")
         if not 1 <= self.month <= 12:
-            raise ValueError(f"month {self.month} out of range")
+            raise InvalidParams(f"month {self.month} out of range")
 
 
 @dataclass(frozen=True, eq=False)

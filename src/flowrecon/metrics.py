@@ -20,6 +20,7 @@ from .errors import (
     AllZeroOriginal,
     ConstantInput,
     EmptyResults,
+    InvalidParams,
     LengthMismatch,
     ZeroDailyTotal,
 )
@@ -46,9 +47,9 @@ class DayResult:
     def __post_init__(self):
         for r in (self.correlation, self.baseline_correlation):
             if not -1.0 <= r <= 1.0:
-                raise ValueError(f"correlation {r} outside [-1, 1]")
+                raise InvalidParams(f"correlation {r} outside [-1, 1]")
         if self.error_pct < 0 or self.baseline_error_pct < 0:
-            raise ValueError("error percentages must be non-negative")
+            raise InvalidParams("error percentages must be non-negative")
 
 
 @dataclass(frozen=True)

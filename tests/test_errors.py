@@ -1,4 +1,4 @@
-"""Every validation failure of the signal types is a FlowReconError.
+"""Every validation failure of the library's types and arguments is a FlowReconError.
 
 Code that scores a whole corpus catches ``FlowReconError`` to count a failed
 day and go on; a plain ``ValueError`` would end the run instead.
@@ -11,6 +11,7 @@ import pytest
 
 from flowrecon.errors import (
     FlowReconError,
+    InvalidParams,
     LevelMismatch,
     NonFiniteValues,
     NotBlockConstant,
@@ -19,10 +20,10 @@ from flowrecon.errors import (
     UnknownScenario,
     WrongShape,
 )
-from flowrecon.haar import haar_forward
-from flowrecon.ingest import SLOTS_PER_DAY, AggregatedSignal, DaySignal
-from flowrecon.matrix import MatrixProfile
-from flowrecon.metrics import evaluate_day
+from flowrecon.haar import WaveletDecomposition, haar_forward, max_levels
+from flowrecon.ingest import SLOTS_PER_DAY, AggregatedSignal, DaySignal, gap_report
+from flowrecon.matrix import DaySelectionCriteria, MatrixProfile
+from flowrecon.metrics import DayResult, evaluate_day
 from flowrecon.reconstruct import PercentSignal
 
 DAY = date(2012, 4, 10)
@@ -47,6 +48,10 @@ def test_wrong_shape():
     raises(WrongShape, lambda: MatrixProfile(np.ones((2, SLOTS_PER_DAY)), 1, ()))
     raises(WrongShape, lambda: PercentSignal(np.full(4, 0.25), DAY))
     raises(WrongShape, lambda: haar_forward(np.ones((2, 4)), 1))
+
+
+def test_max_levels_of_empty_length():
+    raises(WrongShape, lambda: max_levels(0))
 
 
 def test_non_finite_values():
@@ -80,3 +85,24 @@ def test_shares_not_normalized():
     values[[145, 185, 231, 261]] = [632.0, -1e17, 1e17, 201.28]
     flat, reconstructed = DaySignal(DAY, "s1", FLAT), DaySignal(DAY, "s1", values)
     raises(SharesNotNormalized, lambda: evaluate_day(flat, reconstructed, flat, 1))
+
+
+def test_gap_report_reversed_span():
+    raises(InvalidParams, lambda: gap_report([], date(2012, 4, 30), date(2012, 4, 1), "s1"))
+
+
+def test_day_selection_criteria_invalid():
+    raises(InvalidParams, lambda: DaySelectionCriteria(2012, 3, allowed_weekdays=frozenset()))
+    raises(InvalidParams, lambda: DaySelectionCriteria(2012, 13))
+
+
+def test_base_window_not_positive():
+    raises(InvalidParams, lambda: WaveletDecomposition(1, np.ones(2), (np.ones(2),), 0))
+
+
+def test_day_result_out_of_range():
+    fields = dict(date=DAY, level=1, correlation=0.5, error_pct=1.0,
+                  baseline_correlation=0.5, baseline_error_pct=1.0,
+                  share_mad=0.0, baseline_share_mad=0.0, excluded_slots=0)
+    raises(InvalidParams, lambda: DayResult(**{**fields, "correlation": 1.5}))
+    raises(InvalidParams, lambda: DayResult(**{**fields, "baseline_error_pct": -1.0}))

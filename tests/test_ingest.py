@@ -108,7 +108,6 @@ def test_parse_byte_stream_and_custom_schema():
         fallback_sensor_id="loop-7",
         delimiter=";",
         timestamp_format="%d/%m/%Y %H:%M",
-        class_flow_columns=(("cars", "vol_auto"),),
     )
     payload = (
         "data_hora;volume;vol_auto\n"
@@ -118,8 +117,6 @@ def test_parse_byte_stream_and_custom_schema():
     result = parse_sensor_csv(io.BytesIO(payload), schema)
     assert len(result.records) == 2
     assert result.records[0].sensor_id == "loop-7"
-    assert result.records[0].class_flows == (("cars", 90.0),)
-    assert result.records[1].class_flows == ()
 
 
 def test_assemble_full_day_has_no_filled_slots():
@@ -146,6 +143,11 @@ def test_assemble_rejects_mixed_sensors():
     records = make_records() + [SensorRecord(slot_start(DAY, 0), "other", 1.0)]
     with pytest.raises(MixedSensors):
         assemble_day(records, DAY)
+
+
+def test_assemble_rejects_a_contradicting_sensor_label():
+    with pytest.raises(MixedSensors):
+        assemble_day(make_records(sensor="s2"), DAY, sensor_id="s1")
 
 
 def test_assemble_ignores_other_dates():
@@ -238,6 +240,11 @@ def test_gap_report_empty_thirty_day_month():
     (april,) = report.months
     assert april.missing_slots == 8640
     assert april.severity == ">1 week"
+
+
+def test_gap_report_rejects_a_contradicting_sensor_label():
+    with pytest.raises(MixedSensors):
+        gap_report(make_records(sensor="s2"), DAY, DAY, sensor_id="s1")
 
 
 def test_gap_severity_boundaries():
