@@ -93,8 +93,7 @@ class MatrixProfile:
 
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_dict(), sort_keys=True) + "\n")
 
     @classmethod
     def from_json(cls, path) -> "MatrixProfile":

@@ -36,17 +36,23 @@ from .errors import (
     WrongShape,
     ZeroDailyTotal,
 )
-from .formatting import format_number
 from .ingest import (
+    BASE_WINDOW_MINUTES,
     MAX_AGGREGATION_LEVEL,
     SLOTS_PER_DAY,
     AggregatedSignal,
     DaySignal,
-    slot_start,
 )
 from .matrix import MatrixProfile
 
 SHARE_SUM_TOL = 1e-9
+
+# Wall-clock start of each slot as "THH:MM"; a slot's timestamp is its
+# date's isoformat() followed by this suffix.
+SLOT_CLOCKS = tuple(
+    f"T{minute // 60:02d}:{minute % 60:02d}"
+    for minute in range(0, SLOTS_PER_DAY * BASE_WINDOW_MINUTES, BASE_WINDOW_MINUTES)
+)
 
 
 def check_shares(shares: np.ndarray) -> None:
@@ -118,25 +124,20 @@ def staircase_baseline(aggregated: AggregatedSignal, sensor_id: str = "") -> Day
     return DaySignal(aggregated.source_date, sensor_id, values, frozenset())
 
 
-def _reconstruction_rows(
+def _reconstruction_columns(
     reconstructed: DaySignal,
     total_vehicles: float,
     original: DaySignal | None,
 ):
+    """One day's timestamps, shares, clamped counts and original counts as lists,
+    and the number of negative shares."""
     shares = normalize_percent(reconstructed).values
     clamped = int(np.sum(shares < 0))
     counts = np.clip(shares, 0.0, None) * total_vehicles
-    rows = []
-    for slot in range(SLOTS_PER_DAY):
-        rows.append(
-            (
-                slot_start(reconstructed.date, slot).isoformat(timespec="minutes"),
-                float(shares[slot]),
-                float(counts[slot]),
-                float(original.values[slot]) if original is not None else None,
-            )
-        )
-    return rows, clamped
+    day = reconstructed.date.isoformat()
+    stamps = [day + clock for clock in SLOT_CLOCKS]
+    originals = [None] * SLOTS_PER_DAY if original is None else original.values.tolist()
+    return stamps, shares.tolist(), counts.tolist(), originals, clamped
 
 
 def write_reconstruction_csv(
@@ -148,22 +149,20 @@ def write_reconstruction_csv(
 ) -> int:
     """Write (timestamp, share, count, original count) rows for one day.
 
-    Negative shares are clamped to zero in the count column only; the
-    number of clamped slots is returned so reports can disclose it.
+    Numbers carry 6 significant digits, or round-trip exactly with
+    ``full_precision``. Negative shares are clamped to zero in the count
+    column only; the number of clamped slots is returned so reports can
+    disclose it.
     """
-    rows, clamped = _reconstruction_rows(reconstructed, total_vehicles, original)
+    stamps, shares, counts, originals, clamped = _reconstruction_columns(
+        reconstructed, total_vehicles, original
+    )
+    cell = repr if full_precision else "{:.6g}".format
+    original_cells = [""] * SLOTS_PER_DAY if original is None else map(cell, originals)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "share", "count", "original_count"])
-        for ts, share, count, orig in rows:
-            writer.writerow(
-                [
-                    ts,
-                    format_number(share, full_precision),
-                    format_number(count, full_precision),
-                    "" if orig is None else format_number(orig, full_precision),
-                ]
-            )
+        writer.writerows(zip(stamps, map(cell, shares), map(cell, counts), original_cells))
     return clamped
 
 
@@ -174,16 +173,17 @@ def write_reconstruction_json(
     original: DaySignal | None = None,
 ) -> int:
     """JSON twin of :func:`write_reconstruction_csv`, full precision."""
-    rows, clamped = _reconstruction_rows(reconstructed, total_vehicles, original)
+    stamps, shares, counts, originals, clamped = _reconstruction_columns(
+        reconstructed, total_vehicles, original
+    )
     payload = {
         "date": reconstructed.date.isoformat(),
         "clamped_slots": clamped,
         "slots": [
             {"timestamp": ts, "share": share, "count": count, "original_count": orig}
-            for ts, share, count, orig in rows
+            for ts, share, count, orig in zip(stamps, shares, counts, originals)
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
     return clamped

@@ -1,3 +1,4 @@
+import json
 from datetime import date
 
 import numpy as np
@@ -158,6 +159,7 @@ def test_profile_serialization_roundtrip(tmp_path):
     profile = build_matrix_scenario2(days)
     json_path = tmp_path / "matrix.json"
     profile.write_json(json_path)
+    assert json_path.read_bytes() == (json.dumps(profile.to_dict(), sort_keys=True) + "\n").encode()
     loaded = MatrixProfile.from_json(json_path)
     assert np.array_equal(loaded.values, profile.values)
     assert loaded.scenario == profile.scenario

@@ -6,10 +6,11 @@ import pytest
 
 from flowrecon.errors import LevelMismatch, LevelOutOfRange, ZeroDailyTotal
 from flowrecon.haar import WaveletDecomposition, haar_forward, haar_inverse
-from flowrecon.ingest import SLOTS_PER_DAY, AggregatedSignal, DaySignal, aggregate
+from flowrecon.ingest import SLOTS_PER_DAY, AggregatedSignal, DaySignal, aggregate, slot_start
 from flowrecon.matrix import build_matrix_scenario1, build_matrix_scenario2
 from flowrecon.metrics import pearson
 from flowrecon.reconstruct import (
+    SLOT_CLOCKS,
     normalize_percent,
     reconstruct_day,
     staircase_baseline,
@@ -295,3 +296,12 @@ def test_reconstruction_export_csv_and_json(tmp_path):
     assert len(payload["slots"]) == SLOTS_PER_DAY
     counts = np.array([s["count"] for s in payload["slots"]])
     assert np.all(counts >= 0)
+
+
+@pytest.mark.parametrize(
+    "day", [date(2012, 2, 29), date(2012, 12, 31), date(2024, 3, 31), date.min, date.max]
+)
+def test_slot_clocks_match_slot_start(day):
+    assert len(SLOT_CLOCKS) == SLOTS_PER_DAY
+    for slot, clock in enumerate(SLOT_CLOCKS):
+        assert day.isoformat() + clock == slot_start(day, slot).isoformat(timespec="minutes")
