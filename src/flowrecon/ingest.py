@@ -100,11 +100,11 @@ class DaySignal:
             raise WrongShape(
                 f"expected {SLOTS_PER_DAY} slots, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise NonFiniteValues("day values must be finite")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "filled_slots", frozenset(self.filled_slots))
-        if any(not 0 <= s < SLOTS_PER_DAY for s in self.filled_slots):
+        if self.filled_slots and any(not 0 <= s < SLOTS_PER_DAY for s in self.filled_slots):
             raise SlotOutOfRange("filled slot index out of range")
 
     @property
@@ -134,7 +134,7 @@ class AggregatedSignal:
             raise WrongShape(
                 f"expected {SLOTS_PER_DAY >> self.level} windows, got {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise NonFiniteValues("aggregated values must be finite")
 
 

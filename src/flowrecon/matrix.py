@@ -21,13 +21,14 @@ import numpy as np
 from .errors import (
     EmptyDayList,
     InvalidParams,
+    LevelOutOfRange,
     NonFiniteValues,
     NotBlockConstant,
     NoTypicalDays,
     UnknownScenario,
     WrongShape,
 )
-from .ingest import BASE_WINDOW_MINUTES, SLOTS_PER_DAY, DaySignal
+from .ingest import BASE_WINDOW_MINUTES, MAX_AGGREGATION_LEVEL, SLOTS_PER_DAY, DaySignal
 
 TYPICAL_WEEKDAYS = frozenset({1, 2, 3})  # Tuesday, Wednesday, Thursday (Monday = 0)
 
@@ -56,17 +57,23 @@ class DaySelectionCriteria:
 
 @dataclass(frozen=True, eq=False)
 class MatrixProfile:
-    """Averaged typical-day signal that donates detail coefficients."""
+    """Averaged typical-day signal that donates detail coefficients.
+
+    ``values`` is a read-only copy of the array passed in, so later changes
+    to the caller's array do not reach the profile. That makes it safe to
+    cache the level-k detail residual ``r_k`` (:meth:`residual`) once per
+    profile and level.
+    """
 
     values: np.ndarray
     scenario: int
     member_dates: tuple[date, ...]
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)  # a private copy, frozen below
         if vals.shape != (SLOTS_PER_DAY,):
             raise WrongShape(f"expected {SLOTS_PER_DAY} slots, got {vals.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise NonFiniteValues("profile values must be finite")
         if self.scenario not in (SCENARIO_SLOT_MEAN, SCENARIO_BLOCK_RATE):
             raise UnknownScenario(f"unknown scenario {self.scenario}")
@@ -74,8 +81,28 @@ class MatrixProfile:
             blocks = vals.reshape(-1, RATE_BLOCK_SLOTS)
             if not (blocks == blocks[:, :1]).all():
                 raise NotBlockConstant("scenario-2 profile must be constant per 20-minute block")
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "member_dates", tuple(self.member_dates))
+        object.__setattr__(self, "_residuals", {})
+
+    def residual(self, level: int) -> np.ndarray:
+        """The profile minus its own 2**level-block means, as (windows, 2**level) blocks.
+
+        This is the inverse transform of the profile's Haar details up to
+        ``level``. It is computed once per level and cached read-only, which
+        is safe because the profile's values are a frozen private copy.
+        """
+        cached = self._residuals.get(level)
+        if cached is None:
+            if not 1 <= level <= MAX_AGGREGATION_LEVEL:
+                raise LevelOutOfRange(f"level {level} outside 1..{MAX_AGGREGATION_LEVEL}")
+            block = 1 << level
+            blocks = self.values.reshape(-1, block)
+            cached = blocks - blocks.sum(axis=1, keepdims=True) * (1.0 / block)
+            cached.flags.writeable = False
+            self._residuals[level] = cached
+        return cached
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -85,15 +112,16 @@ class MatrixProfile:
                 writer.writerow([slot, repr(float(value))])
 
     def to_dict(self) -> dict:
+        # keys in sorted order, so write_json needs no sort_keys=True
         return {
-            "scenario": self.scenario,
             "member_dates": [d.isoformat() for d in self.member_dates],
-            "values": [float(v) for v in self.values],
+            "scenario": self.scenario,
+            "values": self.values.tolist(),
         }
 
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(self.to_dict()) + "\n")
 
     @classmethod
     def from_json(cls, path) -> "MatrixProfile":

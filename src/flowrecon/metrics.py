@@ -10,9 +10,10 @@ percent-of-daily-total signals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -22,10 +23,10 @@ from .errors import (
     EmptyResults,
     InvalidParams,
     LengthMismatch,
-    ZeroDailyTotal,
+    SharesNotNormalized,
 )
 from .ingest import BASE_WINDOW_MINUTES, DaySignal
-from .reconstruct import PercentSignal, check_shares
+from .reconstruct import SHARE_SUM_TOL, PercentSignal, normalize_percent
 
 ERROR_METRIC_LABEL = "MAPE (interpretation)"
 
@@ -132,6 +133,17 @@ def share_mean_abs_diff(original, reconstructed) -> float:
     return float(np.abs(o - r).mean())
 
 
+def _reject_first_invalid(days: Sequence[DaySignal]) -> NoReturn:
+    """Raise what :func:`normalize_percent` raises on the first day it rejects.
+
+    The reference normalises the original, the reconstruction and the
+    baseline in turn, so a bad later day must not mask a bad earlier one.
+    """
+    for day in days:
+        normalize_percent(day)
+    raise SharesNotNormalized("shares do not sum to 1")
+
+
 def evaluate_day(
     original: DaySignal,
     reconstructed: DaySignal,
@@ -147,10 +159,20 @@ def evaluate_day(
     """
     values = np.array((original.values, reconstructed.values, baseline.values))
     totals = values.sum(axis=1)
-    if (totals <= 0).any():
-        raise ZeroDailyTotal(f"daily totals {totals.tolist()} are not all positive")
+    # the 3 totals, share sums, error sums and the Gram matrix are checked and
+    # combined as Python floats: one numpy call per tiny array costs more than its math
+    t0, t1, t2 = totals.tolist()
+    if t0 <= 0 or t1 <= 0 or t2 <= 0:  # a NaN total goes on to NonFiniteValues
+        _reject_first_invalid((original, reconstructed, baseline))
     shares = values / totals[:, None]
-    check_shares(shares)
+    sums = shares.sum(axis=1)
+    s0, s1, s2 = sums.tolist()
+    if not (
+        abs(s0 - 1.0) <= SHARE_SUM_TOL
+        and abs(s1 - 1.0) <= SHARE_SUM_TOL
+        and abs(s2 - 1.0) <= SHARE_SUM_TOL
+    ):
+        _reject_first_invalid((original, reconstructed, baseline))
     orig = shares[0]
     included = orig > 0
     kept = int(np.count_nonzero(included))
@@ -159,23 +181,23 @@ def evaluate_day(
     diffs = np.abs(shares[1:] - orig)
     # dividing, not multiplying by 1/orig: a subnormal share's reciprocal overflows
     relative = np.divide(diffs, orig, out=np.zeros(diffs.shape), where=included)
-    error_pct = relative.sum(axis=1) / kept * 100.0
-    share_mad = diffs.sum(axis=1) / orig.size
-    centred = shares - shares.sum(axis=1, keepdims=True) / orig.size
-    gram = centred @ centred.T
-    norms = np.sqrt(gram.diagonal())
-    if not ((norms > 0).all() and (shares.max(axis=1) > shares.min(axis=1)).all()):
+    error, baseline_error = relative.sum(axis=1).tolist()
+    mad, baseline_mad = diffs.sum(axis=1).tolist()
+    centred = shares - (sums / orig.size)[:, None]
+    (g00, g01, g02), (_, g11, _), (_, _, g22) = (centred @ centred.T).tolist()
+    n0, n1, n2 = math.sqrt(g00), math.sqrt(g11), math.sqrt(g22)
+    # a constant vector's float mean can differ from its value: test the range too
+    if not (n0 > 0 and n1 > 0 and n2 > 0 and min(np.ptp(shares, axis=1).tolist()) > 0):
         raise ConstantInput("correlation undefined for a constant vector")
-    corr = (gram[0, 1:] / (norms[0] * norms[1:])).clip(-1.0, 1.0)
     return DayResult(
         date=original.date,
         level=level,
-        correlation=float(corr[0]),
-        error_pct=float(error_pct[0]),
-        baseline_correlation=float(corr[1]),
-        baseline_error_pct=float(error_pct[1]),
-        share_mad=float(share_mad[0]),
-        baseline_share_mad=float(share_mad[1]),
+        correlation=max(-1.0, min(1.0, g01 / (n0 * n1))),
+        error_pct=error / kept * 100.0,
+        baseline_correlation=max(-1.0, min(1.0, g02 / (n0 * n2))),
+        baseline_error_pct=baseline_error / kept * 100.0,
+        share_mad=mad / orig.size,
+        baseline_share_mad=baseline_mad / orig.size,
         excluded_slots=orig.size - kept,
     )
 

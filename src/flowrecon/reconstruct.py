@@ -10,6 +10,10 @@ where ``r_k`` (the inverse of the donor's details alone) is the profile
 minus its own 2**k-block means, ``c = 2**(-k/2)`` for raw counts and
 ``c = 2**(-k)`` with ``rescale_approximation`` (the target's orthonormal
 approximation, which makes the output count-faithful: staircase + r_k).
+``r_k`` depends on the profile alone, so :meth:`MatrixProfile.residual`
+computes it once per profile and level and caches it; a profile's values
+are a read-only private copy, so the cache cannot go stale. Each call
+returns a fresh, writable array.
 
 The paper's "distortion" is the raw mode's ``2**(k/2) * staircase + r_k``:
 after percent normalisation the donor detail is weighted down by
@@ -96,11 +100,8 @@ def reconstruct_day(
         raise LevelOutOfRange(f"levels {levels} outside 1..{MAX_AGGREGATION_LEVEL}")
     if aggregated.level != levels:
         raise LevelMismatch(f"aggregated level {aggregated.level} != levels {levels}")
-    block = 1 << levels
     scale = 2.0 ** (-levels if rescale_approximation else -levels / 2)
-    blocks = matrix.values.reshape(-1, block)
-    residual = blocks - blocks.sum(axis=1, keepdims=True) * (1.0 / block)
-    values = residual + (aggregated.values * scale)[:, None]
+    values = matrix.residual(levels) + (aggregated.values * scale)[:, None]
     return DaySignal(aggregated.source_date, sensor_id, values.ravel(), frozenset())
 
 
@@ -176,14 +177,15 @@ def write_reconstruction_json(
     stamps, shares, counts, originals, clamped = _reconstruction_columns(
         reconstructed, total_vehicles, original
     )
+    # keys in sorted order, so the bytes equal a sort_keys=True dump without its sort
     payload = {
-        "date": reconstructed.date.isoformat(),
         "clamped_slots": clamped,
+        "date": reconstructed.date.isoformat(),
         "slots": [
-            {"timestamp": ts, "share": share, "count": count, "original_count": orig}
+            {"count": count, "original_count": orig, "share": share, "timestamp": ts}
             for ts, share, count, orig in zip(stamps, shares, counts, originals)
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        fh.write(json.dumps(payload) + "\n")
     return clamped

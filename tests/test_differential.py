@@ -12,14 +12,14 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from flowrecon.errors import FlowReconError
 from flowrecon.haar import WaveletDecomposition, haar_forward, haar_inverse
 from flowrecon.ingest import SLOTS_PER_DAY, DaySignal, aggregate
-from flowrecon.matrix import build_matrix_scenario1, build_matrix_scenario2
+from flowrecon.matrix import MatrixProfile, build_matrix_scenario1, build_matrix_scenario2
 from flowrecon.metrics import (
     DayResult,
     evaluate_day,
@@ -145,6 +145,20 @@ def test_evaluate_day_matches_reference_on_signed_inputs(original, reconstructed
     )
 
 
+RAMP = np.arange(1, SLOTS_PER_DAY + 1, dtype=float)
+# 288 x 1e308: the total overflows to inf and every share is 0
+OVERFLOWING = np.full(SLOTS_PER_DAY, 1e308)
+# the partial sums overflow both ways, so the total is NaN
+NAN_TOTAL = np.resize([1.7e308, -1.7e308], SLOTS_PER_DAY)
+# heavy cancellation: the total rounds to 848 while the shares sum to 0.984375
+CANCELLING = np.zeros(SLOTS_PER_DAY)
+CANCELLING[[145, 185, 231, 261]] = [632.0, -1e17, 1e17, 201.28]
+
+
+def in_each_position(bad):
+    return [tuple(bad if i == pos else RAMP for i in range(3)) for pos in range(3)]
+
+
 @pytest.mark.parametrize(
     "original, reconstructed, baseline",
     [
@@ -158,10 +172,76 @@ def test_evaluate_day_matches_reference_on_signed_inputs(original, reconstructed
         (np.full(SLOTS_PER_DAY, 3.0), np.arange(SLOTS_PER_DAY, dtype=float), np.ones(SLOTS_PER_DAY)),
         (np.arange(1, SLOTS_PER_DAY + 1, dtype=float), np.full(SLOTS_PER_DAY, 7.0), np.ones(SLOTS_PER_DAY)),
         (np.arange(1, SLOTS_PER_DAY + 1, dtype=float), np.arange(SLOTS_PER_DAY, dtype=float), np.full(SLOTS_PER_DAY, 0.25)),
-    ],
+        # a zero total in a later row does not mask an earlier non-finite row
+        (RAMP, NAN_TOTAL, np.zeros(SLOTS_PER_DAY)),
+    ]
+    + in_each_position(OVERFLOWING)
+    + in_each_position(NAN_TOTAL)
+    + in_each_position(CANCELLING),
 )
 def test_evaluate_day_raises_like_reference(original, reconstructed, baseline):
     days = [DaySignal(DAY, "s1", v) for v in (original, reconstructed, baseline)]
     want = outcome(reference_evaluate, *days, 2)
     assert isinstance(want, type) and issubclass(want, FlowReconError)
     assert outcome(evaluate_day, *days, 2) is want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    donor_flows=st.lists(flows, min_size=1, max_size=3),
+    target=hnp.arrays(float, SLOTS_PER_DAY, elements=st.floats(1.0, 1000.0)),
+    slot=st.integers(0, SLOTS_PER_DAY - 1),
+    tiny=st.floats(1e-315, 1e-306),
+    scenario=st.sampled_from((1, 2)),
+    level=st.integers(1, 5),
+    rescale=st.booleans(),
+)
+def test_evaluate_day_matches_reference_on_a_subnormal_original_share(
+    donor_flows, target, slot, tiny, scenario, level, rescale
+):
+    """Dividing by a subnormal share overflows: the error must be inf on both sides."""
+    target[slot] = tiny
+    original = DaySignal(DAY, "s1", target)
+    assume(0 < normalize_percent(original).values[slot] < np.finfo(float).smallest_normal)
+    agg = aggregate(original, level)
+    reconstructed = reconstruct_day(donor(scenario, donor_flows), agg, level, rescale)
+    assert_same_outcome(original, reconstructed, staircase_baseline(agg), level)
+
+
+@pytest.mark.parametrize("scenario", (1, 2))
+def test_cached_residual_is_stable_and_matches_haar_path(scenario):
+    rng = np.random.default_rng(11)
+    matrix = donor(scenario, [rng.uniform(0, 300, SLOTS_PER_DAY) for _ in DONOR_DATES])
+    original = DaySignal(DAY, "s1", rng.uniform(0, 300, SLOTS_PER_DAY))
+    for level in range(1, 6):
+        agg = aggregate(original, level)
+        for rescale in (False, True):
+            first = reconstruct_day(matrix, agg, level, rescale).values
+            again = reconstruct_day(matrix, agg, level, rescale).values
+            assert np.array_equal(first, again)
+            want = haar_path(matrix, agg, level, rescale)
+            np.testing.assert_allclose(first, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+
+def test_profile_owns_a_frozen_copy_of_its_values():
+    rng = np.random.default_rng(12)
+    values = rng.uniform(0, 300, SLOTS_PER_DAY)
+    matrix = MatrixProfile(values, 1, tuple(DONOR_DATES))
+    agg = aggregate(DaySignal(DAY, "s1", rng.uniform(0, 300, SLOTS_PER_DAY)), 3)
+    before = reconstruct_day(matrix, agg, 3).values.copy()
+    kept = values.copy()
+    values[:] = 0.0
+    assert np.array_equal(matrix.values, kept)
+    assert np.array_equal(reconstruct_day(matrix, agg, 3).values, before)
+    with pytest.raises(ValueError):
+        matrix.values[0] = 1.0
+
+
+def test_reconstruction_does_not_alias_the_cached_residual():
+    rng = np.random.default_rng(13)
+    matrix = donor(1, [rng.uniform(0, 300, SLOTS_PER_DAY)])
+    agg = aggregate(DaySignal(DAY, "s1", rng.uniform(0, 300, SLOTS_PER_DAY)), 2)
+    day = reconstruct_day(matrix, agg, 2)
+    want = day.values.copy()
+    day.values[:] = -1.0
+    assert np.array_equal(reconstruct_day(matrix, agg, 2).values, want)
