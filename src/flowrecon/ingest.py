@@ -21,6 +21,7 @@ import csv
 import io
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from typing import Iterable, Sequence
@@ -373,38 +374,55 @@ def gap_report(
     Months are classified by how much data is missing: up to one hour
     (12 slots), one day (288), one week (2016), or more. Raises
     ``MixedSensors`` as :func:`assemble_day` does, and ``InvalidParams`` if
-    ``end`` precedes ``start``.
+    ``end`` precedes ``start``. Records with equal timestamps fill one slot.
     """
     records = list(records)
     sensor_id = _single_sensor(records, sensor_id)
     if end < start:
         raise InvalidParams("span end precedes start")
 
-    present: dict[tuple[int, int], set[datetime]] = {}
-    for rec in records:
-        d = rec.timestamp.date()
-        if start <= d <= end:
-            present.setdefault((d.year, d.month), set()).add(rec.timestamp)
+    present = Counter()  # (year, month) -> distinct in-span timestamps
+    for day, n in Counter(map(datetime.date, {rec.timestamp for rec in records})).items():
+        if start <= day <= end:
+            present[day.year, day.month] += n
 
     months = []
     for year, month in _month_range(start, end):
         first = max(start, date(year, month, 1))
         last = min(end, date(year, month, _days_in_month(year, month)))
         expected = ((last - first).days + 1) * SLOTS_PER_DAY
-        missing = max(0, expected - len(present.get((year, month), ())))
+        missing = max(0, expected - present[year, month])
         months.append(MonthGap(year, month, missing, classify_gap(missing)))
     return GapReport(sensor_id, tuple(months))
+
+
+class _CsvCells(dict):
+    """Text -> the cell ``csv.writer`` writes for it inside a row, computed once per text."""
+
+    def __missing__(self, text):
+        buf = io.StringIO()
+        csv.writer(buf).writerow(("", text, ""))
+        cell = self[text] = buf.getvalue()[1:-3]  # drop the empty neighbours and the CRLF
+        return cell
 
 
 def write_records_csv(records: Sequence[SensorRecord], path) -> None:
     """Write records in the default schema (timestamp, sensor_id, flow_total).
 
-    Flows are written at full precision so a parse round-trip is exact.
+    Flows are written at full precision (``repr``) so a parse round-trip is
+    exact, and timestamps as ``isoformat(timespec="minutes")``. The bytes are
+    what ``csv.writer`` writes: CRLF line ends and minimal quoting, which
+    only a sensor id can need.
     """
+    sensor_cells = _CsvCells()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "sensor_id", "flow_total"])
-        for rec in records:
-            writer.writerow(
-                [rec.timestamp.isoformat(timespec="minutes"), rec.sensor_id, repr(rec.flow_total)]
+        fh.write("timestamp,sensor_id,flow_total\r\n")
+        fh.writelines(
+            "%s,%s,%r\r\n"
+            % (
+                rec.timestamp.isoformat(timespec="minutes"),
+                sensor_cells[rec.sensor_id],
+                rec.flow_total,
             )
+            for rec in records
+        )

@@ -28,8 +28,6 @@ from .errors import (
 from .ingest import BASE_WINDOW_MINUTES, DaySignal
 from .reconstruct import SHARE_SUM_TOL, PercentSignal, normalize_percent
 
-ERROR_METRIC_LABEL = "MAPE (interpretation)"
-
 
 @dataclass(frozen=True)
 class DayResult:

@@ -25,8 +25,6 @@ paper's transform as the reference and test oracle for the closed form.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from datetime import date
 
@@ -130,14 +128,21 @@ def _reconstruction_columns(
     total_vehicles: float,
     original: DaySignal | None,
 ):
-    """One day's timestamps, shares, clamped counts and original counts as lists,
-    and the number of negative shares."""
+    """One day's timestamps, shares, clamped counts and original counts (None
+    without an original day) as lists, and the number of negative shares.
+
+    Raises ``NonFiniteValues`` when a count is not finite: a non-finite
+    ``total_vehicles``, or a finite one whose product with a share overflows.
+    """
     shares = normalize_percent(reconstructed).values
     clamped = int(np.sum(shares < 0))
-    counts = np.clip(shares, 0.0, None) * total_vehicles
+    with np.errstate(over="ignore", invalid="ignore"):
+        counts = np.clip(shares, 0.0, None) * total_vehicles
+    if not np.isfinite(counts).all():
+        raise NonFiniteValues(f"counts for total_vehicles {total_vehicles!r} are not finite")
     day = reconstructed.date.isoformat()
     stamps = [day + clock for clock in SLOT_CLOCKS]
-    originals = [None] * SLOTS_PER_DAY if original is None else original.values.tolist()
+    originals = None if original is None else original.values.tolist()
     return stamps, shares.tolist(), counts.tolist(), originals, clamped
 
 
@@ -150,21 +155,30 @@ def write_reconstruction_csv(
 ) -> int:
     """Write (timestamp, share, count, original count) rows for one day.
 
-    Numbers carry 6 significant digits, or round-trip exactly with
-    ``full_precision``. Negative shares are clamped to zero in the count
-    column only; the number of clamped slots is returned so reports can
-    disclose it.
+    Numbers carry 6 significant digits (``format(x, ".6g")``), or round-trip
+    exactly (``repr``) with ``full_precision``; without an original day the
+    last cell is empty. The bytes are what ``csv.writer`` writes: CRLF line
+    ends and minimal quoting, which no cell needs. Negative shares are
+    clamped to zero in the count column only; the number of clamped slots
+    is returned so reports can disclose it. Non-finite counts raise
+    ``NonFiniteValues`` before the file is opened.
     """
     stamps, shares, counts, originals, clamped = _reconstruction_columns(
         reconstructed, total_vehicles, original
     )
-    cell = repr if full_precision else "{:.6g}".format
-    original_cells = [""] * SLOTS_PER_DAY if original is None else map(cell, originals)
+    cell = "%r" if full_precision else "%.6g"
+    if originals is None:
+        row, rows = f"%s,{cell},{cell},\r\n", zip(stamps, shares, counts)
+    else:
+        row, rows = f"%s,{cell},{cell},{cell}\r\n", zip(stamps, shares, counts, originals)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "share", "count", "original_count"])
-        writer.writerows(zip(stamps, map(cell, shares), map(cell, counts), original_cells))
+        fh.write("timestamp,share,count,original_count\r\n" + "".join(map(row.__mod__, rows)))
     return clamped
+
+
+# One slot of the JSON export, keys in sorted order; %r of a finite float is its JSON form.
+_JSON_SLOT = '{"count": %r, "original_count": %r, "share": %r, "timestamp": "%s"}'
+_JSON_SLOT_NO_ORIGINAL = '{"count": %r, "original_count": null, "share": %r, "timestamp": "%s"}'
 
 
 def write_reconstruction_json(
@@ -173,19 +187,25 @@ def write_reconstruction_json(
     total_vehicles: float,
     original: DaySignal | None = None,
 ) -> int:
-    """JSON twin of :func:`write_reconstruction_csv`, full precision."""
+    """JSON twin of :func:`write_reconstruction_csv`, full precision.
+
+    The bytes are ``json.dumps(payload, sort_keys=True)`` with the default
+    separators, plus a newline, where ``payload`` holds ``clamped_slots``,
+    ``date`` and one ``{count, original_count, share, timestamp}`` object per
+    slot (``original_count`` null without an original day). Non-finite
+    counts raise ``NonFiniteValues`` before the file is opened, so no
+    ``Infinity`` or ``NaN`` token is written.
+    """
     stamps, shares, counts, originals, clamped = _reconstruction_columns(
         reconstructed, total_vehicles, original
     )
-    # keys in sorted order, so the bytes equal a sort_keys=True dump without its sort
-    payload = {
-        "clamped_slots": clamped,
-        "date": reconstructed.date.isoformat(),
-        "slots": [
-            {"count": count, "original_count": orig, "share": share, "timestamp": ts}
-            for ts, share, count, orig in zip(stamps, shares, counts, originals)
-        ],
-    }
+    if originals is None:
+        slots = map(_JSON_SLOT_NO_ORIGINAL.__mod__, zip(counts, shares, stamps))
+    else:
+        slots = map(_JSON_SLOT.__mod__, zip(counts, originals, shares, stamps))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload) + "\n")
+        fh.write(
+            '{"clamped_slots": %d, "date": "%s", "slots": [%s]}\n'
+            % (clamped, reconstructed.date.isoformat(), ", ".join(slots))
+        )
     return clamped

@@ -9,20 +9,52 @@ all-zero and negated reconstructions, and writes each with and without an
 original day and in both precisions, on dates that include 29 February,
 31 December, ``date.min`` and ``date.max``. Both sides must write the same
 bytes, return the same clamped count and raise the same exception type.
+Counts that are not finite raise ``NonFiniteValues`` before any file is
+opened, so the strategies draw finite totals only.
+
+``reference_records_csv`` and ``reference_gap_report`` are the
+``csv.writer`` records writer and the per-month-set gap report, kept here
+as they were. Hypothesis draws sensor ids that need quoting, naive,
+tz-aware and second-bearing timestamps, int and float flows (``-0.0``,
+subnormal, huge, non-finite), and empty record lists for the writer;
+dense and sparse single- and two-sensor record sets with duplicate,
+off-grid and out-of-span naive timestamps (as the parser keeps them) on
+multi-month, year-crossing, leap-day and reversed spans for the gap report.
 """
 
 import csv
 import json
 import tempfile
-from datetime import date
+from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowrecon.errors import FlowReconError, ZeroDailyTotal
-from flowrecon.ingest import MAX_AGGREGATION_LEVEL, SLOTS_PER_DAY, DaySignal, aggregate, slot_start
+from flowrecon.errors import (
+    FlowReconError,
+    InvalidParams,
+    NonFiniteValues,
+    ZeroDailyTotal,
+)
+from flowrecon.ingest import (
+    MAX_AGGREGATION_LEVEL,
+    SLOTS_PER_DAY,
+    DaySignal,
+    GapReport,
+    MonthGap,
+    SensorRecord,
+    _days_in_month,
+    _month_range,
+    _single_sensor,
+    aggregate,
+    classify_gap,
+    gap_report,
+    slot_start,
+    write_records_csv,
+)
 from flowrecon.matrix import build_matrix_scenario1, build_matrix_scenario2
 from flowrecon.reconstruct import (
     normalize_percent,
@@ -151,3 +183,116 @@ def test_zero_total_raises_on_both_sides():
     writers = (write_reconstruction_csv, reference_csv, write_reconstruction_json, reference_json)
     for write in writers:
         assert outcome(write, zeros, 10.0, None) == (ZeroDailyTotal, False)
+
+
+@pytest.mark.parametrize("total", (np.inf, -np.inf, np.nan, 1e308))
+@pytest.mark.parametrize("write", (write_reconstruction_csv, write_reconstruction_json))
+def test_non_finite_counts_raise_before_the_file_is_opened(write, total):
+    values = np.zeros(SLOTS_PER_DAY)
+    values[:2] = (4.0, -2.0)  # shares 2 and -1: 2 * 1e308 overflows
+    recon = DaySignal(date(2012, 2, 29), "", values)
+    assert outcome(write, recon, total, None) == (NonFiniteValues, False)
+
+
+def reference_records_csv(records, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "sensor_id", "flow_total"])
+        for rec in records:
+            writer.writerow(
+                [rec.timestamp.isoformat(timespec="minutes"), rec.sensor_id, repr(rec.flow_total)]
+            )
+
+
+def records_bytes(write, records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        write(records, path)
+        return path.read_bytes()
+
+
+QUOTED_IDS = ("", "a,b", 'say "hi"', "line\nbreak", "cr\rlf", "\r\n", " padded ", '"', ",", "ß-7")
+DAY_LESS_A_MINUTE = timedelta(hours=23, minutes=59)
+OFFSETS = st.builds(timezone, st.timedeltas(-DAY_LESS_A_MINUTE, DAY_LESS_A_MINUTE))
+sensor_ids = st.one_of(st.sampled_from(QUOTED_IDS), st.text(max_size=8))
+timestamps = st.one_of(
+    st.datetimes(),
+    st.datetimes(timezones=OFFSETS),
+    st.datetimes().map(lambda ts: ts.replace(second=0, microsecond=0)),
+)
+flows = st.one_of(
+    st.sampled_from((0.1, 1e-300, 1e300, -0.0, 0.0, 5e-324)),
+    st.integers(-(10**20), 10**20),
+    st.floats(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(SensorRecord, timestamps, sensor_ids, flows), max_size=12))
+@example([])
+def test_records_csv_bytes_match_reference(records):
+    written = records_bytes(write_records_csv, records)
+    assert written == records_bytes(reference_records_csv, records)
+
+
+def reference_gap_report(records, start, end, sensor_id=None):
+    records = list(records)
+    sensor_id = _single_sensor(records, sensor_id)
+    if end < start:
+        raise InvalidParams("span end precedes start")
+
+    present = {}
+    for rec in records:
+        d = rec.timestamp.date()
+        if start <= d <= end:
+            present.setdefault((d.year, d.month), set()).add(rec.timestamp)
+
+    months = []
+    for year, month in _month_range(start, end):
+        first = max(start, date(year, month, 1))
+        last = min(end, date(year, month, _days_in_month(year, month)))
+        expected = ((last - first).days + 1) * SLOTS_PER_DAY
+        missing = max(0, expected - len(present.get((year, month), ())))
+        months.append(MonthGap(year, month, missing, classify_gap(missing)))
+    return GapReport(sensor_id, tuple(months))
+
+
+GAP_ANCHORS = (date(2012, 2, 27), date(2011, 12, 30), date(2000, 2, 1), date(2019, 11, 20))
+
+
+@st.composite
+def gap_cases(draw):
+    """(records, span start, span end, sensor_id argument)."""
+    anchor = draw(st.sampled_from(GAP_ANCHORS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    first = anchor + timedelta(days=draw(st.integers(-3, 3)))
+    days = draw(st.integers(0, 40))
+    slots = np.arange(days * SLOTS_PER_DAY)
+    drop = draw(st.sampled_from((0.0, 0.001, 0.03, 0.5, 1.0)))
+    minutes = (5 * slots[rng.random(slots.size) >= drop]).tolist()
+    minutes += rng.integers(-3 * 1440, (days + 3) * 1440, draw(st.integers(0, 30))).tolist()
+    if minutes:
+        minutes += [minutes[i] for i in rng.integers(0, len(minutes), draw(st.integers(0, 20)))]
+    origin = datetime.combine(first, time())
+    stamps = [origin + timedelta(minutes=m) for m in minutes]
+    off_grid = st.datetimes(origin - timedelta(days=2), origin + timedelta(days=45))
+    stamps += draw(st.lists(off_grid, max_size=5))
+    rng.shuffle(stamps)
+    sensors = draw(st.sampled_from((("s1",),) * 5 + (("s1", "s2"),)))
+    records = [SensorRecord(ts, sensors[i % len(sensors)], 1.0) for i, ts in enumerate(stamps)]
+    start = anchor + timedelta(days=draw(st.integers(-5, 20)))
+    end = start + timedelta(days=draw(st.integers(-2, 80)))
+    return records, start, end, draw(st.sampled_from((None, None, "s1", "s1", "s2")))
+
+
+def gap_outcome(report, records, start, end, sensor_id):
+    try:
+        return report(records, start, end, sensor_id)
+    except FlowReconError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gap_cases())
+def test_gap_report_matches_reference(case):
+    assert gap_outcome(gap_report, *case) == gap_outcome(reference_gap_report, *case)
