@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    InvalidParams,
     LengthMismatch,
     LevelOutOfRange,
     NonFiniteValues,
@@ -103,7 +102,6 @@ class WaveletDecomposition:
     levels: int
     approximation: np.ndarray
     details: tuple[np.ndarray, ...]
-    base_window_minutes: int = 5
 
     def __post_init__(self):
         object.__setattr__(
@@ -124,8 +122,6 @@ class WaveletDecomposition:
                 raise LengthMismatch(
                     f"detail level {j} has length {det.size}, expected {n >> j}"
                 )
-        if self.base_window_minutes < 1:
-            raise InvalidParams("base_window_minutes must be positive")
 
     @property
     def signal_length(self) -> int:
@@ -136,7 +132,7 @@ class WaveletDecomposition:
         return self.approximation.size + sum(d.size for d in self.details)
 
 
-def haar_forward(values, levels: int, base_window_minutes: int = 5) -> WaveletDecomposition:
+def haar_forward(values, levels: int) -> WaveletDecomposition:
     """Decompose a signal over ``levels`` dyadic stages.
 
     Applies :func:`haar_forward_level` repeatedly to the running
@@ -157,7 +153,7 @@ def haar_forward(values, levels: int, base_window_minutes: int = 5) -> WaveletDe
     for _ in range(levels):
         approx, det = haar_forward_level(approx)
         details.append(det)
-    return WaveletDecomposition(levels, approx, tuple(details), base_window_minutes)
+    return WaveletDecomposition(levels, approx, tuple(details))
 
 
 def haar_inverse(decomposition: WaveletDecomposition) -> np.ndarray:

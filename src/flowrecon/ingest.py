@@ -11,6 +11,9 @@ Row rules of :func:`parse_sensor_csv`:
 - The first row of each (sensor, timestamp) key wins; later ones are
   counted as duplicates.
 
+Kept rows are :class:`SensorRecord` named tuples: immutable, and they unpack
+like, and compare equal to, a plain ``(timestamp, sensor_id, flow_total)``.
+
 Missing slots are zero-filled and tracked per day, and daily signals can be
 re-windowed onto the dyadic aggregation ladder (10, 20, 40, 80, 160 minutes).
 """
@@ -24,7 +27,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,9 +56,9 @@ SEVERITY_LADDER = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class SensorRecord:
-    """One validated detector reading on the base grid."""
+class SensorRecord(NamedTuple):
+    """One validated detector reading on the base grid; an immutable named
+    tuple that unpacks like, and compares equal to, a plain tuple."""
 
     timestamp: datetime
     sensor_id: str
@@ -149,32 +152,6 @@ def _open_text(source):
     return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
 
 
-def _parse_timestamp(text, fmt):
-    if not text:
-        return None
-    try:
-        ts = datetime.strptime(text.strip(), fmt) if fmt else datetime.fromisoformat(text.strip())
-    except ValueError:
-        return None
-    if ts.tzinfo is not None:
-        return None
-    if ts.second or ts.microsecond or ts.minute % BASE_WINDOW_MINUTES:
-        return None  # off the base grid
-    return ts
-
-
-def _parse_flow(text):
-    if text is None:
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        return None
-    if not math.isfinite(value) or value < 0:
-        return None
-    return value
-
-
 def parse_sensor_csv(source, schema: CsvSchema = CsvSchema()) -> ParseResult:
     """Parse a detector CSV into validated records.
 
@@ -205,17 +182,32 @@ def parse_sensor_csv(source, schema: CsvSchema = CsvSchema()) -> ParseResult:
         sensor_col = column.get(schema.sensor_id)
         width = len(header)
 
+        fmt = schema.timestamp_format
+        parse_ts = (lambda text: datetime.strptime(text, fmt)) if fmt else datetime.fromisoformat
+
         records: list[SensorRecord] = []
+        append = records.append
         seen: set[tuple[str, datetime]] = set()
+        add = seen.add
         rejected = duplicates = 0
         for row in reader:
             if not row:
                 continue  # blank line
             if len(row) < width:
                 row += [None] * (width - len(row))  # short row: cells absent
-            ts = _parse_timestamp(row[ts_col], schema.timestamp_format)
-            flow = _parse_flow(row[flow_col])
-            if ts is None or flow is None:
+            text, flow = row[ts_col], row[flow_col]
+            if not text or flow is None:
+                rejected += 1
+                continue
+            try:
+                ts = parse_ts(text.strip())
+                flow = float(flow)
+            except ValueError:
+                rejected += 1
+                continue
+            # tz-aware or off the base grid; NaN, negative or infinite flow
+            if (ts.tzinfo is not None or ts.minute % BASE_WINDOW_MINUTES or ts.second
+                    or ts.microsecond or not 0 <= flow < math.inf):
                 rejected += 1
                 continue
             sensor = (row[sensor_col] or "").strip() if sensor_col is not None else ""
@@ -225,8 +217,8 @@ def parse_sensor_csv(source, schema: CsvSchema = CsvSchema()) -> ParseResult:
             if key in seen:
                 duplicates += 1  # erroneously repeated reading: keep the first
                 continue
-            seen.add(key)
-            records.append(SensorRecord(ts, sensor, flow))
+            add(key)
+            append(SensorRecord(ts, sensor, flow))
         return ParseResult(records, rejected, duplicates)
     finally:
         if owns:

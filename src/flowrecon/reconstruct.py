@@ -31,6 +31,7 @@ from datetime import date
 import numpy as np
 
 from .errors import (
+    InvalidParams,
     LevelMismatch,
     LevelOutOfRange,
     NonFiniteValues,
@@ -132,7 +133,8 @@ def _reconstruction_columns(
     without an original day) as lists, and the number of negative shares.
 
     Raises ``NonFiniteValues`` when a count is not finite: a non-finite
-    ``total_vehicles``, or a finite one whose product with a share overflows.
+    ``total_vehicles``, or a finite one whose product with a share overflows;
+    then ``InvalidParams`` for a negative ``total_vehicles``.
     """
     shares = normalize_percent(reconstructed).values
     clamped = int(np.sum(shares < 0))
@@ -140,6 +142,8 @@ def _reconstruction_columns(
         counts = np.clip(shares, 0.0, None) * total_vehicles
     if not np.isfinite(counts).all():
         raise NonFiniteValues(f"counts for total_vehicles {total_vehicles!r} are not finite")
+    if total_vehicles < 0:
+        raise InvalidParams(f"total_vehicles {total_vehicles!r} is negative")
     day = reconstructed.date.isoformat()
     stamps = [day + clock for clock in SLOT_CLOCKS]
     originals = None if original is None else original.values.tolist()
@@ -161,7 +165,7 @@ def write_reconstruction_csv(
     ends and minimal quoting, which no cell needs. Negative shares are
     clamped to zero in the count column only; the number of clamped slots
     is returned so reports can disclose it. Non-finite counts raise
-    ``NonFiniteValues`` before the file is opened.
+    ``NonFiniteValues``, a negative total ``InvalidParams``, before the file is opened.
     """
     stamps, shares, counts, originals, clamped = _reconstruction_columns(
         reconstructed, total_vehicles, original
@@ -193,8 +197,8 @@ def write_reconstruction_json(
     separators, plus a newline, where ``payload`` holds ``clamped_slots``,
     ``date`` and one ``{count, original_count, share, timestamp}`` object per
     slot (``original_count`` null without an original day). Non-finite
-    counts raise ``NonFiniteValues`` before the file is opened, so no
-    ``Infinity`` or ``NaN`` token is written.
+    counts raise ``NonFiniteValues`` (so no ``Infinity`` or ``NaN`` token is
+    written), a negative total ``InvalidParams``, before the file is opened.
     """
     stamps, shares, counts, originals, clamped = _reconstruction_columns(
         reconstructed, total_vehicles, original

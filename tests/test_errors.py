@@ -20,7 +20,7 @@ from flowrecon.errors import (
     UnknownScenario,
     WrongShape,
 )
-from flowrecon.haar import WaveletDecomposition, haar_forward, max_levels
+from flowrecon.haar import haar_forward, max_levels
 from flowrecon.ingest import SLOTS_PER_DAY, AggregatedSignal, DaySignal, gap_report
 from flowrecon.matrix import DaySelectionCriteria, MatrixProfile
 from flowrecon.metrics import DayResult, evaluate_day
@@ -94,10 +94,6 @@ def test_gap_report_reversed_span():
 def test_day_selection_criteria_invalid():
     raises(InvalidParams, lambda: DaySelectionCriteria(2012, 3, allowed_weekdays=frozenset()))
     raises(InvalidParams, lambda: DaySelectionCriteria(2012, 13))
-
-
-def test_base_window_not_positive():
-    raises(InvalidParams, lambda: WaveletDecomposition(1, np.ones(2), (np.ones(2),), 0))
 
 
 def test_day_result_out_of_range():

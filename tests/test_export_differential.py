@@ -9,8 +9,9 @@ all-zero and negated reconstructions, and writes each with and without an
 original day and in both precisions, on dates that include 29 February,
 31 December, ``date.min`` and ``date.max``. Both sides must write the same
 bytes, return the same clamped count and raise the same exception type.
-Counts that are not finite raise ``NonFiniteValues`` before any file is
-opened, so the strategies draw finite totals only.
+Counts that are not finite raise ``NonFiniteValues``, and a negative total
+``InvalidParams``, before any file is opened, so the strategies draw finite,
+non-negative totals only.
 
 ``reference_records_csv`` and ``reference_gap_report`` are the
 ``csv.writer`` records writer and the per-month-set gap report, kept here
@@ -192,6 +193,27 @@ def test_non_finite_counts_raise_before_the_file_is_opened(write, total):
     values[:2] = (4.0, -2.0)  # shares 2 and -1: 2 * 1e308 overflows
     recon = DaySignal(date(2012, 2, 29), "", values)
     assert outcome(write, recon, total, None) == (NonFiniteValues, False)
+
+
+@pytest.mark.parametrize("total", (-2880.0, -1e-300))
+@pytest.mark.parametrize("write", (write_reconstruction_csv, write_reconstruction_json))
+def test_negative_total_raises_before_the_file_is_opened(write, total):
+    flat = DaySignal(date(2012, 2, 29), "", np.full(SLOTS_PER_DAY, 10.0))
+    assert outcome(write, flat, total, None) == (InvalidParams, False)
+
+
+@pytest.mark.parametrize("total", (0.0, -0.0))
+@pytest.mark.parametrize(
+    "write, reference",
+    ((write_reconstruction_csv, reference_csv), (write_reconstruction_json, reference_json)),
+)
+def test_zero_totals_stay_valid(write, reference, total):
+    values = np.full(SLOTS_PER_DAY, 10.0)
+    values[0] = -5.0  # one clamped slot
+    recon = DaySignal(date(2012, 2, 29), "", values)
+    written = outcome(write, recon, total, None)
+    assert written == outcome(reference, recon, total, None)
+    assert written[1] == 1
 
 
 def reference_records_csv(records, path):

@@ -5,7 +5,8 @@ the slot-by-slot assembly loop, both kept here as they were apart from
 returning plain tuples and dropping the unused vehicle-class columns.
 Hypothesis writes detector CSVs with blank, short and long rows, quoted
 cells, repeated header names, missing sensor columns, blank sensors,
-tz-aware, sub-minute, off-grid and garbage timestamps, and non-finite,
+blank, tz-aware, sub-minute, fractional-second, off-grid and garbage
+timestamps, and signed, subnormal, hexadecimal, padded, non-finite,
 overflowing, negative and unparseable flows, in both schemas and as text or
 byte streams. Both sides must keep the same records, count the same rejected
 and duplicate rows, and raise the same exception type.
@@ -16,7 +17,8 @@ import io
 from datetime import date, datetime
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowrecon.errors import EmptyInput, FlowReconError, MissingColumn, MixedSensors
@@ -145,6 +147,9 @@ def timestamps(draw, custom):
                 iso,
                 iso.replace("T", " ") + ":00",  # seconds, on the grid
                 iso + ":30",  # sub-minute
+                iso + ":00.000",  # fractional seconds, on the grid
+                iso + ":00.000001",  # one microsecond off the grid
+                iso + ":00,000",  # comma decimal separator
                 iso + "+02:00",  # tz-aware
                 iso + "Z",
                 f" {iso} ",
@@ -152,12 +157,16 @@ def timestamps(draw, custom):
                 "not-a-time",
                 f"{day.isoformat()} 25:00",
                 "",
+                "   ",
             ]
         )
     )
 
 
-FLOWS = ["12", "0", "3.5", " 7 ", "-0", "nan", "inf", "-inf", "1e400", "-4", "n/a", "", "1_000"]
+FLOWS = [
+    "12", "0", "3.5", " 7 ", "-0", "nan", "inf", "-inf", "1e400", "-4", "n/a", "", "1_000",
+    "+5", "1e-320", "0x10", " nan ", "Infinity",
+]
 SENSORS = ["s1", "s2", " s1 ", "", "  ", "a,b", "c;d", 'q"x']
 
 
@@ -210,12 +219,38 @@ def stream_of(text, as_bytes):
     return io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text, newline="")
 
 
+EDGE_ROWS = "timestamp,flow_total\n" + "".join(
+    f'"2012-03-13T08:{5 * i:02d}{suffix}",{flow}\n'
+    for i, (suffix, flow) in enumerate(
+        [(":00.000001", "1"), (":00,000", "+5"), (":00.000", "1e-320"), ("", "0x10"),
+         ("", " nan "), ("", "Infinity"), ("", "-0")]
+    )
+) + "   ,4\n"
+
+
 @settings(max_examples=200, deadline=None)
 @given(csv_inputs())
+@example((EDGE_ROWS, CsvSchema(), False))
 def test_parse_matches_dictreader_reference(case):
     text, schema, as_bytes = case
     expected = outcome(reference_parse, io.StringIO(text, newline=""), schema)
     assert outcome(parse_under_test, stream_of(text, as_bytes), schema) == expected
+
+
+def test_sensor_record_contract():
+    ts = datetime(2012, 3, 13, 8, 5)
+    rec = SensorRecord(ts, "s1", 12.0)
+    assert SensorRecord._fields == ("timestamp", "sensor_id", "flow_total")
+    assert (rec.timestamp, rec.sensor_id, rec.flow_total) == tuple(rec) == (ts, "s1", 12.0)
+    with pytest.raises(AttributeError):
+        rec.flow_total = 1.0
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+    twin = SensorRecord(ts, "s1", 12.0)
+    assert twin == rec and hash(twin) == hash(rec)
+    parsed = parse_sensor_csv(io.StringIO("timestamp,sensor_id,flow_total\n2012-03-13T08:05,s1,12\n"))
+    assert parsed.records == [rec]
+    assert all(type(r) is SensorRecord for r in parsed.records)
 
 
 @st.composite
