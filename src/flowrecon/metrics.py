@@ -6,10 +6,23 @@ are excluded from the mean and counted. The mean absolute difference of
 shares is emitted alongside for transparency, since it lives on a much
 smaller scale. Both metrics and the correlation are computed on
 percent-of-daily-total signals.
+
+:func:`evaluate_day` scores in three parts: the original day's terms, each
+row's terms against them, and the combination. A day is scored against
+several reconstructions and one staircase baseline per level, so the
+original's and the baseline's terms sit in single-entry
+``functools.lru_cache`` caches keyed by the exact bytes of their values:
+values are writable, so a key by identity could go stale. The cached
+arrays are read-only. The two error sums come from one product with the
+reciprocals of the original's shares, except on a day with a positive
+subnormal share, whose reciprocal can overflow; such days divide instead.
+:func:`pearson`, :func:`mean_abs_pct_error` and
+:func:`share_mean_abs_diff` are the scalar references.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -142,6 +155,105 @@ def _reject_first_invalid(days: Sequence[DaySignal]) -> NoReturn:
     raise SharesNotNormalized("shares do not sum to 1")
 
 
+# Below this a positive share is subnormal and its reciprocal can overflow.
+_TINY = np.finfo(float).tiny
+
+
+class _Original(NamedTuple):
+    """The terms of an original day that every row scored against it reuses."""
+
+    shares: np.ndarray
+    included: np.ndarray  # shares > 0
+    kept: int
+    centred: np.ndarray
+    norm: float  # 0.0 for a constant row
+    weights: np.ndarray | None  # (slots, 2): 1/share on included slots (else 0), and ones
+
+
+class _Row(NamedTuple):
+    """One share row's terms against an original day."""
+
+    error: float  # sum of |row - original| / original over included slots
+    mad: float  # sum of |row - original|
+    cross: float  # centred row . centred original
+    norm: float  # 0.0 for a constant row
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _share_row(values: np.ndarray):
+    """(shares, centred shares, centred norm) of one row, or None where
+    :func:`normalize_percent` would raise on it."""
+    total = values.sum()
+    if not total > 0:  # a NaN total is rejected too
+        return None
+    shares = values / total
+    share_sum = shares.sum()
+    if not abs(share_sum - 1.0) <= SHARE_SUM_TOL:
+        return None
+    centred = shares - share_sum / shares.size
+    norm = math.sqrt(centred @ centred)
+    # a constant row's float mean can differ from its value, so its norm need
+    # not be 0; but its shares are all ~1/288, which bounds that norm below
+    # 1e-15. Only a smaller norm needs the range test (max > min is ptp > 0
+    # on the finite rows that reach here).
+    if norm < 1e-12 and not np.maximum.reduce(shares) > np.minimum.reduce(shares):
+        norm = 0.0
+    return shares, centred, norm
+
+
+@functools.lru_cache(maxsize=1)
+def _original_terms(key: bytes) -> _Original | None:
+    """The original's terms from its values' bytes; None if it does not normalise."""
+    row = _share_row(np.frombuffer(key))
+    if row is None:
+        return None
+    shares, centred, norm = row
+    included = shares > 0
+    kept = int(np.count_nonzero(included))
+    weights = None
+    if np.count_nonzero(shares >= _TINY) == kept:  # no positive share is subnormal
+        weights = np.zeros((shares.size, 2))
+        weights[:, 1] = 1.0
+        np.divide(1.0, shares, out=weights[:, 0], where=included)
+        _frozen(weights)
+    return _Original(
+        _frozen(shares),
+        _frozen(included),
+        kept,
+        _frozen(centred),
+        norm,
+        weights,
+    )
+
+
+def _row_terms(values: np.ndarray, original: _Original) -> _Row | None:
+    """A reconstruction's or baseline's terms; None if it does not normalise."""
+    row = _share_row(values)
+    if row is None:
+        return None
+    shares, centred, norm = row
+    diff = np.abs(shares - original.shares)
+    if original.weights is None:
+        # dividing, not multiplying by 1/share: a subnormal share's reciprocal overflows
+        relative = np.divide(
+            diff, original.shares, out=np.zeros(diff.size), where=original.included
+        )
+        error, mad = float(relative.sum()), float(diff.sum())
+    else:
+        error, mad = (diff @ original.weights).tolist()
+    return _Row(error, mad, float(centred @ original.centred), norm)
+
+
+@functools.lru_cache(maxsize=1)
+def _baseline_terms(key: bytes, baseline_key: bytes) -> _Row | None:
+    """The baseline's terms against the original whose values' bytes are ``key``."""
+    return _row_terms(np.frombuffer(baseline_key), _original_terms(key))
+
+
 def evaluate_day(
     original: DaySignal,
     reconstructed: DaySignal,
@@ -150,53 +262,51 @@ def evaluate_day(
 ) -> DayResult:
     """Score one reconstruction and its staircase baseline on percent signals.
 
-    One pass over the (original, reconstruction, baseline) share rows. It
-    makes the checks of :func:`normalize_percent` and equals, up to float
+    It makes the checks of :func:`normalize_percent` and equals, up to float
     rounding, :func:`pearson`, :func:`mean_abs_pct_error` and
-    :func:`share_mean_abs_diff` of those shares, which are its reference.
+    :func:`share_mean_abs_diff` of the three share rows, which are its
+    reference. The work falls in three parts:
+
+    - the original's terms (shares, ``> 0`` mask, kept count, centred row
+      and norm, constancy), computed once per original day;
+    - each row's terms against them (the normalisation checks, the sums of
+      ``|delta| / original`` and ``|delta|``, the cross term with the
+      original, the norm and constancy), for the reconstruction on every
+      call;
+    - the baseline's terms, which are the same for every reconstruction of
+      a day and level.
+
+    The original's and the baseline's terms are kept in single-entry caches
+    keyed by the exact bytes of the values (a day's values are writable, so
+    neither identity nor a stale entry can be trusted). The two sums come
+    from one product with ``1/share`` weights, unless a positive original
+    share is subnormal: its reciprocal can overflow, so such days divide.
+    The original is checked first, then the reconstruction, then the
+    baseline; the first that fails raises what :func:`normalize_percent`
+    raises on it. ``AllZeroOriginal`` comes next, then ``ConstantInput``.
     """
-    values = np.array((original.values, reconstructed.values, baseline.values))
-    totals = values.sum(axis=1)
-    # the 3 totals, share sums, error sums and the Gram matrix are checked and
-    # combined as Python floats: one numpy call per tiny array costs more than its math
-    t0, t1, t2 = totals.tolist()
-    if t0 <= 0 or t1 <= 0 or t2 <= 0:  # a NaN total goes on to NonFiniteValues
+    key = original.values.tobytes()
+    orig = _original_terms(key)
+    row = None if orig is None else _row_terms(reconstructed.values, orig)
+    base = None if row is None else _baseline_terms(key, baseline.values.tobytes())
+    if base is None:
         _reject_first_invalid((original, reconstructed, baseline))
-    shares = values / totals[:, None]
-    sums = shares.sum(axis=1)
-    s0, s1, s2 = sums.tolist()
-    if not (
-        abs(s0 - 1.0) <= SHARE_SUM_TOL
-        and abs(s1 - 1.0) <= SHARE_SUM_TOL
-        and abs(s2 - 1.0) <= SHARE_SUM_TOL
-    ):
-        _reject_first_invalid((original, reconstructed, baseline))
-    orig = shares[0]
-    included = orig > 0
-    kept = int(np.count_nonzero(included))
-    if not kept:
+    if not orig.kept:
         raise AllZeroOriginal("no slot with a positive original share")
-    diffs = np.abs(shares[1:] - orig)
-    # dividing, not multiplying by 1/orig: a subnormal share's reciprocal overflows
-    relative = np.divide(diffs, orig, out=np.zeros(diffs.shape), where=included)
-    error, baseline_error = relative.sum(axis=1).tolist()
-    mad, baseline_mad = diffs.sum(axis=1).tolist()
-    centred = shares - (sums / orig.size)[:, None]
-    (g00, g01, g02), (_, g11, _), (_, _, g22) = (centred @ centred.T).tolist()
-    n0, n1, n2 = math.sqrt(g00), math.sqrt(g11), math.sqrt(g22)
-    # a constant vector's float mean can differ from its value: test the range too
-    if not (n0 > 0 and n1 > 0 and n2 > 0 and min(np.ptp(shares, axis=1).tolist()) > 0):
+    n0, n1, n2 = orig.norm, row.norm, base.norm
+    if not (n0 > 0 and n1 > 0 and n2 > 0):
         raise ConstantInput("correlation undefined for a constant vector")
+    size = orig.shares.size
     return DayResult(
         date=original.date,
         level=level,
-        correlation=max(-1.0, min(1.0, g01 / (n0 * n1))),
-        error_pct=error / kept * 100.0,
-        baseline_correlation=max(-1.0, min(1.0, g02 / (n0 * n2))),
-        baseline_error_pct=baseline_error / kept * 100.0,
-        share_mad=mad / orig.size,
-        baseline_share_mad=baseline_mad / orig.size,
-        excluded_slots=orig.size - kept,
+        correlation=max(-1.0, min(1.0, row.cross / (n0 * n1))),
+        error_pct=row.error / orig.kept * 100.0,
+        baseline_correlation=max(-1.0, min(1.0, base.cross / (n0 * n2))),
+        baseline_error_pct=base.error / orig.kept * 100.0,
+        share_mad=row.mad / size,
+        baseline_share_mad=base.mad / size,
+        excluded_slots=size - orig.kept,
     )
 
 

@@ -139,7 +139,8 @@ def _reconstruction_columns(
     shares = normalize_percent(reconstructed).values
     clamped = int(np.sum(shares < 0))
     with np.errstate(over="ignore", invalid="ignore"):
-        counts = np.clip(shares, 0.0, None) * total_vehicles
+        # + 0.0 turns a -0.0 total into 0.0, so no count is written as -0
+        counts = np.clip(shares, 0.0, None) * (total_vehicles + 0.0)
     if not np.isfinite(counts).all():
         raise NonFiniteValues(f"counts for total_vehicles {total_vehicles!r} are not finite")
     if total_vehicles < 0:

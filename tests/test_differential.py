@@ -1,12 +1,19 @@
-"""Closed-form reconstruction and single-pass scoring against their references.
+"""Closed-form reconstruction and cached scoring against their references.
 
 ``reconstruct_day`` is checked against the paper's Haar path (forward
 transform of the donor, counts swapped in as the approximation, inverse
 transform). ``evaluate_day`` is checked against the composition of
 ``normalize_percent``, ``pearson``, ``mean_abs_pct_error`` and
-``share_mean_abs_diff`` it replaced.
+``share_mean_abs_diff`` it replaced, also with its single-entry caches of
+the original's and the baseline's terms warm: across reconstructions,
+interleaved pairs, values mutated in place, new dates, threads, error
+cases and the subnormal-share boundary of its reciprocal weights.
 """
 
+import dataclasses
+import math
+import sys
+import threading
 from dataclasses import fields
 from datetime import date
 
@@ -16,12 +23,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from flowrecon.errors import FlowReconError
+from flowrecon.errors import FlowReconError, ZeroDailyTotal
 from flowrecon.haar import WaveletDecomposition, haar_forward, haar_inverse
 from flowrecon.ingest import SLOTS_PER_DAY, DaySignal, aggregate
 from flowrecon.matrix import MatrixProfile, build_matrix_scenario1, build_matrix_scenario2
 from flowrecon.metrics import (
     DayResult,
+    _baseline_terms,
+    _original_terms,
     evaluate_day,
     mean_abs_pct_error,
     pearson,
@@ -155,6 +164,20 @@ CANCELLING = np.zeros(SLOTS_PER_DAY)
 CANCELLING[[145, 185, 231, 261]] = [632.0, -1e17, 1e17, 201.28]
 
 
+def clear_memo():
+    _original_terms.cache_clear()
+    _baseline_terms.cache_clear()
+
+
+def valid_triple(seed=0):
+    """An original, reconstruction and baseline that all score."""
+    rng = np.random.default_rng(seed)
+    original = DaySignal(DAY, "s1", rng.uniform(0.0, 300.0, SLOTS_PER_DAY))
+    agg = aggregate(original, 2)
+    profile = donor(1, [rng.uniform(0.0, 300.0, SLOTS_PER_DAY)])
+    return original, reconstruct_day(profile, agg, 2), staircase_baseline(agg)
+
+
 def in_each_position(bad):
     return [tuple(bad if i == pos else RAMP for i in range(3)) for pos in range(3)]
 
@@ -175,14 +198,23 @@ def in_each_position(bad):
         # a zero total in a later row does not mask an earlier non-finite row
         (RAMP, NAN_TOTAL, np.zeros(SLOTS_PER_DAY)),
     ]
+    # constant, with a float mean one rounding away from the value
+    + in_each_position(np.full(SLOTS_PER_DAY, 13.0))
     + in_each_position(OVERFLOWING)
     + in_each_position(NAN_TOTAL)
     + in_each_position(CANCELLING),
 )
-def test_evaluate_day_raises_like_reference(original, reconstructed, baseline):
+@pytest.mark.parametrize("cache", ("cold", "valid pair", "same original"))
+def test_evaluate_day_raises_like_reference(original, reconstructed, baseline, cache):
     days = [DaySignal(DAY, "s1", v) for v in (original, reconstructed, baseline)]
     want = outcome(reference_evaluate, *days, 2)
     assert isinstance(want, type) and issubclass(want, FlowReconError)
+    clear_memo()
+    if cache == "valid pair":
+        evaluate_day(*valid_triple(), 2)
+    elif cache == "same original":
+        # warms the original's entry (valid or not) and a baseline entry for it
+        outcome(evaluate_day, days[0], *valid_triple()[1:], 2)
     assert outcome(evaluate_day, *days, 2) is want
 
 
@@ -206,6 +238,127 @@ def test_evaluate_day_matches_reference_on_a_subnormal_original_share(
     agg = aggregate(original, level)
     reconstructed = reconstruct_day(donor(scenario, donor_flows), agg, level, rescale)
     assert_same_outcome(original, reconstructed, staircase_baseline(agg), level)
+
+
+@pytest.mark.parametrize("value", (0.1, 13.0))
+@pytest.mark.parametrize("position", range(3))
+def test_nearly_constant_rows_score_like_reference(value, position):
+    """One slot a single ulp above a constant: the row varies, with a norm far below 1e-12."""
+    nudged = np.full(SLOTS_PER_DAY, value)
+    nudged[7] = np.nextafter(value, np.inf)
+    rows = [RAMP if i != position else nudged for i in range(3)]
+    days = [DaySignal(DAY, "s1", v) for v in rows]
+    assert isinstance(reference_evaluate(*days, 2), DayResult)
+    assert_same_outcome(*days, 2)
+
+
+def test_memo_serves_many_reconstructions_and_interleaved_pairs():
+    clear_memo()
+    original, _, baseline = valid_triple(1)
+    agg = aggregate(original, 2)
+    rng = np.random.default_rng(2)
+    for scenario in (1, 2):
+        profile = donor(scenario, [rng.uniform(0.0, 300.0, SLOTS_PER_DAY) for _ in range(2)])
+        for rescale in (False, True):
+            recon = reconstruct_day(profile, agg, 2, rescale)
+            assert_same_outcome(original, recon, baseline, 2)
+    a, b = valid_triple(3), valid_triple(4)
+    for triple in (a, b, a, b, a):
+        assert_same_outcome(*triple, 2)
+    # the same original against another baseline, then the first one again
+    for pair_baseline in (b[2], a[2], b[2]):
+        assert_same_outcome(a[0], a[1], pair_baseline, 2)
+
+
+def test_memo_follows_values_mutated_in_place():
+    original, recon, baseline = valid_triple(5)
+    assert_same_outcome(original, recon, baseline, 2)
+    before = evaluate_day(original, recon, baseline, 2)
+    original.values[:10] *= 3.0
+    assert_same_outcome(original, recon, baseline, 2)
+    assert evaluate_day(original, recon, baseline, 2) != before
+    baseline.values[100:140] = 0.0
+    assert_same_outcome(original, recon, baseline, 2)
+    original.values[:] = 0.0
+    assert_same_outcome(original, recon, baseline, 2)
+    assert outcome(evaluate_day, original, recon, baseline, 2) is ZeroDailyTotal
+
+
+def test_memo_returns_the_callers_date():
+    original, recon, baseline = valid_triple(6)
+    later = DaySignal(date(2013, 1, 2), "s1", original.values.copy())
+    first = evaluate_day(original, recon, baseline, 2)
+    second = evaluate_day(later, recon, baseline, 2)
+    assert first.date == DAY and second.date == later.date
+    assert_same_outcome(later, recon, baseline, 2)
+    assert dataclasses.replace(second, date=DAY) == first
+
+
+def test_memo_is_consistent_across_threads():
+    triples = [valid_triple(seed) for seed in range(10, 16)]
+    want = [evaluate_day(*t, 2) for t in triples]
+    for t in triples:
+        assert_same_outcome(*t, 2)
+    errors = []
+
+    def score(offset):
+        # each thread walks the pairs in its own order, so the single-entry caches thrash
+        try:
+            for i in range(60):
+                k = (i * (offset + 1) + offset) % len(triples)
+                got = evaluate_day(*triples[k], 2)
+                if got != want[k]:
+                    errors.append((offset, k, got))
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append((offset, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=score, args=(n,)) for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+def boundary_original(share):
+    """A day whose slot 0 holds exactly ``share`` of a 512-vehicle total."""
+    values = np.zeros(SLOTS_PER_DAY)
+    values[1:257] = 2.0
+    values[0] = share * 512.0  # exact: a power-of-two scale
+    day = DaySignal(DAY, "s1", values)
+    assert normalize_percent(day).values[0] == share
+    return day
+
+
+# slot 0 share 9 of a unit total: 9 / share overflows at the boundary shares
+OVERSHOOT = np.zeros(SLOTS_PER_DAY)
+OVERSHOOT[:3] = (9.0, -8.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "share",
+    (np.finfo(float).tiny, np.nextafter(np.finfo(float).tiny, 0.0)),
+    ids=("smallest normal", "largest subnormal"),
+)
+@pytest.mark.parametrize("recon_values", (RAMP, OVERSHOOT), ids=("ramp", "overshoot"))
+def test_weights_guard_boundary_matches_reference(share, recon_values):
+    clear_memo()
+    original = boundary_original(share)
+    recon = DaySignal(DAY, "s1", recon_values)
+    baseline = staircase_baseline(aggregate(original, 2))
+    with np.errstate(over="ignore"):
+        want = reference_evaluate(original, recon, baseline, 2)
+        assert_same_outcome(original, recon, baseline, 2)
+        got = evaluate_day(original, recon, baseline, 2)
+    assert math.isinf(got.error_pct) == math.isinf(want.error_pct)
+    assert math.isinf(want.error_pct) == (recon_values is OVERSHOOT)
+    assert math.isfinite(got.baseline_error_pct) and math.isfinite(want.baseline_error_pct)
 
 
 @pytest.mark.parametrize("scenario", (1, 2))
