@@ -13,9 +13,9 @@ several reconstructions and one staircase baseline per level, so the
 original's and the baseline's terms sit in single-entry
 ``functools.lru_cache`` caches keyed by the exact bytes of their values:
 values are writable, so a key by identity could go stale. The cached
-arrays are read-only. The two error sums come from one product with the
-reciprocals of the original's shares, except on a day with a positive
-subnormal share, whose reciprocal can overflow; such days divide instead.
+arrays are read-only. The relative error divides by the original's
+shares rather than multiplying by their reciprocals, which overflow for a
+subnormal share.
 :func:`pearson`, :func:`mean_abs_pct_error` and
 :func:`share_mean_abs_diff` are the scalar references.
 """
@@ -155,10 +155,6 @@ def _reject_first_invalid(days: Sequence[DaySignal]) -> NoReturn:
     raise SharesNotNormalized("shares do not sum to 1")
 
 
-# Below this a positive share is subnormal and its reciprocal can overflow.
-_TINY = np.finfo(float).tiny
-
-
 class _Original(NamedTuple):
     """The terms of an original day that every row scored against it reuses."""
 
@@ -167,7 +163,6 @@ class _Original(NamedTuple):
     kept: int
     centred: np.ndarray
     norm: float  # 0.0 for a constant row
-    weights: np.ndarray | None  # (slots, 2): 1/share on included slots (else 0), and ones
 
 
 class _Row(NamedTuple):
@@ -214,20 +209,7 @@ def _original_terms(key: bytes) -> _Original | None:
     shares, centred, norm = row
     included = shares > 0
     kept = int(np.count_nonzero(included))
-    weights = None
-    if np.count_nonzero(shares >= _TINY) == kept:  # no positive share is subnormal
-        weights = np.zeros((shares.size, 2))
-        weights[:, 1] = 1.0
-        np.divide(1.0, shares, out=weights[:, 0], where=included)
-        _frozen(weights)
-    return _Original(
-        _frozen(shares),
-        _frozen(included),
-        kept,
-        _frozen(centred),
-        norm,
-        weights,
-    )
+    return _Original(_frozen(shares), _frozen(included), kept, _frozen(centred), norm)
 
 
 def _row_terms(values: np.ndarray, original: _Original) -> _Row | None:
@@ -237,15 +219,9 @@ def _row_terms(values: np.ndarray, original: _Original) -> _Row | None:
         return None
     shares, centred, norm = row
     diff = np.abs(shares - original.shares)
-    if original.weights is None:
-        # dividing, not multiplying by 1/share: a subnormal share's reciprocal overflows
-        relative = np.divide(
-            diff, original.shares, out=np.zeros(diff.size), where=original.included
-        )
-        error, mad = float(relative.sum()), float(diff.sum())
-    else:
-        error, mad = (diff @ original.weights).tolist()
-    return _Row(error, mad, float(centred @ original.centred), norm)
+    # dividing, not multiplying by 1/share: a subnormal share's reciprocal overflows
+    relative = np.divide(diff, original.shares, out=np.zeros(diff.size), where=original.included)
+    return _Row(float(relative.sum()), float(diff.sum()), float(centred @ original.centred), norm)
 
 
 @functools.lru_cache(maxsize=1)
@@ -278,9 +254,7 @@ def evaluate_day(
 
     The original's and the baseline's terms are kept in single-entry caches
     keyed by the exact bytes of the values (a day's values are writable, so
-    neither identity nor a stale entry can be trusted). The two sums come
-    from one product with ``1/share`` weights, unless a positive original
-    share is subnormal: its reciprocal can overflow, so such days divide.
+    neither identity nor a stale entry can be trusted).
     The original is checked first, then the reconstruction, then the
     baseline; the first that fails raises what :func:`normalize_percent`
     raises on it. ``AllZeroOriginal`` comes next, then ``ConstantInput``.

@@ -7,7 +7,8 @@ transform). ``evaluate_day`` is checked against the composition of
 ``share_mean_abs_diff`` it replaced, also with its single-entry caches of
 the original's and the baseline's terms warm: across reconstructions,
 interleaved pairs, values mutated in place, new dates, threads, error
-cases and the subnormal-share boundary of its reciprocal weights.
+cases, the subnormal-share boundary and an overflowing difference at an
+excluded slot.
 """
 
 import dataclasses
@@ -347,7 +348,7 @@ OVERSHOOT[:3] = (9.0, -8.5, 0.5)
     ids=("smallest normal", "largest subnormal"),
 )
 @pytest.mark.parametrize("recon_values", (RAMP, OVERSHOOT), ids=("ramp", "overshoot"))
-def test_weights_guard_boundary_matches_reference(share, recon_values):
+def test_subnormal_share_boundary_matches_reference(share, recon_values):
     clear_memo()
     original = boundary_original(share)
     recon = DaySignal(DAY, "s1", recon_values)
@@ -359,6 +360,22 @@ def test_weights_guard_boundary_matches_reference(share, recon_values):
     assert math.isinf(got.error_pct) == math.isinf(want.error_pct)
     assert math.isinf(want.error_pct) == (recon_values is OVERSHOOT)
     assert math.isfinite(got.baseline_error_pct) and math.isfinite(want.baseline_error_pct)
+
+
+def test_overflowing_difference_at_an_excluded_slot_matches_reference():
+    """|delta| is inf at slot 1, whose original share is negative: the slot is
+    excluded from the error, so only slot 0 makes it inf, never NaN."""
+    original, recon = np.zeros(SLOTS_PER_DAY), np.zeros(SLOTS_PER_DAY)
+    original[:3] = (1e308, -1e308, 1.0)
+    recon[:3] = (-1e308, 1e308, 1.0)
+    days = [DaySignal(DAY, "s1", v) for v in (original, recon, RAMP)]
+    clear_memo()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference_evaluate(*days, 2)
+        for _ in range(2):  # cold, then with this triple's terms cached
+            assert_same_outcome(*days, 2)
+        got = evaluate_day(*days, 2)
+    assert math.isinf(want.error_pct) and math.isinf(got.error_pct)
 
 
 @pytest.mark.parametrize("scenario", (1, 2))
