@@ -1,0 +1,43 @@
+"""Rebuild 5-minute loop-detector flow from counts aggregated to 10-160 minutes.
+
+A target day's level-k counts replace the approximation of a typical-day
+donor profile's Haar decomposition; the result is scored against the
+original day and a staircase baseline on percent-of-daily-total signals.
+The package imports nothing here, so each module below is imported on its
+own. Its public API, module by module:
+
+``flowrecon.ingest``
+    Detector CSVs onto the 288-slot day grid: ``CsvSchema``,
+    ``parse_sensor_csv`` (to a ``ParseResult`` of ``SensorRecord`` rows),
+    ``assemble_day`` (to a ``DaySignal``), ``day_to_records``,
+    ``write_records_csv``, ``slot_start``; ``aggregate`` (to an
+    ``AggregatedSignal``) and ``check_level`` for the dyadic levels 1 to
+    ``MAX_AGGREGATION_LEVEL``; ``gap_report`` (a ``GapReport`` of
+    ``MonthGap`` rows) and ``classify_gap``. Constants
+    ``BASE_WINDOW_MINUTES``, ``SLOTS_PER_DAY``, ``SEVERITY_LADDER``.
+``flowrecon.matrix``
+    Donor profiles: ``DaySelectionCriteria`` and ``select_typical_days``
+    (fault-free typical weekdays, Tuesday-Thursday by default),
+    ``build_matrix_scenario1`` (slot means) and ``build_matrix_scenario2``
+    (20-minute block rates), both giving a ``MatrixProfile``.
+``flowrecon.reconstruct``
+    ``reconstruct_day`` (closed-form detail transplantation),
+    ``staircase_baseline``, ``share_row`` (the percent-share rule) and
+    ``normalize_percent``, and the per-day exports
+    ``write_reconstruction_csv`` and ``write_reconstruction_json``.
+``flowrecon.metrics``
+    ``evaluate_day`` (correlation, MAPE and mean share difference of a
+    reconstruction and its baseline, as a ``DayResult``) and
+    ``summarize`` (per-level ``LevelSummary`` rows, lower median).
+``flowrecon.haar``
+    The paper's orthonormal Haar transform (``haar_forward``,
+    ``haar_inverse``, ``WaveletDecomposition``, ``max_levels`` and the
+    single-level steps): the reference for ``reconstruct_day``.
+``flowrecon.synth``
+    Seeded synthetic commuter days: ``ProfileParams``, ``PeakSpec``,
+    ``DEFAULT_PARAMS``, ``base_profile``, ``generate_day``,
+    ``generate_corpus``.
+``flowrecon.errors``
+    ``FlowReconError`` (a ``ValueError``) and one subclass per validation
+    failure.
+"""

@@ -48,6 +48,13 @@ BASE_WINDOW_MINUTES = 5
 SLOTS_PER_DAY = 1440 // BASE_WINDOW_MINUTES  # 288
 MAX_AGGREGATION_LEVEL = max_levels(SLOTS_PER_DAY)  # 5
 
+
+def check_level(level: int) -> None:
+    """Raise ``LevelOutOfRange`` unless 1 <= level <= MAX_AGGREGATION_LEVEL."""
+    if not 1 <= level <= MAX_AGGREGATION_LEVEL:
+        raise LevelOutOfRange(f"level {level} outside 1..{MAX_AGGREGATION_LEVEL}")
+
+
 # (upper missing-slot bound, label); anything above the last bound is ">1 week"
 SEVERITY_LADDER = (
     (12, "<=1 hour"),
@@ -128,8 +135,7 @@ class AggregatedSignal:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        if not 1 <= self.level <= MAX_AGGREGATION_LEVEL:
-            raise LevelOutOfRange(f"level {self.level} outside 1..{MAX_AGGREGATION_LEVEL}")
+        check_level(self.level)
         if self.window_minutes != BASE_WINDOW_MINUTES << self.level:
             raise LevelMismatch(
                 f"window {self.window_minutes} min does not match level {self.level}"
@@ -238,7 +244,7 @@ def slot_start(day: date, slot: int) -> datetime:
 
 def _single_sensor(records: list[SensorRecord], sensor_id: str | None) -> str:
     """The one sensor the records come from; ``sensor_id`` may name it."""
-    sensors = {r.sensor_id for r in records}
+    sensors = {sensor for _, sensor, _ in records}
     if len(sensors) > 1:
         raise MixedSensors(f"records span sensors {sorted(sensors)}")
     if sensor_id is None:
@@ -261,9 +267,9 @@ def assemble_day(
     records = list(records)
     sensor_id = _single_sensor(records, sensor_id)
     placed: dict[int, float] = {}
-    for rec in records:
-        if rec.timestamp.date() == day:
-            placed.setdefault(_slot_of(rec.timestamp), rec.flow_total)
+    for ts, _, flow in records:
+        if ts.date() == day:
+            placed.setdefault(_slot_of(ts), flow)
     values = np.zeros(SLOTS_PER_DAY)
     values[list(placed)] = list(placed.values())
     filled = frozenset(range(SLOTS_PER_DAY)).difference(placed)
@@ -289,10 +295,7 @@ def aggregate(day: DaySignal, level: int) -> AggregatedSignal:
     Level n yields windows of 5 * 2**n minutes (10, 20, 40, 80, 160) and
     preserves the daily total exactly for integer-valued inputs.
     """
-    if not 1 <= level <= MAX_AGGREGATION_LEVEL:
-        raise LevelOutOfRange(
-            f"level {level} outside 1..{MAX_AGGREGATION_LEVEL}"
-        )
+    check_level(level)
     block = 1 << level
     sums = day.values.reshape(-1, block).sum(axis=1)
     return AggregatedSignal(BASE_WINDOW_MINUTES * block, sums, day.date, level)

@@ -21,14 +21,13 @@ import numpy as np
 from .errors import (
     EmptyDayList,
     InvalidParams,
-    LevelOutOfRange,
     NonFiniteValues,
     NotBlockConstant,
     NoTypicalDays,
     UnknownScenario,
     WrongShape,
 )
-from .ingest import BASE_WINDOW_MINUTES, MAX_AGGREGATION_LEVEL, SLOTS_PER_DAY, DaySignal
+from .ingest import BASE_WINDOW_MINUTES, SLOTS_PER_DAY, DaySignal, check_level
 
 TYPICAL_WEEKDAYS = frozenset({1, 2, 3})  # Tuesday, Wednesday, Thursday (Monday = 0)
 
@@ -95,8 +94,7 @@ class MatrixProfile:
         """
         cached = self._residuals.get(level)
         if cached is None:
-            if not 1 <= level <= MAX_AGGREGATION_LEVEL:
-                raise LevelOutOfRange(f"level {level} outside 1..{MAX_AGGREGATION_LEVEL}")
+            check_level(level)
             block = 1 << level
             blocks = self.values.reshape(-1, block)
             cached = blocks - blocks.sum(axis=1, keepdims=True) * (1.0 / block)

@@ -16,8 +16,10 @@ values are writable, so a key by identity could go stale. The cached
 arrays are read-only. The relative error divides by the original's
 shares rather than multiplying by their reciprocals, which overflow for a
 subnormal share.
-:func:`pearson`, :func:`mean_abs_pct_error` and
-:func:`share_mean_abs_diff` are the scalar references.
+
+Every row passes :func:`flowrecon.reconstruct.share_row` first. The tests
+hold :func:`evaluate_day` to the scalar ``pearson``, ``mean_abs_pct_error``
+and ``share_mean_abs_diff`` of ``tests/metric_reference.py``.
 """
 
 from __future__ import annotations
@@ -26,20 +28,13 @@ import functools
 import math
 from dataclasses import dataclass
 from datetime import date
-from typing import NamedTuple, NoReturn, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    AllZeroOriginal,
-    ConstantInput,
-    EmptyResults,
-    InvalidParams,
-    LengthMismatch,
-    SharesNotNormalized,
-)
+from .errors import ConstantInput, EmptyResults, InvalidParams
 from .ingest import BASE_WINDOW_MINUTES, DaySignal
-from .reconstruct import SHARE_SUM_TOL, PercentSignal, normalize_percent
+from .reconstruct import share_row
 
 
 @dataclass(frozen=True)
@@ -88,73 +83,6 @@ class LevelSummary:
     baseline_error_min: float
 
 
-def pearson(a, b) -> float:
-    """Population product-moment correlation, cov(a, b) / (sigma_a sigma_b)."""
-    x = np.asarray(a, dtype=float)
-    y = np.asarray(b, dtype=float)
-    if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
-        raise LengthMismatch(f"vector lengths {x.size} != {y.size}")
-    if x.size < 2:
-        raise ConstantInput("correlation needs at least 2 samples")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    nx = np.sqrt(np.sum(dx * dx))
-    ny = np.sqrt(np.sum(dy * dy))
-    # a constant vector's float mean can differ from its value: test ptp too
-    if nx == 0.0 or ny == 0.0 or np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        raise ConstantInput("correlation undefined for a constant vector")
-    r = float(np.sum(dx * dy) / (nx * ny))
-    return max(-1.0, min(1.0, r))
-
-
-class MapeResult(NamedTuple):
-    error_pct: float
-    excluded_slots: int
-
-
-def _shares(signal) -> np.ndarray:
-    return signal.values if isinstance(signal, PercentSignal) else np.asarray(signal, float)
-
-
-def mean_abs_pct_error(original, reconstructed) -> MapeResult:
-    """Mean of |orig - recon| / orig over slots with positive original share.
-
-    Returns the mean in percent together with the number of zero-original
-    slots that were excluded. Inputs are percent signals (or raw share
-    vectors of equal length).
-    """
-    o = _shares(original)
-    r = _shares(reconstructed)
-    if o.shape != r.shape:
-        raise LengthMismatch(f"share lengths {o.size} != {r.size}")
-    included = o > 0
-    excluded = int(o.size - included.sum())
-    if not included.any():
-        raise AllZeroOriginal("no slot with a positive original share")
-    rel = np.abs(o[included] - r[included]) / o[included]
-    return MapeResult(float(rel.mean() * 100.0), excluded)
-
-
-def share_mean_abs_diff(original, reconstructed) -> float:
-    """Mean absolute difference of shares (transparency metric)."""
-    o = _shares(original)
-    r = _shares(reconstructed)
-    if o.shape != r.shape:
-        raise LengthMismatch(f"share lengths {o.size} != {r.size}")
-    return float(np.abs(o - r).mean())
-
-
-def _reject_first_invalid(days: Sequence[DaySignal]) -> NoReturn:
-    """Raise what :func:`normalize_percent` raises on the first day it rejects.
-
-    The reference normalises the original, the reconstruction and the
-    baseline in turn, so a bad later day must not mask a bad earlier one.
-    """
-    for day in days:
-        normalize_percent(day)
-    raise SharesNotNormalized("shares do not sum to 1")
-
-
 class _Original(NamedTuple):
     """The terms of an original day that every row scored against it reuses."""
 
@@ -179,16 +107,10 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _share_row(values: np.ndarray):
-    """(shares, centred shares, centred norm) of one row, or None where
-    :func:`normalize_percent` would raise on it."""
-    total = values.sum()
-    if not total > 0:  # a NaN total is rejected too
-        return None
-    shares = values / total
-    share_sum = shares.sum()
-    if not abs(share_sum - 1.0) <= SHARE_SUM_TOL:
-        return None
+def _centred_row(values: np.ndarray):
+    """(shares, centred shares, centred norm) of one row; raises what
+    :func:`share_row` raises on it."""
+    shares, share_sum = share_row(values)
     centred = shares - share_sum / shares.size
     norm = math.sqrt(centred @ centred)
     # a constant row's float mean can differ from its value, so its norm need
@@ -201,23 +123,17 @@ def _share_row(values: np.ndarray):
 
 
 @functools.lru_cache(maxsize=1)
-def _original_terms(key: bytes) -> _Original | None:
-    """The original's terms from its values' bytes; None if it does not normalise."""
-    row = _share_row(np.frombuffer(key))
-    if row is None:
-        return None
-    shares, centred, norm = row
+def _original_terms(key: bytes) -> _Original:
+    """The original's terms from its values' bytes."""
+    shares, centred, norm = _centred_row(np.frombuffer(key))
     included = shares > 0
     kept = int(np.count_nonzero(included))
     return _Original(_frozen(shares), _frozen(included), kept, _frozen(centred), norm)
 
 
-def _row_terms(values: np.ndarray, original: _Original) -> _Row | None:
-    """A reconstruction's or baseline's terms; None if it does not normalise."""
-    row = _share_row(values)
-    if row is None:
-        return None
-    shares, centred, norm = row
+def _row_terms(values: np.ndarray, original: _Original) -> _Row:
+    """A reconstruction's or baseline's terms against the original's."""
+    shares, centred, norm = _centred_row(values)
     diff = np.abs(shares - original.shares)
     # dividing, not multiplying by 1/share: a subnormal share's reciprocal overflows
     relative = np.divide(diff, original.shares, out=np.zeros(diff.size), where=original.included)
@@ -225,7 +141,7 @@ def _row_terms(values: np.ndarray, original: _Original) -> _Row | None:
 
 
 @functools.lru_cache(maxsize=1)
-def _baseline_terms(key: bytes, baseline_key: bytes) -> _Row | None:
+def _baseline_terms(key: bytes, baseline_key: bytes) -> _Row:
     """The baseline's terms against the original whose values' bytes are ``key``."""
     return _row_terms(np.frombuffer(baseline_key), _original_terms(key))
 
@@ -238,14 +154,14 @@ def evaluate_day(
 ) -> DayResult:
     """Score one reconstruction and its staircase baseline on percent signals.
 
-    It makes the checks of :func:`normalize_percent` and equals, up to float
-    rounding, :func:`pearson`, :func:`mean_abs_pct_error` and
-    :func:`share_mean_abs_diff` of the three share rows, which are its
-    reference. The work falls in three parts:
+    Each row passes :func:`flowrecon.reconstruct.share_row`; the result
+    equals, up to float rounding, the scalar reference metrics of the three
+    share rows (``tests/metric_reference.py``). The work falls in three
+    parts:
 
     - the original's terms (shares, ``> 0`` mask, kept count, centred row
       and norm, constancy), computed once per original day;
-    - each row's terms against them (the normalisation checks, the sums of
+    - each row's terms against them (the share rule, the sums of
       ``|delta| / original`` and ``|delta|``, the cross term with the
       original, the norm and constancy), for the reconstruction on every
       call;
@@ -254,19 +170,17 @@ def evaluate_day(
 
     The original's and the baseline's terms are kept in single-entry caches
     keyed by the exact bytes of the values (a day's values are writable, so
-    neither identity nor a stale entry can be trusted).
-    The original is checked first, then the reconstruction, then the
-    baseline; the first that fails raises what :func:`normalize_percent`
-    raises on it. ``AllZeroOriginal`` comes next, then ``ConstantInput``.
+    neither identity nor a stale entry can be trusted); a row that fails
+    is never cached. The original is checked first, then the
+    reconstruction, then the baseline, each raising what ``share_row``
+    raises on it; ``ConstantInput`` comes last. Shares that sum to one
+    hold a positive share, so the original always keeps a slot for the
+    relative error and ``AllZeroOriginal`` cannot arise here.
     """
     key = original.values.tobytes()
     orig = _original_terms(key)
-    row = None if orig is None else _row_terms(reconstructed.values, orig)
-    base = None if row is None else _baseline_terms(key, baseline.values.tobytes())
-    if base is None:
-        _reject_first_invalid((original, reconstructed, baseline))
-    if not orig.kept:
-        raise AllZeroOriginal("no slot with a positive original share")
+    row = _row_terms(reconstructed.values, orig)
+    base = _baseline_terms(key, baseline.values.tobytes())
     n0, n1, n2 = orig.norm, row.norm, base.norm
     if not (n0 > 0 and n1 > 0 and n2 > 0):
         raise ConstantInput("correlation undefined for a constant vector")

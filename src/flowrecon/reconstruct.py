@@ -21,30 +21,30 @@ after percent normalisation the donor detail is weighted down by
 on percent-of-daily-total signals; raw negative slots are allowed and only
 clamped when exporting vehicle counts. :mod:`flowrecon.haar` keeps the
 paper's transform as the reference and test oracle for the closed form.
+
+:func:`share_row` is the one rule a percent signal passes (positive total,
+finite shares, shares summing to one); :func:`normalize_percent`, the
+export writers and :func:`flowrecon.metrics.evaluate_day` all apply it.
+The tests hold it to the separate normaliser of ``tests/metric_reference.py``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
 from .errors import (
     InvalidParams,
     LevelMismatch,
-    LevelOutOfRange,
     NonFiniteValues,
     SharesNotNormalized,
-    WrongShape,
     ZeroDailyTotal,
 )
 from .ingest import (
     BASE_WINDOW_MINUTES,
-    MAX_AGGREGATION_LEVEL,
     SLOTS_PER_DAY,
     AggregatedSignal,
     DaySignal,
+    check_level,
 )
 from .matrix import MatrixProfile
 
@@ -58,33 +58,26 @@ SLOT_CLOCKS = tuple(
 )
 
 
-def check_shares(shares: np.ndarray) -> None:
-    """Reject share vectors (along the last axis) that are non-finite or do not sum to 1."""
-    sums = shares.sum(axis=-1)
-    if (abs(sums - 1.0) <= SHARE_SUM_TOL).all():
-        return
-    if not np.isfinite(shares).all():
-        raise NonFiniteValues("shares must be finite")
-    raise SharesNotNormalized(f"shares sum to {sums!r}, expected 1")
+def share_row(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Each slot's share of the row's total, and the sum of those shares.
 
-
-@dataclass(frozen=True, eq=False)
-class PercentSignal:
-    """A day's flow as each slot's share of the daily total.
-
-    Shares sum to one. Reconstructed days may produce shares outside
-    [0, 1] because raw reconstruction values can be negative.
+    This is the one percent-share rule a day passes before it is scored or
+    exported. It raises ``ZeroDailyTotal`` when the total is not positive,
+    ``NonFiniteValues`` when a share is not finite (so also for a NaN
+    total), and ``SharesNotNormalized`` when the shares do not sum to 1
+    within ``SHARE_SUM_TOL`` (heavy cancellation in the total). The checks
+    cost one sum per row unless the row fails.
     """
-
-    values: np.ndarray
-    source_date: date
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (SLOTS_PER_DAY,):
-            raise WrongShape(f"expected {SLOTS_PER_DAY} slots, got {vals.shape}")
-        check_shares(vals)
-        object.__setattr__(self, "values", vals)
+    total = values.sum()
+    if total <= 0:  # a NaN total passes here and makes every share NaN
+        raise ZeroDailyTotal(f"daily total {float(total)!r} is not positive")
+    shares = values / total
+    share_sum = shares.sum()
+    if not abs(share_sum - 1.0) <= SHARE_SUM_TOL:
+        if not np.isfinite(shares).all():
+            raise NonFiniteValues("shares must be finite")
+        raise SharesNotNormalized(f"shares sum to {float(share_sum)!r}, expected 1")
+    return shares, share_sum
 
 
 def reconstruct_day(
@@ -92,27 +85,25 @@ def reconstruct_day(
     aggregated: AggregatedSignal,
     levels: int,
     rescale_approximation: bool = False,
-    sensor_id: str = "",
 ) -> DaySignal:
     """The donor's level-``levels`` Haar detail under the target day's counts."""
-    if not 1 <= levels <= MAX_AGGREGATION_LEVEL:
-        raise LevelOutOfRange(f"levels {levels} outside 1..{MAX_AGGREGATION_LEVEL}")
+    check_level(levels)
     if aggregated.level != levels:
         raise LevelMismatch(f"aggregated level {aggregated.level} != levels {levels}")
     scale = 2.0 ** (-levels if rescale_approximation else -levels / 2)
     values = matrix.residual(levels) + (aggregated.values * scale)[:, None]
-    return DaySignal(aggregated.source_date, sensor_id, values.ravel(), frozenset())
+    return DaySignal(aggregated.source_date, "", values.ravel(), frozenset())
 
 
-def normalize_percent(day: DaySignal) -> PercentSignal:
-    """Each slot's share of the daily total; invariant under uniform scaling."""
-    total = float(day.values.sum())
-    if total <= 0:
-        raise ZeroDailyTotal(f"daily total {total!r} is not positive")
-    return PercentSignal(day.values / total, day.date)
+def normalize_percent(day: DaySignal) -> np.ndarray:
+    """Each slot's share of the daily total; invariant under uniform scaling.
+
+    Raises what :func:`share_row` raises on the day's values.
+    """
+    return share_row(day.values)[0]
 
 
-def staircase_baseline(aggregated: AggregatedSignal, sensor_id: str = "") -> DaySignal:
+def staircase_baseline(aggregated: AggregatedSignal) -> DaySignal:
     """Spread each window count uniformly over its slots.
 
     Equals the inverse transform of the counts as the approximation with
@@ -121,7 +112,7 @@ def staircase_baseline(aggregated: AggregatedSignal, sensor_id: str = "") -> Day
     """
     block = 1 << aggregated.level
     values = np.repeat(aggregated.values / block, block)
-    return DaySignal(aggregated.source_date, sensor_id, values, frozenset())
+    return DaySignal(aggregated.source_date, "", values, frozenset())
 
 
 def _reconstruction_columns(
@@ -136,7 +127,7 @@ def _reconstruction_columns(
     ``total_vehicles``, or a finite one whose product with a share overflows;
     then ``InvalidParams`` for a negative ``total_vehicles``.
     """
-    shares = normalize_percent(reconstructed).values
+    shares = share_row(reconstructed.values)[0]
     clamped = int(np.sum(shares < 0))
     with np.errstate(over="ignore", invalid="ignore"):
         # + 0.0 turns a -0.0 total into 0.0, so no count is written as -0

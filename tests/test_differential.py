@@ -2,13 +2,15 @@
 
 ``reconstruct_day`` is checked against the paper's Haar path (forward
 transform of the donor, counts swapped in as the approximation, inverse
-transform). ``evaluate_day`` is checked against the composition of
-``normalize_percent``, ``pearson``, ``mean_abs_pct_error`` and
-``share_mean_abs_diff`` it replaced, also with its single-entry caches of
-the original's and the baseline's terms warm: across reconstructions,
-interleaved pairs, values mutated in place, new dates, threads, error
-cases, the subnormal-share boundary and an overflowing difference at an
-excluded slot.
+transform). ``evaluate_day`` is checked against the composition it
+replaced of ``normalize_percent``, ``pearson``, ``mean_abs_pct_error`` and
+``share_mean_abs_diff``, kept in ``tests/metric_reference.py``; that
+normaliser checks shares with its own ``check_shares``, not with the
+package's ``share_row``. The check also runs with ``evaluate_day``'s
+single-entry caches of the original's and the baseline's terms warm:
+across reconstructions, interleaved pairs, values mutated in place, new
+dates, threads, error cases, the subnormal-share boundary and an
+overflowing difference at an excluded slot.
 """
 
 import dataclasses
@@ -28,16 +30,10 @@ from flowrecon.errors import FlowReconError, ZeroDailyTotal
 from flowrecon.haar import WaveletDecomposition, haar_forward, haar_inverse
 from flowrecon.ingest import SLOTS_PER_DAY, DaySignal, aggregate
 from flowrecon.matrix import MatrixProfile, build_matrix_scenario1, build_matrix_scenario2
-from flowrecon.metrics import (
-    DayResult,
-    _baseline_terms,
-    _original_terms,
-    evaluate_day,
-    mean_abs_pct_error,
-    pearson,
-    share_mean_abs_diff,
-)
-from flowrecon.reconstruct import normalize_percent, reconstruct_day, staircase_baseline
+from flowrecon.metrics import DayResult, _baseline_terms, _original_terms, evaluate_day
+from flowrecon.reconstruct import reconstruct_day, staircase_baseline
+
+from metric_reference import mean_abs_pct_error, normalize_percent, pearson, share_mean_abs_diff
 
 DAY = date(2012, 4, 10)
 DONOR_DATES = [date(2012, 4, 3), date(2012, 4, 4), date(2012, 4, 5)]

@@ -13,6 +13,7 @@ from flowrecon.errors import (
     FlowReconError,
     InvalidParams,
     LevelMismatch,
+    LevelOutOfRange,
     NonFiniteValues,
     NotBlockConstant,
     SharesNotNormalized,
@@ -21,10 +22,10 @@ from flowrecon.errors import (
     WrongShape,
 )
 from flowrecon.haar import haar_forward, max_levels
-from flowrecon.ingest import SLOTS_PER_DAY, AggregatedSignal, DaySignal, gap_report
+from flowrecon.ingest import SLOTS_PER_DAY, AggregatedSignal, DaySignal, aggregate, gap_report
 from flowrecon.matrix import DaySelectionCriteria, MatrixProfile
 from flowrecon.metrics import DayResult, evaluate_day
-from flowrecon.reconstruct import PercentSignal
+from flowrecon.reconstruct import normalize_percent, reconstruct_day
 
 DAY = date(2012, 4, 10)
 FLAT = np.ones(SLOTS_PER_DAY)
@@ -46,7 +47,6 @@ def test_wrong_shape():
     raises(WrongShape, lambda: DaySignal(DAY, "s1", np.ones(287)))
     raises(WrongShape, lambda: AggregatedSignal(10, np.ones(143), DAY, 1))
     raises(WrongShape, lambda: MatrixProfile(np.ones((2, SLOTS_PER_DAY)), 1, ()))
-    raises(WrongShape, lambda: PercentSignal(np.full(4, 0.25), DAY))
     raises(WrongShape, lambda: haar_forward(np.ones((2, 4)), 1))
 
 
@@ -58,12 +58,26 @@ def test_non_finite_values():
     raises(NonFiniteValues, lambda: DaySignal(DAY, "s1", with_nan(SLOTS_PER_DAY)))
     raises(NonFiniteValues, lambda: AggregatedSignal(10, with_nan(144), DAY, 1))
     raises(NonFiniteValues, lambda: MatrixProfile(with_nan(SLOTS_PER_DAY), 1, ()))
-    raises(NonFiniteValues, lambda: PercentSignal(with_nan(SLOTS_PER_DAY), DAY))
+    # DaySignal checks its values when built; a NaN written in place later
+    # is caught by the share rule
+    mutated = DaySignal(DAY, "s1", FLAT.copy())
+    mutated.values[3] = np.nan
+    raises(NonFiniteValues, lambda: normalize_percent(mutated))
     raises(NonFiniteValues, lambda: haar_forward([1.0, np.inf], 1))
 
 
 def test_slot_out_of_range():
     raises(SlotOutOfRange, lambda: DaySignal(DAY, "s1", FLAT, frozenset({SLOTS_PER_DAY})))
+
+
+@pytest.mark.parametrize("level", (0, 6))
+def test_level_out_of_range(level):
+    profile, day = MatrixProfile(FLAT, 1, ()), DaySignal(DAY, "s1", FLAT)
+    # the 10-minute window mismatches these levels too: the range is checked first
+    raises(LevelOutOfRange, lambda: AggregatedSignal(10, np.ones(144), DAY, level))
+    raises(LevelOutOfRange, lambda: aggregate(day, level))
+    raises(LevelOutOfRange, lambda: profile.residual(level))
+    raises(LevelOutOfRange, lambda: reconstruct_day(profile, aggregate(day, 1), level))
 
 
 def test_window_level_mismatch():
@@ -79,11 +93,11 @@ def test_not_block_constant():
 
 
 def test_shares_not_normalized():
-    raises(SharesNotNormalized, lambda: PercentSignal(np.full(SLOTS_PER_DAY, 0.5), DAY))
     # cancellation: the total rounds to 848 while the shares sum to 0.984375
     values = np.zeros(SLOTS_PER_DAY)
     values[[145, 185, 231, 261]] = [632.0, -1e17, 1e17, 201.28]
     flat, reconstructed = DaySignal(DAY, "s1", FLAT), DaySignal(DAY, "s1", values)
+    raises(SharesNotNormalized, lambda: normalize_percent(reconstructed))
     raises(SharesNotNormalized, lambda: evaluate_day(flat, reconstructed, flat, 1))
 
 

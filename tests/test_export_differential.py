@@ -2,7 +2,8 @@
 
 ``reference_rows``, ``reference_csv`` and ``reference_json`` are the
 per-slot ``slot_start`` timestamps, per-cell ``format_number`` CSV writer
-and ``json.dump`` writer, kept here as they were. Hypothesis rebuilds days
+and ``json.dump`` writer, kept here as they were, with the reference
+normaliser of ``tests/metric_reference.py``. Hypothesis rebuilds days
 through ``reconstruct_day`` (levels 1-5, raw and rescaled, 0.3-400
 vehicles per slot, so near-empty days with negative shares too), adds
 all-zero and negated reconstructions, and writes each with and without an
@@ -57,12 +58,9 @@ from flowrecon.ingest import (
     write_records_csv,
 )
 from flowrecon.matrix import build_matrix_scenario1, build_matrix_scenario2
-from flowrecon.reconstruct import (
-    normalize_percent,
-    reconstruct_day,
-    write_reconstruction_csv,
-    write_reconstruction_json,
-)
+from flowrecon.reconstruct import reconstruct_day, write_reconstruction_csv, write_reconstruction_json
+
+from metric_reference import normalize_percent
 
 EDGE_DATES = (date(2012, 2, 29), date(2000, 2, 29), date(2012, 12, 31), date.min, date.max)
 DONOR_DATES = (date(2012, 4, 3), date(2012, 4, 4), date(2012, 4, 5))

@@ -1,26 +1,37 @@
+"""Day scoring and summaries, and the scalar reference metrics.
+
+The ``test_pearson_*``, ``test_mape_*`` and ``test_share_mean_abs_diff``
+cases pin the scalar references in ``tests/metric_reference.py``, which
+the differential tests hold ``evaluate_day`` to. Each paper semantic among
+them (hand-computed correlation and MAPE, the zero-original exclusion,
+constant rows) is also checked on ``evaluate_day`` directly.
+"""
+
 import math
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flowrecon.errors import (
     AllZeroOriginal,
     ConstantInput,
     EmptyResults,
+    FlowReconError,
     LengthMismatch,
+    ZeroDailyTotal,
 )
-from flowrecon.ingest import SLOTS_PER_DAY, DaySignal
-from flowrecon.metrics import (
-    DayResult,
-    evaluate_day,
-    mean_abs_pct_error,
-    pearson,
-    share_mean_abs_diff,
-    summarize,
-)
+from flowrecon.ingest import SLOTS_PER_DAY, DaySignal, aggregate
+from flowrecon.metrics import DayResult, evaluate_day, summarize
+from flowrecon.reconstruct import share_row, staircase_baseline
+
+from metric_reference import mean_abs_pct_error, pearson, share_mean_abs_diff
 
 DAY = date(2012, 4, 10)
+RAMP = np.arange(1, SLOTS_PER_DAY + 1, dtype=float)
 
 
 def day_of(values):
@@ -107,6 +118,93 @@ def test_share_mean_abs_diff():
     assert share_mean_abs_diff([0.5, 0.5], [0.4, 0.6]) == pytest.approx(0.1)
 
 
+def score(original, reconstructed, level=1):
+    """evaluate_day against the level's staircase baseline of the original."""
+    original = day_of(original)
+    baseline = staircase_baseline(aggregate(original, level))
+    return evaluate_day(original, day_of(reconstructed), baseline, level)
+
+
+def test_evaluate_day_hand_values():
+    # shares v/576 and w/672 of the tiled vectors: the population correlation
+    # is that of [1, 2, 3] and [1, 2, 4], and every slot is off by 1/7
+    result = score(np.tile([1.0, 2.0, 3.0], 96), np.tile([1.0, 2.0, 4.0], 96))
+    assert result.correlation == pytest.approx(3 * math.sqrt(21) / 14, abs=1e-12)
+    assert result.error_pct == pytest.approx(100.0 / 7.0, rel=1e-12)
+    assert result.share_mad == pytest.approx(1.0 / 2016.0, rel=1e-12)
+    assert result.excluded_slots == 0
+
+
+def test_evaluate_day_hand_mape_and_negated_correlation():
+    # two halves of 1 and 2 vehicles: the level-1 staircase is the day itself
+    original = np.repeat([1.0, 2.0], SLOTS_PER_DAY // 2)
+    result = score(original, np.repeat([1.1, 1.9], SLOTS_PER_DAY // 2))
+    assert result.error_pct == pytest.approx(7.5, rel=1e-12)  # mean of 10% and 5%
+    assert result.correlation == pytest.approx(1.0)
+    assert result.baseline_error_pct == 0.0
+    assert result.baseline_correlation == pytest.approx(1.0)
+    swapped = score(original, np.repeat([2.0, 1.0], SLOTS_PER_DAY // 2))
+    assert swapped.error_pct == pytest.approx(75.0, rel=1e-12)  # mean of 100% and 50%
+    assert swapped.correlation == pytest.approx(-1.0)
+
+
+def test_evaluate_day_excludes_zero_original_slots():
+    # thirds of 0, 1 and 2 vehicles; the reconstruction moves half of the
+    # last third's traffic into the first, where the original is zero
+    original = np.repeat([0.0, 1.0, 2.0], SLOTS_PER_DAY // 3)
+    result = score(original, np.repeat([0.5, 1.0, 1.5], SLOTS_PER_DAY // 3))
+    assert result.excluded_slots == SLOTS_PER_DAY // 3
+    assert result.error_pct == pytest.approx(12.5, rel=1e-12)  # 0% and 25% over 192 slots
+    assert result.share_mad == pytest.approx(1.0 / (3 * SLOTS_PER_DAY), rel=1e-12)
+
+
+def test_evaluate_day_error_zero_iff_equal_on_positive_slots():
+    original = np.repeat([0.0, 1.0, 2.0], SLOTS_PER_DAY // 3)
+    # +-5 vehicles in two zero-original slots: the total and every included share stay
+    shifted = original.copy()
+    shifted[[0, 1]] = (5.0, -5.0)
+    result = score(original, shifted)
+    assert result.error_pct == 0.0
+    assert result.excluded_slots == SLOTS_PER_DAY // 3
+    assert result.share_mad > 0.0 and result.correlation < 1.0
+    bumped = shifted.copy()
+    bumped[[100, 200]] = (1.01, 1.99)  # an included slot moves, the total does not
+    assert score(original, bumped).error_pct > 0.0
+
+
+def test_evaluate_day_rejects_a_zero_original_before_scoring():
+    # an all-zero original has no total to share: ZeroDailyTotal, where the
+    # scalar reference MAPE raises AllZeroOriginal
+    with pytest.raises(ZeroDailyTotal):
+        evaluate_day(day_of(np.zeros(SLOTS_PER_DAY)), day_of(RAMP), day_of(RAMP), 1)
+
+
+@given(hnp.arrays(float, SLOTS_PER_DAY, elements=st.floats(-1e6, 1e6)))
+def test_accepted_share_rows_keep_a_positive_share(values):
+    """Shares that sum to one hold a positive share, so a scored original
+    always keeps a slot for the relative error."""
+    try:
+        shares, _ = share_row(values)
+    except FlowReconError:
+        return
+    assert (shares > 0).any()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        (np.full(SLOTS_PER_DAY, 7.0), RAMP, RAMP),
+        # 288 equal shares: their float mean is not exactly the share
+        (RAMP, np.full(SLOTS_PER_DAY, 1.0 / SLOTS_PER_DAY), RAMP),
+        (RAMP, RAMP[::-1], np.full(SLOTS_PER_DAY, 13.0)),
+    ],
+    ids=("original", "reconstruction", "baseline"),
+)
+def test_evaluate_day_constant_row(rows):
+    with pytest.raises(ConstantInput):
+        evaluate_day(*map(day_of, rows), 1)
+
+
 def test_evaluate_day_perfect_reconstruction():
     rng = np.random.default_rng(7)
     values = rng.uniform(1.0, 100.0, SLOTS_PER_DAY)
@@ -160,6 +258,20 @@ def test_summarize_orders_levels_and_weights_stats():
     assert level1.error_median == 6.0
     assert level1.window_minutes == 10
     assert summaries[1].window_minutes == 80
+
+
+def test_summarize_lower_median_of_evaluated_days():
+    rng = np.random.default_rng(15)
+    results = []
+    for noise in (0.5, 0.1, 0.4, 0.2):  # four days: an even count
+        original = rng.uniform(10.0, 100.0, SLOTS_PER_DAY)
+        results.append(score(original, original + rng.normal(0.0, noise * 50.0, SLOTS_PER_DAY)))
+    (summary,) = summarize(results)
+    correlations = sorted(r.correlation for r in results)
+    errors = sorted(r.error_pct for r in results)
+    assert summary.correlation_median == correlations[1] < correlations[2]
+    assert summary.error_median == errors[1] < errors[2]
+    assert summary.error_mean == pytest.approx(sum(errors) / 4)
 
 
 def test_summarize_permutation_invariant():

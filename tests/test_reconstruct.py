@@ -8,7 +8,7 @@ from flowrecon.errors import LevelMismatch, LevelOutOfRange, ZeroDailyTotal
 from flowrecon.haar import WaveletDecomposition, haar_forward, haar_inverse
 from flowrecon.ingest import SLOTS_PER_DAY, AggregatedSignal, DaySignal, aggregate, slot_start
 from flowrecon.matrix import build_matrix_scenario1, build_matrix_scenario2
-from flowrecon.metrics import pearson
+from flowrecon.metrics import evaluate_day
 from flowrecon.reconstruct import (
     SLOT_CLOCKS,
     normalize_percent,
@@ -163,11 +163,8 @@ def test_wavelet_beats_staircase_on_similar_days():
     target = bimodal_day(rng, DAY)
     agg = aggregate(target, 4)
     recon = reconstruct_day(matrix, agg, 4)
-    baseline = staircase_baseline(agg)
-    target_pct = normalize_percent(target).values
-    corr_recon = pearson(target_pct, normalize_percent(recon).values)
-    corr_base = pearson(target_pct, normalize_percent(baseline).values)
-    assert corr_recon > corr_base
+    result = evaluate_day(target, recon, staircase_baseline(agg), 4)
+    assert result.correlation > result.baseline_correlation
 
 
 def test_normalize_percent_shares():
@@ -175,21 +172,21 @@ def test_normalize_percent_shares():
     values[0] = 5.0
     values[1] = 95.0
     pct = normalize_percent(DaySignal(DAY, "s1", values))
-    assert pct.values[0] == pytest.approx(0.05)
-    assert pct.values.sum() == pytest.approx(1.0)
+    assert pct[0] == pytest.approx(0.05)
+    assert pct.sum() == pytest.approx(1.0)
 
 
 def test_normalize_percent_constant_day():
     pct = normalize_percent(DaySignal(DAY, "s1", np.full(SLOTS_PER_DAY, 7.0)))
-    np.testing.assert_allclose(pct.values, 1.0 / SLOTS_PER_DAY, atol=1e-15)
+    np.testing.assert_allclose(pct, 1.0 / SLOTS_PER_DAY, atol=1e-15)
 
 
 def test_normalize_percent_scale_invariance():
     rng = np.random.default_rng(21)
     day = bimodal_day(rng)
-    base = normalize_percent(day).values
+    base = normalize_percent(day)
     for c in (0.5, 2.0, 10.0):
-        scaled = normalize_percent(DaySignal(DAY, "s1", c * day.values)).values
+        scaled = normalize_percent(DaySignal(DAY, "s1", c * day.values))
         assert np.max(np.abs(scaled - base)) < 1e-12
 
 
