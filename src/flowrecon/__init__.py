@@ -11,20 +11,22 @@ own. Its public API, module by module:
     ``parse_sensor_csv`` (to a ``ParseResult`` of ``SensorRecord`` rows),
     ``assemble_day`` (to a ``DaySignal``), ``day_to_records``,
     ``write_records_csv``, ``slot_start``; ``aggregate`` (to an
-    ``AggregatedSignal``) and ``check_level`` for the dyadic levels 1 to
-    ``MAX_AGGREGATION_LEVEL``; ``gap_report`` (a ``GapReport`` of
-    ``MonthGap`` rows) and ``classify_gap``. Constants
+    ``AggregatedSignal``, whose window follows from its level) and
+    ``check_level`` for the dyadic levels 1 to ``MAX_AGGREGATION_LEVEL``;
+    ``gap_report`` (a ``GapReport`` of ``MonthGap`` rows, with one CSV
+    writer) and ``classify_gap``. Constants
     ``BASE_WINDOW_MINUTES``, ``SLOTS_PER_DAY``, ``SEVERITY_LADDER``.
 ``flowrecon.matrix``
-    Donor profiles: ``DaySelectionCriteria`` and ``select_typical_days``
-    (fault-free typical weekdays, Tuesday-Thursday by default),
-    ``build_matrix_scenario1`` (slot means) and ``build_matrix_scenario2``
-    (20-minute block rates), both giving a ``MatrixProfile``.
+    Donor profiles: ``DaySelectionCriteria`` (a year and month) and
+    ``select_typical_days`` (its fault-free Tuesdays to Thursdays,
+    ``TYPICAL_WEEKDAYS``), ``build_matrix_scenario1`` (slot means) and
+    ``build_matrix_scenario2`` (20-minute block rates), both giving a
+    ``MatrixProfile``.
 ``flowrecon.reconstruct``
     ``reconstruct_day`` (closed-form detail transplantation),
-    ``staircase_baseline``, ``share_row`` (the percent-share rule) and
-    ``normalize_percent``, and the per-day exports
-    ``write_reconstruction_csv`` and ``write_reconstruction_json``.
+    ``staircase_baseline``, ``share_row`` (the percent-share rule), and
+    the per-day exports ``write_reconstruction_csv`` and
+    ``write_reconstruction_json``.
 ``flowrecon.metrics``
     ``evaluate_day`` (correlation, MAPE and mean share difference of a
     reconstruction and its baseline, as a ``DayResult``) and
@@ -32,12 +34,13 @@ own. Its public API, module by module:
 ``flowrecon.haar``
     The paper's orthonormal Haar transform (``haar_forward``,
     ``haar_inverse``, ``WaveletDecomposition``, ``max_levels`` and the
-    single-level steps): the reference for ``reconstruct_day``.
+    single-level steps ``haar_forward_level`` and ``haar_inverse_level``):
+    the reference for the closed-form reconstruction.
 ``flowrecon.synth``
     Seeded synthetic commuter days: ``ProfileParams``, ``PeakSpec``,
     ``DEFAULT_PARAMS``, ``base_profile``, ``generate_day``,
     ``generate_corpus``.
 ``flowrecon.errors``
-    ``FlowReconError`` (a ``ValueError``) and one subclass per validation
+    ``FlowReconError`` (a ValueError) and one subclass per validation
     failure.
 """

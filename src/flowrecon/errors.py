@@ -27,7 +27,7 @@ class LevelOutOfRange(FlowReconError):
 
 
 class LevelMismatch(FlowReconError):
-    """An aggregation level disagrees with its window or with the level asked for."""
+    """An aggregated signal's level differs from the level asked for."""
 
 
 class WrongShape(FlowReconError):
@@ -82,10 +82,6 @@ class ConstantInput(FlowReconError):
     """Correlation is undefined for a constant vector."""
 
 
-class AllZeroOriginal(FlowReconError):
-    """Relative error is undefined when every original slot is zero."""
-
-
 class EmptyResults(FlowReconError):
     """No day results to summarize."""
 
@@ -93,7 +89,8 @@ class EmptyResults(FlowReconError):
 class InvalidParams(FlowReconError):
     """Arguments violate their type's invariants.
 
-    Raised for synthetic profile parameters, day-selection criteria, a date
-    span ending before it starts, a non-positive base window and a day
-    result whose correlation or error lies outside its range.
+    Raised for synthetic profile parameters or jitter, a day-selection month
+    outside 1-12, a date span ending before it starts, a negative export
+    vehicle total and a day result whose correlation or error lies outside
+    its range.
     """

@@ -34,7 +34,6 @@ import numpy as np
 from .errors import (
     EmptyInput,
     InvalidParams,
-    LevelMismatch,
     LevelOutOfRange,
     MissingColumn,
     MixedSensors,
@@ -127,7 +126,6 @@ class DaySignal:
 class AggregatedSignal:
     """Flow counts re-windowed to 5 * 2**level minutes."""
 
-    window_minutes: int
     values: np.ndarray
     source_date: date
     level: int
@@ -136,16 +134,16 @@ class AggregatedSignal:
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
         check_level(self.level)
-        if self.window_minutes != BASE_WINDOW_MINUTES << self.level:
-            raise LevelMismatch(
-                f"window {self.window_minutes} min does not match level {self.level}"
-            )
         if vals.shape != (SLOTS_PER_DAY >> self.level,):
             raise WrongShape(
                 f"expected {SLOTS_PER_DAY >> self.level} windows, got {vals.shape}"
             )
         if not np.isfinite(vals).all():
             raise NonFiniteValues("aggregated values must be finite")
+
+    @property
+    def window_minutes(self) -> int:
+        return BASE_WINDOW_MINUTES << self.level
 
 
 def _open_text(source):
@@ -296,9 +294,8 @@ def aggregate(day: DaySignal, level: int) -> AggregatedSignal:
     preserves the daily total exactly for integer-valued inputs.
     """
     check_level(level)
-    block = 1 << level
-    sums = day.values.reshape(-1, block).sum(axis=1)
-    return AggregatedSignal(BASE_WINDOW_MINUTES * block, sums, day.date, level)
+    sums = day.values.reshape(-1, 1 << level).sum(axis=1)
+    return AggregatedSignal(sums, day.date, level)
 
 
 @dataclass(frozen=True)
@@ -315,20 +312,6 @@ class GapReport:
 
     sensor_id: str
     months: tuple[MonthGap, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "sensor_id": self.sensor_id,
-            "months": [
-                {
-                    "year": m.year,
-                    "month": m.month,
-                    "missing_slots": m.missing_slots,
-                    "severity": m.severity,
-                }
-                for m in self.months
-            ],
-        }
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -10,8 +10,6 @@ levels 1 and 2 of its Haar decomposition.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Sequence
@@ -38,18 +36,12 @@ RATE_BLOCK_SLOTS = 20 // BASE_WINDOW_MINUTES  # 4 slots per 20-minute block
 
 @dataclass(frozen=True)
 class DaySelectionCriteria:
-    """Which days of a month qualify as donors."""
+    """The month whose typical weekdays donate the profile."""
 
     year: int
     month: int
-    allowed_weekdays: frozenset[int] = TYPICAL_WEEKDAYS
-    excluded_dates: frozenset[date] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "allowed_weekdays", frozenset(self.allowed_weekdays))
-        object.__setattr__(self, "excluded_dates", frozenset(self.excluded_dates))
-        if not self.allowed_weekdays:
-            raise InvalidParams("allowed_weekdays must not be empty")
         if not 1 <= self.month <= 12:
             raise InvalidParams(f"month {self.month} out of range")
 
@@ -102,51 +94,21 @@ class MatrixProfile:
             self._residuals[level] = cached
         return cached
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["slot", "value"])
-            for slot, value in enumerate(self.values):
-                writer.writerow([slot, repr(float(value))])
-
-    def to_dict(self) -> dict:
-        # keys in sorted order, so write_json needs no sort_keys=True
-        return {
-            "member_dates": [d.isoformat() for d in self.member_dates],
-            "scenario": self.scenario,
-            "values": self.values.tolist(),
-        }
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_dict()) + "\n")
-
-    @classmethod
-    def from_json(cls, path) -> "MatrixProfile":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return cls(
-            values=np.asarray(payload["values"], dtype=float),
-            scenario=int(payload["scenario"]),
-            member_dates=tuple(date.fromisoformat(d) for d in payload["member_dates"]),
-        )
-
 
 def select_typical_days(
     calendar: Iterable[DaySignal], criteria: DaySelectionCriteria
 ) -> list[date]:
     """Dates in the criteria month that are typical and fault-free.
 
-    A day qualifies when its weekday is allowed, it is not excluded, and
-    its signal has no zero-filled slots.
+    A day qualifies when it falls on a Tuesday, Wednesday or Thursday
+    (``TYPICAL_WEEKDAYS``) and its signal has no zero-filled slots.
     """
     chosen = {
         day.date
         for day in calendar
         if day.date.year == criteria.year
         and day.date.month == criteria.month
-        and day.date.weekday() in criteria.allowed_weekdays
-        and day.date not in criteria.excluded_dates
+        and day.date.weekday() in TYPICAL_WEEKDAYS
         and not day.filled_slots
     }
     if not chosen:

@@ -175,7 +175,7 @@ def evaluate_day(
     reconstruction, then the baseline, each raising what ``share_row``
     raises on it; ``ConstantInput`` comes last. Shares that sum to one
     hold a positive share, so the original always keeps a slot for the
-    relative error and ``AllZeroOriginal`` cannot arise here.
+    relative error and no all-zero original can reach it.
     """
     key = original.values.tobytes()
     orig = _original_terms(key)

@@ -23,8 +23,8 @@ clamped when exporting vehicle counts. :mod:`flowrecon.haar` keeps the
 paper's transform as the reference and test oracle for the closed form.
 
 :func:`share_row` is the one rule a percent signal passes (positive total,
-finite shares, shares summing to one); :func:`normalize_percent`, the
-export writers and :func:`flowrecon.metrics.evaluate_day` all apply it.
+finite shares, shares summing to one); the export writers and
+:func:`flowrecon.metrics.evaluate_day` both apply it.
 The tests hold it to the separate normaliser of ``tests/metric_reference.py``.
 """
 
@@ -93,14 +93,6 @@ def reconstruct_day(
     scale = 2.0 ** (-levels if rescale_approximation else -levels / 2)
     values = matrix.residual(levels) + (aggregated.values * scale)[:, None]
     return DaySignal(aggregated.source_date, "", values.ravel(), frozenset())
-
-
-def normalize_percent(day: DaySignal) -> np.ndarray:
-    """Each slot's share of the daily total; invariant under uniform scaling.
-
-    Raises what :func:`share_row` raises on the day's values.
-    """
-    return share_row(day.values)[0]
 
 
 def staircase_baseline(aggregated: AggregatedSignal) -> DaySignal:

@@ -7,6 +7,9 @@ a day's shares one rule at a time) and the scalar ``pearson``,
 vectors. They are kept here as they were, and import none of the
 package's share code, so the differential tests compare the package with
 an independent copy of the rule rather than with itself.
+
+``AllZeroOriginal`` is this reference's own error: ``evaluate_day`` cannot
+meet an all-zero original, whose total ``share_row`` rejects first.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from flowrecon.errors import (
-    AllZeroOriginal,
     ConstantInput,
+    FlowReconError,
     LengthMismatch,
     NonFiniteValues,
     SharesNotNormalized,
@@ -28,6 +31,10 @@ from flowrecon.errors import (
 )
 from flowrecon.ingest import SLOTS_PER_DAY, DaySignal
 from flowrecon.reconstruct import SHARE_SUM_TOL
+
+
+class AllZeroOriginal(FlowReconError):
+    """Relative error is undefined when every original slot is zero."""
 
 
 def check_shares(shares: np.ndarray) -> None:

@@ -12,7 +12,6 @@ import pytest
 from flowrecon.errors import (
     FlowReconError,
     InvalidParams,
-    LevelMismatch,
     LevelOutOfRange,
     NonFiniteValues,
     NotBlockConstant,
@@ -25,7 +24,7 @@ from flowrecon.haar import haar_forward, max_levels
 from flowrecon.ingest import SLOTS_PER_DAY, AggregatedSignal, DaySignal, aggregate, gap_report
 from flowrecon.matrix import DaySelectionCriteria, MatrixProfile
 from flowrecon.metrics import DayResult, evaluate_day
-from flowrecon.reconstruct import normalize_percent, reconstruct_day
+from flowrecon.reconstruct import reconstruct_day, share_row
 
 DAY = date(2012, 4, 10)
 FLAT = np.ones(SLOTS_PER_DAY)
@@ -45,7 +44,7 @@ def with_nan(length):
 
 def test_wrong_shape():
     raises(WrongShape, lambda: DaySignal(DAY, "s1", np.ones(287)))
-    raises(WrongShape, lambda: AggregatedSignal(10, np.ones(143), DAY, 1))
+    raises(WrongShape, lambda: AggregatedSignal(np.ones(143), DAY, 1))
     raises(WrongShape, lambda: MatrixProfile(np.ones((2, SLOTS_PER_DAY)), 1, ()))
     raises(WrongShape, lambda: haar_forward(np.ones((2, 4)), 1))
 
@@ -56,13 +55,13 @@ def test_max_levels_of_empty_length():
 
 def test_non_finite_values():
     raises(NonFiniteValues, lambda: DaySignal(DAY, "s1", with_nan(SLOTS_PER_DAY)))
-    raises(NonFiniteValues, lambda: AggregatedSignal(10, with_nan(144), DAY, 1))
+    raises(NonFiniteValues, lambda: AggregatedSignal(with_nan(144), DAY, 1))
     raises(NonFiniteValues, lambda: MatrixProfile(with_nan(SLOTS_PER_DAY), 1, ()))
     # DaySignal checks its values when built; a NaN written in place later
     # is caught by the share rule
     mutated = DaySignal(DAY, "s1", FLAT.copy())
     mutated.values[3] = np.nan
-    raises(NonFiniteValues, lambda: normalize_percent(mutated))
+    raises(NonFiniteValues, lambda: share_row(mutated.values))
     raises(NonFiniteValues, lambda: haar_forward([1.0, np.inf], 1))
 
 
@@ -73,15 +72,10 @@ def test_slot_out_of_range():
 @pytest.mark.parametrize("level", (0, 6))
 def test_level_out_of_range(level):
     profile, day = MatrixProfile(FLAT, 1, ()), DaySignal(DAY, "s1", FLAT)
-    # the 10-minute window mismatches these levels too: the range is checked first
-    raises(LevelOutOfRange, lambda: AggregatedSignal(10, np.ones(144), DAY, level))
+    raises(LevelOutOfRange, lambda: AggregatedSignal(np.ones(144), DAY, level))
     raises(LevelOutOfRange, lambda: aggregate(day, level))
     raises(LevelOutOfRange, lambda: profile.residual(level))
     raises(LevelOutOfRange, lambda: reconstruct_day(profile, aggregate(day, 1), level))
-
-
-def test_window_level_mismatch():
-    raises(LevelMismatch, lambda: AggregatedSignal(20, np.ones(144), DAY, 1))
 
 
 def test_unknown_scenario():
@@ -97,7 +91,7 @@ def test_shares_not_normalized():
     values = np.zeros(SLOTS_PER_DAY)
     values[[145, 185, 231, 261]] = [632.0, -1e17, 1e17, 201.28]
     flat, reconstructed = DaySignal(DAY, "s1", FLAT), DaySignal(DAY, "s1", values)
-    raises(SharesNotNormalized, lambda: normalize_percent(reconstructed))
+    raises(SharesNotNormalized, lambda: share_row(reconstructed.values))
     raises(SharesNotNormalized, lambda: evaluate_day(flat, reconstructed, flat, 1))
 
 
@@ -106,7 +100,6 @@ def test_gap_report_reversed_span():
 
 
 def test_day_selection_criteria_invalid():
-    raises(InvalidParams, lambda: DaySelectionCriteria(2012, 3, allowed_weekdays=frozenset()))
     raises(InvalidParams, lambda: DaySelectionCriteria(2012, 13))
 
 

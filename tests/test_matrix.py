@@ -1,4 +1,3 @@
-import json
 from datetime import date
 
 import numpy as np
@@ -63,20 +62,6 @@ def test_single_valid_wednesday():
         for d in month_days(2012, 3)
     ]
     assert select_typical_days(calendar, DaySelectionCriteria(2012, 3)) == [wednesday]
-
-
-def test_excluded_dates_and_weekday_filter():
-    calendar = [constant_day(d, 10.0) for d in month_days(2012, 3)]
-    criteria = DaySelectionCriteria(
-        2012, 3, allowed_weekdays=frozenset({2}), excluded_dates=frozenset({date(2012, 3, 14)})
-    )
-    chosen = select_typical_days(calendar, criteria)
-    assert chosen == [date(2012, 3, 7), date(2012, 3, 21), date(2012, 3, 28)]
-
-
-def test_criteria_requires_some_weekday():
-    with pytest.raises(ValueError):
-        DaySelectionCriteria(2012, 3, allowed_weekdays=frozenset())
 
 
 def test_scenario1_mean_of_two_constant_days():
@@ -151,25 +136,6 @@ def test_empty_day_list_rejected():
         build_matrix_scenario1([])
     with pytest.raises(EmptyDayList):
         build_matrix_scenario2([])
-
-
-def test_profile_serialization_roundtrip(tmp_path):
-    rng = np.random.default_rng(8)
-    days = [DaySignal(date(2012, 3, 6), "s1", rng.uniform(0, 300, SLOTS_PER_DAY))]
-    profile = build_matrix_scenario2(days)
-    json_path = tmp_path / "matrix.json"
-    profile.write_json(json_path)
-    assert json_path.read_bytes() == (json.dumps(profile.to_dict(), sort_keys=True) + "\n").encode()
-    loaded = MatrixProfile.from_json(json_path)
-    assert np.array_equal(loaded.values, profile.values)
-    assert loaded.scenario == profile.scenario
-    assert loaded.member_dates == profile.member_dates
-
-    csv_path = tmp_path / "matrix.csv"
-    profile.write_csv(csv_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "slot,value"
-    assert len(lines) == SLOTS_PER_DAY + 1
 
 
 def test_scenario2_profile_validation():

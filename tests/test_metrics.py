@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from flowrecon.errors import (
-    AllZeroOriginal,
     ConstantInput,
     EmptyResults,
     FlowReconError,
@@ -28,7 +27,7 @@ from flowrecon.ingest import SLOTS_PER_DAY, DaySignal, aggregate
 from flowrecon.metrics import DayResult, evaluate_day, summarize
 from flowrecon.reconstruct import share_row, staircase_baseline
 
-from metric_reference import mean_abs_pct_error, pearson, share_mean_abs_diff
+from metric_reference import AllZeroOriginal, mean_abs_pct_error, pearson, share_mean_abs_diff
 
 DAY = date(2012, 4, 10)
 RAMP = np.arange(1, SLOTS_PER_DAY + 1, dtype=float)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,55 @@ def test_unused_import_check_finds_a_leftover():
     source = "from __future__ import annotations\nimport os\nimport numpy as np\n" \
         "from .errors import A, B\n\ndef f(x: np.ndarray) -> A:\n    return x\n"
     assert unused_imports(source) == ["os (line 2)", "B (line 4)"]
+
+
+def documented_api() -> dict[str, set[str]]:
+    """Module name -> the double-backticked names under its ``flowrecon.<module>``
+    heading in the package docstring."""
+    docstring = ast.get_docstring(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")))
+    sections: dict[str, set[str]] = {}
+    names = None
+    for line in docstring.splitlines():
+        heading = re.fullmatch(r"``flowrecon\.(\w+)``", line)
+        if heading:
+            names = sections.setdefault(heading.group(1), set())
+        elif names is not None:
+            names.update(re.findall(r"``(\w+)``", line))
+    return sections
+
+
+def top_level_names(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(every top-level name a module binds, its public def/class names less
+    the ``FlowReconError`` subclasses)."""
+    bound, public = set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            is_error = isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "FlowReconError" for base in node.bases
+            )
+            if not node.name.startswith("_") and not is_error:
+                public.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+    return bound, public
+
+
+def test_package_docstring_lists_the_public_api():
+    """Each module's section of the package docstring names only what the
+    module defines, and every public def and class it defines."""
+    documented = documented_api()
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert set(documented) == modules
+    for module, listed in documented.items():
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        bound, public = top_level_names(tree)
+        assert listed - bound == set(), f"flowrecon.{module} lacks documented names"
+        assert public - listed == set(), f"flowrecon.{module} has undocumented names"
+
+
+def test_top_level_names_exempt_only_error_subclasses():
+    tree = ast.parse("X = 1\nclass E(FlowReconError): pass\nclass A: pass\n"
+                     "def _f(): pass\ndef g(): pass\n")
+    assert top_level_names(tree) == ({"X", "E", "A", "_f", "g"}, {"A", "g"})

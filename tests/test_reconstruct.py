@@ -11,8 +11,8 @@ from flowrecon.matrix import build_matrix_scenario1, build_matrix_scenario2
 from flowrecon.metrics import evaluate_day
 from flowrecon.reconstruct import (
     SLOT_CLOCKS,
-    normalize_percent,
     reconstruct_day,
+    share_row,
     staircase_baseline,
     write_reconstruction_csv,
     write_reconstruction_json,
@@ -167,32 +167,32 @@ def test_wavelet_beats_staircase_on_similar_days():
     assert result.correlation > result.baseline_correlation
 
 
-def test_normalize_percent_shares():
+def test_share_row_shares():
     values = np.zeros(SLOTS_PER_DAY)
     values[0] = 5.0
     values[1] = 95.0
-    pct = normalize_percent(DaySignal(DAY, "s1", values))
+    pct, share_sum = share_row(values)
     assert pct[0] == pytest.approx(0.05)
-    assert pct.sum() == pytest.approx(1.0)
+    assert pct.sum() == pytest.approx(1.0) == share_sum
 
 
-def test_normalize_percent_constant_day():
-    pct = normalize_percent(DaySignal(DAY, "s1", np.full(SLOTS_PER_DAY, 7.0)))
+def test_share_row_constant_day():
+    pct = share_row(np.full(SLOTS_PER_DAY, 7.0))[0]
     np.testing.assert_allclose(pct, 1.0 / SLOTS_PER_DAY, atol=1e-15)
 
 
-def test_normalize_percent_scale_invariance():
+def test_share_row_scale_invariance():
     rng = np.random.default_rng(21)
     day = bimodal_day(rng)
-    base = normalize_percent(day)
+    base = share_row(day.values)[0]
     for c in (0.5, 2.0, 10.0):
-        scaled = normalize_percent(DaySignal(DAY, "s1", c * day.values))
+        scaled = share_row(c * day.values)[0]
         assert np.max(np.abs(scaled - base)) < 1e-12
 
 
-def test_normalize_percent_zero_total():
+def test_share_row_zero_total():
     with pytest.raises(ZeroDailyTotal):
-        normalize_percent(DaySignal(DAY, "s1", np.zeros(SLOTS_PER_DAY)))
+        share_row(np.zeros(SLOTS_PER_DAY))
 
 
 def test_staircase_uniform_spread():
@@ -243,7 +243,7 @@ def test_scale_decomposition_of_scaled_input():
     approx = approximation_part(agg, level)
     detail = detail_part(matrix, level)
     for c in (0.5, 2.0, 10.0):
-        scaled = AggregatedSignal(agg.window_minutes, c * agg.values, agg.source_date, level)
+        scaled = AggregatedSignal(c * agg.values, agg.source_date, level)
         recon_c = reconstruct_day(matrix, scaled, level).values
         assert np.max(np.abs(recon_c - (c * approx + detail))) < 1e-9
 
