@@ -13,6 +13,9 @@ Row rules of :func:`parse_sensor_csv`:
 
 Kept rows are :class:`SensorRecord` named tuples: immutable, and they unpack
 like, and compare equal to, a plain ``(timestamp, sensor_id, flow_total)``.
+Within one call the kept records share one id string per sensor and one
+float per distinct flow cell text, so a row allocates only its record and
+its timestamp; object identity is not part of the contract.
 
 Missing slots are zero-filled and tracked per day, and daily signals can be
 re-windowed onto the dyadic aggregation ladder (10, 20, 40, 80, 160 minutes).
@@ -191,21 +194,23 @@ def parse_sensor_csv(source, schema: CsvSchema = CsvSchema()) -> ParseResult:
 
         records: list[SensorRecord] = []
         append = records.append
-        seen: set[tuple[str, datetime]] = set()
-        add = seen.add
+        sensors: dict[str, tuple[str, set[datetime]]] = {}  # id -> (shared id, its timestamps)
+        flows: dict[str, float] = {}  # flow cell text -> its value, parsed once per call
         rejected = duplicates = 0
         for row in reader:
             if not row:
                 continue  # blank line
             if len(row) < width:
                 row += [None] * (width - len(row))  # short row: cells absent
-            text, flow = row[ts_col], row[flow_col]
-            if not text or flow is None:
+            text, cell = row[ts_col], row[flow_col]
+            if not text or cell is None:
                 rejected += 1
                 continue
             try:
                 ts = parse_ts(text.strip())
-                flow = float(flow)
+                flow = flows.get(cell)
+                if flow is None:
+                    flow = flows[cell] = float(cell)
             except ValueError:
                 rejected += 1
                 continue
@@ -217,11 +222,14 @@ def parse_sensor_csv(source, schema: CsvSchema = CsvSchema()) -> ParseResult:
             sensor = (row[sensor_col] or "").strip() if sensor_col is not None else ""
             if not sensor:
                 sensor = schema.fallback_sensor_id
-            key = (sensor, ts)
-            if key in seen:
+            entry = sensors.get(sensor)
+            if entry is None:
+                entry = sensors[sensor] = (sensor, set())
+            sensor, seen = entry
+            if ts in seen:
                 duplicates += 1  # erroneously repeated reading: keep the first
                 continue
-            add(key)
+            seen.add(ts)
             append(SensorRecord(ts, sensor, flow))
         return ParseResult(records, rejected, duplicates)
     finally:
@@ -229,10 +237,6 @@ def parse_sensor_csv(source, schema: CsvSchema = CsvSchema()) -> ParseResult:
             stream.close()
         elif isinstance(stream, io.TextIOWrapper) and stream is not source:
             stream.detach()
-
-
-def _slot_of(ts: datetime) -> int:
-    return (ts.hour * 60 + ts.minute) // BASE_WINDOW_MINUTES
 
 
 def slot_start(day: date, slot: int) -> datetime:
@@ -267,7 +271,7 @@ def assemble_day(
     placed: dict[int, float] = {}
     for ts, _, flow in records:
         if ts.date() == day:
-            placed.setdefault(_slot_of(ts), flow)
+            placed.setdefault((ts.hour * 60 + ts.minute) // BASE_WINDOW_MINUTES, flow)
     values = np.zeros(SLOTS_PER_DAY)
     values[list(placed)] = list(placed.values())
     filled = frozenset(range(SLOTS_PER_DAY)).difference(placed)

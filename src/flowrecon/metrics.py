@@ -10,12 +10,13 @@ percent-of-daily-total signals.
 :func:`evaluate_day` scores in three parts: the original day's terms, each
 row's terms against them, and the combination. A day is scored against
 several reconstructions and one staircase baseline per level, so the
-original's and the baseline's terms sit in single-entry
-``functools.lru_cache`` caches keyed by the exact bytes of their values:
-values are writable, so a key by identity could go stale. The cached
-arrays are read-only. The relative error divides by the original's
-shares rather than multiplying by their reciprocals, which overflow for a
-subnormal share.
+original's and the baseline's terms sit in single-entry memos keyed by
+the exact bytes of their values, compared with ``==``: values are
+writable, so a key by identity could go stale. Each memo is one tuple of
+key and terms in one module global, so a reader in any thread sees a
+matching pair. The memoised arrays are read-only. The relative error
+divides by the original's shares rather than multiplying by their
+reciprocals, which overflow for a subnormal share.
 
 Every row passes :func:`flowrecon.reconstruct.share_row` first. The tests
 hold :func:`evaluate_day` to the scalar ``pearson``, ``mean_abs_pct_error``
@@ -24,7 +25,6 @@ and ``share_mean_abs_diff`` of ``tests/metric_reference.py``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -122,13 +122,22 @@ def _centred_row(values: np.ndarray):
     return shares, centred, norm
 
 
-@functools.lru_cache(maxsize=1)
+_original_memo: tuple[bytes, _Original] | None = None
+_baseline_memo: tuple[bytes, bytes, _Row] | None = None
+
+
 def _original_terms(key: bytes) -> _Original:
-    """The original's terms from its values' bytes."""
+    """The original's terms from its values' bytes, memoised for the last key."""
+    global _original_memo
+    memo = _original_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
     shares, centred, norm = _centred_row(np.frombuffer(key))
     included = shares > 0
     kept = int(np.count_nonzero(included))
-    return _Original(_frozen(shares), _frozen(included), kept, _frozen(centred), norm)
+    terms = _Original(_frozen(shares), _frozen(included), kept, _frozen(centred), norm)
+    _original_memo = (key, terms)
+    return terms
 
 
 def _row_terms(values: np.ndarray, original: _Original) -> _Row:
@@ -140,10 +149,16 @@ def _row_terms(values: np.ndarray, original: _Original) -> _Row:
     return _Row(float(relative.sum()), float(diff.sum()), float(centred @ original.centred), norm)
 
 
-@functools.lru_cache(maxsize=1)
-def _baseline_terms(key: bytes, baseline_key: bytes) -> _Row:
-    """The baseline's terms against the original whose values' bytes are ``key``."""
-    return _row_terms(np.frombuffer(baseline_key), _original_terms(key))
+def _baseline_terms(key: bytes, baseline_key: bytes, original: _Original) -> _Row:
+    """The baseline's terms against ``original``, whose values' bytes are
+    ``key``, memoised for the last pair of keys."""
+    global _baseline_memo
+    memo = _baseline_memo
+    if memo is not None and memo[0] == key and memo[1] == baseline_key:
+        return memo[2]
+    terms = _row_terms(np.frombuffer(baseline_key), original)
+    _baseline_memo = (key, baseline_key, terms)
+    return terms
 
 
 def evaluate_day(
@@ -168,10 +183,10 @@ def evaluate_day(
     - the baseline's terms, which are the same for every reconstruction of
       a day and level.
 
-    The original's and the baseline's terms are kept in single-entry caches
+    The original's and the baseline's terms are kept in single-entry memos
     keyed by the exact bytes of the values (a day's values are writable, so
     neither identity nor a stale entry can be trusted); a row that fails
-    is never cached. The original is checked first, then the
+    is never memoised. The original is checked first, then the
     reconstruction, then the baseline, each raising what ``share_row``
     raises on it; ``ConstantInput`` comes last. Shares that sum to one
     hold a positive share, so the original always keeps a slot for the
@@ -180,7 +195,7 @@ def evaluate_day(
     key = original.values.tobytes()
     orig = _original_terms(key)
     row = _row_terms(reconstructed.values, orig)
-    base = _baseline_terms(key, baseline.values.tobytes())
+    base = _baseline_terms(key, baseline.values.tobytes(), orig)
     n0, n1, n2 = orig.norm, row.norm, base.norm
     if not (n0 > 0 and n1 > 0 and n2 > 0):
         raise ConstantInput("correlation undefined for a constant vector")

@@ -26,11 +26,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from flowrecon import metrics
 from flowrecon.errors import FlowReconError, ZeroDailyTotal
 from flowrecon.haar import WaveletDecomposition, haar_forward, haar_inverse
 from flowrecon.ingest import SLOTS_PER_DAY, DaySignal, aggregate
 from flowrecon.matrix import MatrixProfile, build_matrix_scenario1, build_matrix_scenario2
-from flowrecon.metrics import DayResult, _baseline_terms, _original_terms, evaluate_day
+from flowrecon.metrics import DayResult, evaluate_day
 from flowrecon.reconstruct import reconstruct_day, staircase_baseline
 
 from metric_reference import mean_abs_pct_error, normalize_percent, pearson, share_mean_abs_diff
@@ -162,8 +163,7 @@ CANCELLING[[145, 185, 231, 261]] = [632.0, -1e17, 1e17, 201.28]
 
 
 def clear_memo():
-    _original_terms.cache_clear()
-    _baseline_terms.cache_clear()
+    metrics._original_memo = metrics._baseline_memo = None
 
 
 def valid_triple(seed=0):

@@ -1,4 +1,5 @@
 import io
+import math
 from datetime import date, datetime
 
 import numpy as np
@@ -88,6 +89,36 @@ def test_parse_keeps_first_of_duplicate_timestamps():
     assert len(result.records) == 1
     assert result.records[0].flow_total == 120.0
     assert result.duplicate_rows == 1
+
+
+INTERLEAVED = (
+    "timestamp,sensor_id,flow_total\n"
+    "2012-03-13T08:00,s1,12\n"
+    "2012-03-13T08:00,s2,12\n"
+    "2012-03-13T08:05,s1,7\n"
+    "2012-03-13T08:00,s1,7\n"  # duplicate of s1's first row
+    "2012-03-13T08:05,s2,12\n"
+    "2012-03-13T08:05,s2,7\n"  # duplicate of s2's 08:05
+    "2012-03-13T08:10,s1,12\n"
+    "2012-03-13T08:10, s2 ,-0\n"
+    "2012-03-13T08:15,s1,-0\n"
+)
+
+
+@pytest.mark.parametrize("as_bytes", (False, True))
+def test_parse_shares_one_object_per_sensor_and_flow_text(as_bytes):
+    """Interleaved sensors dedupe per sensor; kept records share one id string
+    per sensor and one float per flow text (the parser's memory use, not part
+    of the records' contract)."""
+    source = io.BytesIO(INTERLEAVED.encode("utf-8")) if as_bytes else csv_stream(INTERLEAVED)
+    result = parse_sensor_csv(source)
+    kept = [(0, "s1", 12.0), (0, "s2", 12.0), (5, "s1", 7.0), (5, "s2", 12.0),
+            (10, "s1", 12.0), (10, "s2", 0.0), (15, "s1", 0.0)]
+    assert result.records == [(datetime(2012, 3, 13, 8, m), s, f) for m, s, f in kept]
+    assert (result.rejected_rows, result.duplicate_rows) == (0, 2)
+    assert all(math.copysign(1.0, r.flow_total) == -1.0 for r in result.records[-2:])
+    assert len({id(r.sensor_id) for r in result.records}) == 2
+    assert len({id(r.flow_total) for r in result.records}) == 3  # "12", "7", "-0"
 
 
 def test_parse_missing_required_column():

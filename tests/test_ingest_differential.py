@@ -9,7 +9,8 @@ blank, tz-aware, sub-minute, fractional-second, off-grid and garbage
 timestamps, and signed, subnormal, hexadecimal, padded, non-finite,
 overflowing, negative and unparseable flows, in both schemas and as text or
 byte streams. Both sides must keep the same records, count the same rejected
-and duplicate rows, and raise the same exception type.
+and duplicate rows, and raise the same exception type. Flows are compared by
+``repr``, so a zero must keep its sign (``-0.0 == 0.0`` would hide it).
 """
 
 import csv
@@ -95,7 +96,7 @@ def reference_parse(stream, schema):
             duplicates += 1
             continue
         seen.add(key)
-        records.append((ts, sensor, flow))
+        records.append((ts, sensor, repr(flow)))
     return records, rejected, duplicates
 
 
@@ -121,7 +122,7 @@ def reference_assemble(records, day, sensor_id=None):
 
 def parse_under_test(stream, schema):
     result = parse_sensor_csv(stream, schema)
-    records = [(r.timestamp, r.sensor_id, r.flow_total) for r in result.records]
+    records = [(r.timestamp, r.sensor_id, repr(r.flow_total)) for r in result.records]
     return records, result.rejected_rows, result.duplicate_rows
 
 

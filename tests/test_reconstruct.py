@@ -3,6 +3,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowrecon.errors import LevelMismatch, LevelOutOfRange, ZeroDailyTotal
 from flowrecon.haar import WaveletDecomposition, haar_forward, haar_inverse
@@ -193,6 +195,35 @@ def test_share_row_scale_invariance():
 def test_share_row_zero_total():
     with pytest.raises(ZeroDailyTotal):
         share_row(np.zeros(SLOTS_PER_DAY))
+
+
+@st.composite
+def vehicle_days(draw, days):
+    """``days`` rows of whole vehicles per slot (0-400), from dense to mostly zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    occupied = rng.random((days, SLOTS_PER_DAY)) < draw(st.sampled_from((0.005, 0.05, 0.5, 1.0)))
+    return rng.integers(0, 401, (days, SLOTS_PER_DAY)) * occupied.astype(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    donor_flows=st.integers(1, 5).flatmap(vehicle_days),
+    target=vehicle_days(1),
+    slot=st.integers(0, SLOTS_PER_DAY - 1),
+    scenario=st.sampled_from((1, 2)),
+)
+def test_share_row_accepts_every_reconstruction_of_vehicle_counts(donor_flows, target, slot, scenario):
+    """share_row's absolute ``|sum - 1| <= 1e-9`` never rejects a reconstruction
+    of a day carrying at least one vehicle, at any level and in either mode."""
+    target = target[0]
+    target[slot] = max(target[slot], 1.0)
+    days = [DaySignal(date(2012, 4, 3 + i), "s1", v) for i, v in enumerate(donor_flows)]
+    profile = (build_matrix_scenario1 if scenario == 1 else build_matrix_scenario2)(days)
+    original = DaySignal(DAY, "s1", target)
+    for level in range(1, 6):
+        agg = aggregate(original, level)
+        for rescale in (False, True):
+            share_row(reconstruct_day(profile, agg, level, rescale).values)
 
 
 def test_staircase_uniform_spread():
