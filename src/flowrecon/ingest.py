@@ -13,9 +13,10 @@ Row rules of :func:`parse_sensor_csv`:
 
 Kept rows are :class:`SensorRecord` named tuples: immutable, and they unpack
 like, and compare equal to, a plain ``(timestamp, sensor_id, flow_total)``.
-Within one call the kept records share one id string per sensor and one
-float per distinct flow cell text, so a row allocates only its record and
-its timestamp; object identity is not part of the contract.
+Within one call the kept records share one id string per sensor, and the
+first-wins check hashes each timestamp against its own sensor's set, so a
+row allocates no key of its own; object identity is not part of the
+contract.
 
 Missing slots are zero-filled and tracked per day, and daily signals can be
 re-windowed onto the dyadic aggregation ladder (10, 20, 40, 80, 160 minutes).
@@ -195,22 +196,19 @@ def parse_sensor_csv(source, schema: CsvSchema = CsvSchema()) -> ParseResult:
         records: list[SensorRecord] = []
         append = records.append
         sensors: dict[str, tuple[str, set[datetime]]] = {}  # id -> (shared id, its timestamps)
-        flows: dict[str, float] = {}  # flow cell text -> its value, parsed once per call
         rejected = duplicates = 0
         for row in reader:
             if not row:
                 continue  # blank line
             if len(row) < width:
                 row += [None] * (width - len(row))  # short row: cells absent
-            text, cell = row[ts_col], row[flow_col]
-            if not text or cell is None:
+            text, flow = row[ts_col], row[flow_col]
+            if not text or flow is None:
                 rejected += 1
                 continue
             try:
                 ts = parse_ts(text.strip())
-                flow = flows.get(cell)
-                if flow is None:
-                    flow = flows[cell] = float(cell)
+                flow = float(flow)
             except ValueError:
                 rejected += 1
                 continue
