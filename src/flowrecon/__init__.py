@@ -7,7 +7,8 @@ The package imports nothing here, so each module below is imported on its
 own. Its public API, module by module:
 
 ``flowrecon.ingest``
-    Detector CSVs onto the 288-slot day grid: ``CsvSchema``,
+    Detector CSVs in one record layout (header ``RECORD_COLUMNS``, sensor
+    ``UNKNOWN_SENSOR`` where none is given) onto the 288-slot day grid:
     ``parse_sensor_csv`` (to a ``ParseResult`` of ``SensorRecord`` rows),
     ``assemble_day`` (to a ``DaySignal``), ``day_to_records``,
     ``write_records_csv``, ``slot_start``; ``aggregate`` (to an

@@ -1,10 +1,15 @@
 """Loop-detector CSV ingestion onto a fixed 5-minute day grid.
 
+One record layout holds detector history: :func:`write_records_csv` writes
+it and :func:`parse_sensor_csv` reads it. Rows are comma-separated under
+the header ``RECORD_COLUMNS`` (``timestamp,sensor_id,flow_total``), with
+ISO-8601 timestamps; the ``sensor_id`` column is optional.
+
 Row rules of :func:`parse_sensor_csv`:
 
 - Blank lines are skipped and not counted.
 - Of repeated header names the last column wins; a short row reads its
-  missing cells as absent, and a blank sensor cell as the fallback sensor.
+  missing cells as absent, and an absent or blank sensor as ``UNKNOWN_SENSOR``.
 - A row is rejected and counted when its timestamp is absent, unparseable,
   tz-aware or off the 5-minute grid, or its flow is absent, unparseable,
   NaN, infinite or negative.
@@ -58,6 +63,9 @@ def check_level(level: int) -> None:
         raise LevelOutOfRange(f"level {level} outside 1..{MAX_AGGREGATION_LEVEL}")
 
 
+RECORD_COLUMNS = ("timestamp", "sensor_id", "flow_total")  # the record layout's header
+UNKNOWN_SENSOR = "unknown"  # the sensor of a row whose sensor cell is absent or blank
+
 # (upper missing-slot bound, label); anything above the last bound is ">1 week"
 SEVERITY_LADDER = (
     (12, "<=1 hour"),
@@ -73,18 +81,6 @@ class SensorRecord(NamedTuple):
     timestamp: datetime
     sensor_id: str
     flow_total: float
-
-
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column mapping for detector CSVs; layouts differ between providers."""
-
-    timestamp: str = "timestamp"
-    flow_total: str = "flow_total"
-    sensor_id: str | None = "sensor_id"
-    fallback_sensor_id: str = "unknown"
-    delimiter: str = ","
-    timestamp_format: str | None = None  # None: ISO-8601 at minute resolution
 
 
 @dataclass
@@ -160,8 +156,8 @@ def _open_text(source):
     return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
 
 
-def parse_sensor_csv(source, schema: CsvSchema = CsvSchema()) -> ParseResult:
-    """Parse a detector CSV into validated records.
+def parse_sensor_csv(source) -> ParseResult:
+    """Parse a detector CSV in the record layout into validated records.
 
     ``source`` may be a path, an open text stream or an open byte stream.
     Returns the kept records together with counts of rejected rows and of
@@ -176,22 +172,21 @@ def parse_sensor_csv(source, schema: CsvSchema = CsvSchema()) -> ParseResult:
     """
     stream, owns = _open_text(source)
     try:
-        reader = csv.reader(stream, delimiter=schema.delimiter)
+        reader = csv.reader(stream)
         header = next(reader, None)
         if header is None:
             raise EmptyInput("input CSV has no header row")
         column = {name: i for i, name in enumerate(header)}  # last repeat wins
-        for required in (schema.timestamp, schema.flow_total):
+        ts_name, sensor_name, flow_name = RECORD_COLUMNS
+        for required in (ts_name, flow_name):
             if required not in column:
                 raise MissingColumn(
                     f"required column {required!r} not in header {sorted(column)}"
                 )
-        ts_col, flow_col = column[schema.timestamp], column[schema.flow_total]
-        sensor_col = column.get(schema.sensor_id)
+        ts_col, flow_col = column[ts_name], column[flow_name]
+        sensor_col = column.get(sensor_name)
         width = len(header)
-
-        fmt = schema.timestamp_format
-        parse_ts = (lambda text: datetime.strptime(text, fmt)) if fmt else datetime.fromisoformat
+        fromisoformat = datetime.fromisoformat  # bound once, called per row
 
         records: list[SensorRecord] = []
         append = records.append
@@ -207,7 +202,7 @@ def parse_sensor_csv(source, schema: CsvSchema = CsvSchema()) -> ParseResult:
                 rejected += 1
                 continue
             try:
-                ts = parse_ts(text.strip())
+                ts = fromisoformat(text.strip())
                 flow = float(flow)
             except ValueError:
                 rejected += 1
@@ -219,7 +214,7 @@ def parse_sensor_csv(source, schema: CsvSchema = CsvSchema()) -> ParseResult:
                 continue
             sensor = (row[sensor_col] or "").strip() if sensor_col is not None else ""
             if not sensor:
-                sensor = schema.fallback_sensor_id
+                sensor = UNKNOWN_SENSOR
             entry = sensors.get(sensor)
             if entry is None:
                 entry = sensors[sensor] = (sensor, set())
@@ -248,7 +243,7 @@ def _single_sensor(records: list[SensorRecord], sensor_id: str | None) -> str:
     if len(sensors) > 1:
         raise MixedSensors(f"records span sensors {sorted(sensors)}")
     if sensor_id is None:
-        return sensors.pop() if sensors else "unknown"
+        return sensors.pop() if sensors else UNKNOWN_SENSOR
     if sensors and sensor_id not in sensors:
         raise MixedSensors(f"records from {sensors.pop()!r} labelled {sensor_id!r}")
     return sensor_id
@@ -387,18 +382,18 @@ class _CsvCells(dict):
 
 
 def write_records_csv(records: Sequence[SensorRecord], path) -> None:
-    """Write records in the default schema (timestamp, sensor_id, flow_total).
+    """Write records in the record layout that :func:`parse_sensor_csv` reads.
 
-    Flows are written at full precision (``repr``) so a parse round-trip is
-    exact, and timestamps as ``isoformat(timespec="minutes")``. The bytes are
-    what ``csv.writer`` writes: CRLF line ends and minimal quoting, which
-    only a sensor id can need.
+    Timestamps are written as ``isoformat(timespec="minutes")`` and flows
+    with ``str``, the shortest exact text of a Python or numpy float64, so
+    a parse round-trip is exact. The bytes are what ``csv.writer`` writes:
+    CRLF line ends and minimal quoting, which only a sensor id can need.
     """
     sensor_cells = _CsvCells()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("timestamp,sensor_id,flow_total\r\n")
+        fh.write(",".join(RECORD_COLUMNS) + "\r\n")
         fh.writelines(
-            "%s,%s,%r\r\n"
+            "%s,%s,%s\r\n"
             % (
                 rec.timestamp.isoformat(timespec="minutes"),
                 sensor_cells[rec.sensor_id],

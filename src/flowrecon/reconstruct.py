@@ -134,31 +134,34 @@ def _reconstruction_columns(
     return stamps, shares.tolist(), counts.tolist(), originals, clamped
 
 
+# One row of the CSV export: timestamp, share, count and original count.
+_CSV_ROW = "%s,%.6g,%.6g,%.6g\r\n"
+_CSV_ROW_NO_ORIGINAL = "%s,%.6g,%.6g,\r\n"
+
+
 def write_reconstruction_csv(
     path,
     reconstructed: DaySignal,
     total_vehicles: float,
     original: DaySignal | None = None,
-    full_precision: bool = False,
 ) -> int:
     """Write (timestamp, share, count, original count) rows for one day.
 
-    Numbers carry 6 significant digits (``format(x, ".6g")``), or round-trip
-    exactly (``repr``) with ``full_precision``; without an original day the
-    last cell is empty. The bytes are what ``csv.writer`` writes: CRLF line
-    ends and minimal quoting, which no cell needs. Negative shares are
-    clamped to zero in the count column only; the number of clamped slots
-    is returned so reports can disclose it. Non-finite counts raise
-    ``NonFiniteValues``, a negative total ``InvalidParams``, before the file is opened.
+    Numbers carry 6 significant digits (``format(x, ".6g")``); the JSON twin
+    keeps full precision. Without an original day the last cell is empty.
+    The bytes are what ``csv.writer`` writes: CRLF line ends and minimal
+    quoting, which no cell needs. Negative shares are clamped to zero in the
+    count column only; the number of clamped slots is returned so reports
+    can disclose it. Non-finite counts raise ``NonFiniteValues``, a negative
+    total ``InvalidParams``, before the file is opened.
     """
     stamps, shares, counts, originals, clamped = _reconstruction_columns(
         reconstructed, total_vehicles, original
     )
-    cell = "%r" if full_precision else "%.6g"
     if originals is None:
-        row, rows = f"%s,{cell},{cell},\r\n", zip(stamps, shares, counts)
+        row, rows = _CSV_ROW_NO_ORIGINAL, zip(stamps, shares, counts)
     else:
-        row, rows = f"%s,{cell},{cell},{cell}\r\n", zip(stamps, shares, counts, originals)
+        row, rows = _CSV_ROW, zip(stamps, shares, counts, originals)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("timestamp,share,count,original_count\r\n" + "".join(map(row.__mod__, rows)))
     return clamped

@@ -80,19 +80,17 @@ def base_profile(params: ProfileParams) -> np.ndarray:
     return params.daily_total * shape
 
 
-def _realize(params: ProfileParams, day: date, rng, sensor_id: str) -> DaySignal:
+def _realize(params: ProfileParams, day: date, rng) -> DaySignal:
     values = base_profile(params)
     if params.noise_std > 0:
         values = values * (1.0 + rng.normal(0.0, params.noise_std, SLOTS_PER_DAY))
         np.maximum(values, 0.0, out=values)
-    return DaySignal(day, sensor_id, values, frozenset())
+    return DaySignal(day, DEFAULT_SENSOR_ID, values, frozenset())
 
 
-def generate_day(
-    params: ProfileParams, day: date, sensor_id: str = DEFAULT_SENSOR_ID
-) -> DaySignal:
+def generate_day(params: ProfileParams, day: date) -> DaySignal:
     """One synthetic day; identical inputs give an identical signal."""
-    return _realize(params, day, _rng_for(params.seed, day), sensor_id)
+    return _realize(params, day, _rng_for(params.seed, day))
 
 
 def _jittered(params: ProfileParams, rng, jitter: float) -> ProfileParams:
@@ -119,7 +117,6 @@ def generate_corpus(
     month: int,
     weekdays: frozenset[int] = TYPICAL_WEEKDAYS,
     jitter: float = 0.0,
-    sensor_id: str = DEFAULT_SENSOR_ID,
 ) -> list[DaySignal]:
     """One day per matching calendar date of the month, in date order.
 
@@ -139,5 +136,5 @@ def generate_corpus(
             continue
         rng = _rng_for(params.seed, day)
         realized = _jittered(params, rng, jitter)
-        days.append(_realize(realized, day, rng, sensor_id))
+        days.append(_realize(realized, day, rng))
     return days

@@ -7,21 +7,24 @@ normaliser of ``tests/metric_reference.py``. Hypothesis rebuilds days
 through ``reconstruct_day`` (levels 1-5, raw and rescaled, 0.3-400
 vehicles per slot, so near-empty days with negative shares too), adds
 all-zero and negated reconstructions, and writes each with and without an
-original day and in both precisions, on dates that include 29 February,
-31 December, ``date.min`` and ``date.max``. Both sides must write the same
-bytes, return the same clamped count and raise the same exception type.
-Counts that are not finite raise ``NonFiniteValues``, and a negative total
-``InvalidParams``, before any file is opened, so the strategies draw finite,
-non-negative totals only.
+original day, on dates that include 29 February, 31 December,
+``date.min`` and ``date.max``. Both sides must write the same bytes,
+return the same clamped count and raise the same exception type. Counts
+that are not finite raise ``NonFiniteValues``, and a negative total
+``InvalidParams``, before any file is opened, so the strategies draw
+finite, non-negative totals only.
 
 ``reference_records_csv`` and ``reference_gap_report`` are the
 ``csv.writer`` records writer and the per-month-set gap report, kept here
-as they were. Hypothesis draws sensor ids that need quoting, naive,
-tz-aware and second-bearing timestamps, int and float flows (``-0.0``,
-subnormal, huge, non-finite), and empty record lists for the writer;
-dense and sparse single- and two-sensor record sets with duplicate,
-off-grid and out-of-span naive timestamps (as the parser keeps them) on
-multi-month, year-crossing, leap-day and reversed spans for the gap report.
+as they were, except that the records writer hands each flow to
+``csv.writer`` as it is: its ``repr`` spelled ``np.float64(3.0)`` for a
+numpy float, which no parse reads. Hypothesis draws sensor ids that need
+quoting, naive, tz-aware and second-bearing timestamps, int, float and
+numpy-scalar flows (``-0.0``, subnormal, huge, non-finite), and empty
+record lists for the writer; dense and sparse single- and two-sensor
+record sets with duplicate, off-grid and out-of-span naive timestamps (as
+the parser keeps them) on multi-month, year-crossing, leap-day and
+reversed spans for the gap report.
 """
 
 import csv
@@ -66,9 +69,7 @@ EDGE_DATES = (date(2012, 2, 29), date(2000, 2, 29), date(2012, 12, 31), date.min
 DONOR_DATES = (date(2012, 4, 3), date(2012, 4, 4), date(2012, 4, 5))
 
 
-def reference_format_number(value, full_precision=False):
-    if full_precision:
-        return repr(float(value))
+def reference_format_number(value):
     return format(float(value), ".6g")
 
 
@@ -89,7 +90,7 @@ def reference_rows(reconstructed, total_vehicles, original):
     return rows, clamped
 
 
-def reference_csv(path, reconstructed, total_vehicles, original=None, full_precision=False):
+def reference_csv(path, reconstructed, total_vehicles, original=None):
     rows, clamped = reference_rows(reconstructed, total_vehicles, original)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -98,9 +99,9 @@ def reference_csv(path, reconstructed, total_vehicles, original=None, full_preci
             writer.writerow(
                 [
                     ts,
-                    reference_format_number(share, full_precision),
-                    reference_format_number(count, full_precision),
-                    "" if orig is None else reference_format_number(orig, full_precision),
+                    reference_format_number(share),
+                    reference_format_number(count),
+                    "" if orig is None else reference_format_number(orig),
                 ]
             )
     return clamped
@@ -164,11 +165,9 @@ def export_cases(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(export_cases(), st.booleans())
-def test_csv_bytes_match_reference(case, full_precision):
-    recon, total, original = case
-    args = (recon, total, original, full_precision)
-    assert outcome(write_reconstruction_csv, *args) == outcome(reference_csv, *args)
+@given(export_cases())
+def test_csv_bytes_match_reference(case):
+    assert outcome(write_reconstruction_csv, *case) == outcome(reference_csv, *case)
 
 
 @settings(max_examples=120, deadline=None)
@@ -220,9 +219,7 @@ def reference_records_csv(records, path):
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "sensor_id", "flow_total"])
         for rec in records:
-            writer.writerow(
-                [rec.timestamp.isoformat(timespec="minutes"), rec.sensor_id, repr(rec.flow_total)]
-            )
+            writer.writerow([rec.timestamp.isoformat(timespec="minutes"), rec.sensor_id, rec.flow_total])
 
 
 def records_bytes(write, records):
@@ -245,6 +242,8 @@ flows = st.one_of(
     st.sampled_from((0.1, 1e-300, 1e300, -0.0, 0.0, 5e-324)),
     st.integers(-(10**20), 10**20),
     st.floats(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
 )
 
 

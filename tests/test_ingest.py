@@ -4,6 +4,8 @@ from datetime import date, datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowrecon.errors import (
     EmptyInput,
@@ -13,7 +15,6 @@ from flowrecon.errors import (
 )
 from flowrecon.ingest import (
     SLOTS_PER_DAY,
-    CsvSchema,
     DaySignal,
     SensorRecord,
     aggregate,
@@ -129,23 +130,18 @@ def test_parse_empty_stream():
         parse_sensor_csv(csv_stream(""))
 
 
-def test_parse_byte_stream_and_custom_schema():
-    schema = CsvSchema(
-        timestamp="data_hora",
-        flow_total="volume",
-        sensor_id=None,
-        fallback_sensor_id="loop-7",
-        delimiter=";",
-        timestamp_format="%d/%m/%Y %H:%M",
-    )
+def test_parse_byte_stream():
     payload = (
-        "data_hora;volume;vol_auto\n"
-        "13/03/2012 08:00;120;90\n"
-        "13/03/2012 08:05;110;bad\n"
+        "flow_total,timestamp,vol_auto\n"
+        "120,2012-03-13T08:00,90\n"
+        "110,2012-03-13T08:05,bad\n"
     ).encode("utf-8")
-    result = parse_sensor_csv(io.BytesIO(payload), schema)
-    assert len(result.records) == 2
-    assert result.records[0].sensor_id == "loop-7"
+    result = parse_sensor_csv(io.BytesIO(payload))
+    assert result.records == [
+        (datetime(2012, 3, 13, 8, 0), "unknown", 120.0),
+        (datetime(2012, 3, 13, 8, 5), "unknown", 110.0),
+    ]
+    assert (result.rejected_rows, result.duplicate_rows) == (0, 0)
 
 
 def test_assemble_full_day_has_no_filled_slots():
@@ -295,12 +291,33 @@ def test_gap_report_serialization(tmp_path):
     assert len(lines) == 3
 
 
-def test_write_records_csv_roundtrip(tmp_path):
-    day = assemble_day(make_records(skip={42}), DAY)
-    path = tmp_path / "day.csv"
-    write_records_csv(day_to_records(day), path)
+on_grid = st.datetimes().map(
+    lambda ts: ts.replace(minute=ts.minute - ts.minute % 5, second=0, microsecond=0)
+)
+# non-empty ids that survive the parser's strip(), quoting included
+kept_ids = st.one_of(
+    st.sampled_from(("s1", "a,b", 'say "hi"', "line\nbreak", "cr\rlf", "a \r\n b", '"', ",")),
+    st.text(min_size=1, max_size=8).filter(lambda text: text == text.strip()),
+)
+finite_flows = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False),
+    st.sampled_from((-0.0, 5e-324, 1e300)),
+    st.floats(min_value=0.0, allow_infinity=False).map(np.float64),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.builds(SensorRecord, on_grid, kept_ids, finite_flows),
+        max_size=20,
+        unique_by=lambda rec: (rec.sensor_id, rec.timestamp),
+    )
+)
+def test_write_records_csv_roundtrip(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("roundtrip") / "records.csv"
+    write_records_csv(records, path)
     parsed = parse_sensor_csv(path)
-    assert parsed.rejected_rows == 0
-    rebuilt = assemble_day(parsed.records, DAY)
-    assert np.array_equal(rebuilt.values, day.values)
-    assert rebuilt.filled_slots == day.filled_slots
+    assert (parsed.rejected_rows, parsed.duplicate_rows) == (0, 0)
+    expected = [(ts, sensor, repr(float(flow))) for ts, sensor, flow in records]
+    assert [(ts, sensor, repr(flow)) for ts, sensor, flow in parsed.records] == expected

@@ -2,15 +2,16 @@
 
 ``reference_parse`` is the ``csv.DictReader`` parser and ``reference_assemble``
 the slot-by-slot assembly loop, both kept here as they were apart from
-returning plain tuples and dropping the unused vehicle-class columns.
-Hypothesis writes detector CSVs with blank, short and long rows, quoted
-cells, repeated header names, missing sensor columns, blank sensors,
-blank, tz-aware, sub-minute, fractional-second, off-grid and garbage
-timestamps, and signed, subnormal, hexadecimal, padded, non-finite,
-overflowing, negative and unparseable flows, in both schemas and as text or
-byte streams. Both sides must keep the same records, count the same rejected
-and duplicate rows, and raise the same exception type. Flows are compared by
-``repr``, so a zero must keep its sign (``-0.0 == 0.0`` would hide it).
+returning plain tuples, dropping the unused vehicle-class columns and
+reading the one record layout only. Hypothesis writes detector CSVs with
+blank, short and long rows, quoted cells, repeated header names, missing
+sensor columns (so the ``"unknown"`` fallback), blank sensors, blank,
+tz-aware, sub-minute, fractional-second, off-grid and garbage timestamps,
+and signed, subnormal, hexadecimal, padded, non-finite, overflowing,
+negative and unparseable flows, as text or byte streams. Both sides must
+keep the same records, count the same rejected and duplicate rows, and
+raise the same exception type. Flows are compared by ``repr``, so a zero
+must keep its sign (``-0.0 == 0.0`` would hide it).
 """
 
 import csv
@@ -26,28 +27,19 @@ from flowrecon.errors import EmptyInput, FlowReconError, MissingColumn, MixedSen
 from flowrecon.ingest import (
     BASE_WINDOW_MINUTES,
     SLOTS_PER_DAY,
-    CsvSchema,
     SensorRecord,
     assemble_day,
     parse_sensor_csv,
 )
 
 DAYS = (date(2012, 3, 13), date(2012, 3, 14))
-CUSTOM = CsvSchema(
-    timestamp="data_hora",
-    flow_total="volume",
-    sensor_id="posto",
-    fallback_sensor_id="loop-7",
-    delimiter=";",
-    timestamp_format="%d/%m/%Y %H:%M",
-)
 
 
-def _reference_timestamp(text, fmt):
+def _reference_timestamp(text):
     if not text:
         return None
     try:
-        ts = datetime.strptime(text.strip(), fmt) if fmt else datetime.fromisoformat(text.strip())
+        ts = datetime.fromisoformat(text.strip())
     except ValueError:
         return None
     if ts.tzinfo is not None:
@@ -69,28 +61,28 @@ def _reference_flow(text):
     return value
 
 
-def reference_parse(stream, schema):
-    reader = csv.DictReader(stream, delimiter=schema.delimiter)
+def reference_parse(stream):
+    reader = csv.DictReader(stream)
     if reader.fieldnames is None:
         raise EmptyInput("input CSV has no header row")
     header = set(reader.fieldnames)
-    for required in (schema.timestamp, schema.flow_total):
+    for required in ("timestamp", "flow_total"):
         if required not in header:
             raise MissingColumn(f"required column {required!r} not in header")
-    sensor_col = schema.sensor_id if schema.sensor_id in header else None
+    sensor_col = "sensor_id" if "sensor_id" in header else None
 
     records = []
     seen = set()
     rejected = duplicates = 0
     for row in reader:
-        ts = _reference_timestamp(row.get(schema.timestamp), schema.timestamp_format)
-        flow = _reference_flow(row.get(schema.flow_total))
+        ts = _reference_timestamp(row.get("timestamp"))
+        flow = _reference_flow(row.get("flow_total"))
         if ts is None or flow is None:
             rejected += 1
             continue
         sensor = (row.get(sensor_col) or "").strip() if sensor_col else ""
         if not sensor:
-            sensor = schema.fallback_sensor_id
+            sensor = "unknown"
         key = (sensor, ts)
         if key in seen:
             duplicates += 1
@@ -120,8 +112,8 @@ def reference_assemble(records, day, sensor_id=None):
     return sensor_id, values, frozenset(range(SLOTS_PER_DAY)) - covered
 
 
-def parse_under_test(stream, schema):
-    result = parse_sensor_csv(stream, schema)
+def parse_under_test(stream):
+    result = parse_sensor_csv(stream)
     records = [(r.timestamp, r.sensor_id, repr(r.flow_total)) for r in result.records]
     return records, result.rejected_rows, result.duplicate_rows
 
@@ -134,13 +126,10 @@ def outcome(fn, *args):
 
 
 @st.composite
-def timestamps(draw, custom):
+def timestamps(draw):
     day = draw(st.sampled_from(DAYS))
     hour = draw(st.sampled_from([0, 8, 23]))
     minute = draw(st.sampled_from([0, 5, 30, 55, 3, 59]))
-    if custom:
-        good = f"{day:%d/%m/%Y} {hour:02d}:{minute:02d}"
-        return draw(st.sampled_from([good, f" {good} ", good + ":00", "31/02/2012 08:00", "n/a", ""]))
     iso = f"{day.isoformat()}T{hour:02d}:{minute:02d}"
     return draw(
         st.sampled_from(
@@ -172,48 +161,40 @@ SENSORS = ["s1", "s2", " s1 ", "", "  ", "a,b", "c;d", 'q"x']
 
 
 @st.composite
-def cells(draw, kind, custom):
+def cells(draw, kind):
     if kind == "timestamp":
-        return draw(timestamps(custom))
+        return draw(timestamps())
     if kind == "flow":
         return draw(st.sampled_from(FLOWS))
     if kind == "sensor":
         return draw(st.sampled_from(SENSORS))
-    return draw(st.one_of(st.sampled_from(FLOWS), st.sampled_from(SENSORS), timestamps(custom)))
+    return draw(st.one_of(st.sampled_from(FLOWS), st.sampled_from(SENSORS), timestamps()))
 
 
 @st.composite
 def csv_inputs(draw):
-    custom = draw(st.booleans())
-    schema = CUSTOM if custom else CsvSchema()
-    if not custom and draw(st.booleans()):
-        schema = CsvSchema(sensor_id=None, fallback_sensor_id="loop-7")
-    kinds = {schema.timestamp: "timestamp", schema.flow_total: "flow", "sensor_id": "sensor", "posto": "sensor"}
-    names = [schema.timestamp, schema.flow_total, "sensor_id", "posto", "extra"]
-    required = [schema.timestamp, schema.flow_total]
+    kinds = {"timestamp": "timestamp", "flow_total": "flow", "sensor_id": "sensor"}
+    names = ["timestamp", "flow_total", "sensor_id", "extra"]
+    required = ["timestamp", "flow_total"]
     if draw(st.integers(0, 9)) == 0:
         required = required[: draw(st.integers(0, 1))]  # a required column is missing
-    header = required + draw(st.lists(st.sampled_from(names), max_size=4))
+    header = required + draw(st.lists(st.sampled_from(names), max_size=4))  # often no sensor_id
     header = draw(st.permutations(header))
     rows = []
     for _ in range(draw(st.integers(0, 15))):
         length = draw(st.sampled_from([len(header)] * 6 + [0, max(len(header) - 1, 0), len(header) + 1]))
         rows.append(
             [
-                draw(cells(kinds.get(header[i], "any") if i < len(header) else "any", custom))
+                draw(cells(kinds.get(header[i], "any") if i < len(header) else "any"))
                 for i in range(length)
             ]
         )
     buffer = io.StringIO(newline="")
-    writer = csv.writer(
-        buffer,
-        delimiter=schema.delimiter,
-        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
-    )
+    writer = csv.writer(buffer, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
     if header or draw(st.booleans()):  # an empty header is a blank first line, or no line
         writer.writerow(header)
     writer.writerows(rows)
-    return buffer.getvalue(), schema, draw(st.booleans())
+    return buffer.getvalue(), draw(st.booleans())
 
 
 def stream_of(text, as_bytes):
@@ -231,11 +212,11 @@ EDGE_ROWS = "timestamp,flow_total\n" + "".join(
 
 @settings(max_examples=200, deadline=None)
 @given(csv_inputs())
-@example((EDGE_ROWS, CsvSchema(), False))
+@example((EDGE_ROWS, False))
 def test_parse_matches_dictreader_reference(case):
-    text, schema, as_bytes = case
-    expected = outcome(reference_parse, io.StringIO(text, newline=""), schema)
-    assert outcome(parse_under_test, stream_of(text, as_bytes), schema) == expected
+    text, as_bytes = case
+    expected = outcome(reference_parse, io.StringIO(text, newline=""))
+    assert outcome(parse_under_test, stream_of(text, as_bytes)) == expected
 
 
 def test_sensor_record_contract():
