@@ -3,7 +3,10 @@
 One record layout holds detector history: :func:`write_records_csv` writes
 it and :func:`parse_sensor_csv` reads it. Rows are comma-separated under
 the header ``RECORD_COLUMNS`` (``timestamp,sensor_id,flow_total``), with
-ISO-8601 timestamps; the ``sensor_id`` column is optional.
+ISO-8601 timestamps; the ``sensor_id`` column is optional. Timestamps are
+read with Python 3.11's ``datetime.fromisoformat``, which also accepts the
+basic (``20190101T000500``) and week-date (``2019-W01-2T00:05``) forms that
+3.10 rejects, so the kept rows depend on it; the package requires 3.11.
 
 Row rules of :func:`parse_sensor_csv`:
 

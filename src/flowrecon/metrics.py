@@ -10,11 +10,11 @@ percent-of-daily-total signals.
 :func:`evaluate_day` scores in three parts: the original day's terms, each
 row's terms against them, and the combination. A day is scored against
 several reconstructions and one staircase baseline per level, so the
-original's and the baseline's terms sit in single-entry memos keyed by
-the exact bytes of their values, compared with ``==``: values are
-writable, so a key by identity could go stale. Each memo is one tuple of
-key and terms in one module global, so a reader in any thread sees a
-matching pair. The memoised arrays are read-only. The relative error
+module keeps one memo entry: the original's values' bytes and terms, and
+the last baseline's bytes and terms against that original. Keys are the
+exact bytes, compared with ``==``, since values are writable and a key by
+identity could go stale. The entry is one tuple in one module global, so
+a reader in any thread sees matching keys and terms. The relative error
 divides by the original's shares rather than multiplying by their
 reciprocals, which overflow for a subnormal share.
 
@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConstantInput, EmptyResults, InvalidParams
-from .ingest import BASE_WINDOW_MINUTES, DaySignal
+from .ingest import BASE_WINDOW_MINUTES, DaySignal, check_level
 from .reconstruct import share_row
 
 
@@ -52,6 +52,7 @@ class DayResult:
     excluded_slots: int
 
     def __post_init__(self):
+        check_level(self.level)
         for r in (self.correlation, self.baseline_correlation):
             if not -1.0 <= r <= 1.0:
                 raise InvalidParams(f"correlation {r} outside [-1, 1]")
@@ -102,11 +103,6 @@ class _Row(NamedTuple):
     norm: float  # 0.0 for a constant row
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
-
 def _centred_row(values: np.ndarray):
     """(shares, centred shares, centred norm) of one row; raises what
     :func:`share_row` raises on it."""
@@ -122,22 +118,15 @@ def _centred_row(values: np.ndarray):
     return shares, centred, norm
 
 
-_original_memo: tuple[bytes, _Original] | None = None
-_baseline_memo: tuple[bytes, bytes, _Row] | None = None
+# (original bytes, its terms, baseline bytes, its terms against the original)
+_memo: tuple[bytes, _Original, bytes | None, _Row | None] | None = None
 
 
-def _original_terms(key: bytes) -> _Original:
-    """The original's terms from its values' bytes, memoised for the last key."""
-    global _original_memo
-    memo = _original_memo
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    shares, centred, norm = _centred_row(np.frombuffer(key))
+def _original_terms(values: np.ndarray) -> _Original:
+    """The terms of an original day's values."""
+    shares, centred, norm = _centred_row(values)
     included = shares > 0
-    kept = int(np.count_nonzero(included))
-    terms = _Original(_frozen(shares), _frozen(included), kept, _frozen(centred), norm)
-    _original_memo = (key, terms)
-    return terms
+    return _Original(shares, included, int(np.count_nonzero(included)), centred, norm)
 
 
 def _row_terms(values: np.ndarray, original: _Original) -> _Row:
@@ -147,18 +136,6 @@ def _row_terms(values: np.ndarray, original: _Original) -> _Row:
     # dividing, not multiplying by 1/share: a subnormal share's reciprocal overflows
     relative = np.divide(diff, original.shares, out=np.zeros(diff.size), where=original.included)
     return _Row(float(relative.sum()), float(diff.sum()), float(centred @ original.centred), norm)
-
-
-def _baseline_terms(key: bytes, baseline_key: bytes, original: _Original) -> _Row:
-    """The baseline's terms against ``original``, whose values' bytes are
-    ``key``, memoised for the last pair of keys."""
-    global _baseline_memo
-    memo = _baseline_memo
-    if memo is not None and memo[0] == key and memo[1] == baseline_key:
-        return memo[2]
-    terms = _row_terms(np.frombuffer(baseline_key), original)
-    _baseline_memo = (key, baseline_key, terms)
-    return terms
 
 
 def evaluate_day(
@@ -171,31 +148,26 @@ def evaluate_day(
 
     Each row passes :func:`flowrecon.reconstruct.share_row`; the result
     equals, up to float rounding, the scalar reference metrics of the three
-    share rows (``tests/metric_reference.py``). The work falls in three
-    parts:
-
-    - the original's terms (shares, ``> 0`` mask, kept count, centred row
-      and norm, constancy), computed once per original day;
-    - each row's terms against them (the share rule, the sums of
-      ``|delta| / original`` and ``|delta|``, the cross term with the
-      original, the norm and constancy), for the reconstruction on every
-      call;
-    - the baseline's terms, which are the same for every reconstruction of
-      a day and level.
-
-    The original's and the baseline's terms are kept in single-entry memos
-    keyed by the exact bytes of the values (a day's values are writable, so
-    neither identity nor a stale entry can be trusted); a row that fails
-    is never memoised. The original is checked first, then the
-    reconstruction, then the baseline, each raising what ``share_row``
-    raises on it; ``ConstantInput`` comes last. Shares that sum to one
-    hold a positive share, so the original always keeps a slot for the
-    relative error and no all-zero original can reach it.
+    share rows (``tests/metric_reference.py``). The original is checked
+    first, then the reconstruction, then the baseline, each raising what
+    ``share_row`` raises on it; then ``ConstantInput``, and last the
+    result's ``LevelOutOfRange``. Shares that sum to one hold a positive
+    share, so the original always keeps a slot for the relative error and
+    no all-zero original can reach it.
     """
+    global _memo
+    memo = _memo
     key = original.values.tobytes()
-    orig = _original_terms(key)
+    if memo is None or memo[0] != key:
+        # stored before the rows are scored, so a failing row costs no recompute
+        memo = _memo = (key, _original_terms(np.frombuffer(key)), None, None)
+    orig = memo[1]
     row = _row_terms(reconstructed.values, orig)
-    base = _baseline_terms(key, baseline.values.tobytes(), orig)
+    baseline_key = baseline.values.tobytes()
+    base = memo[3]
+    if memo[2] != baseline_key:
+        base = _row_terms(np.frombuffer(baseline_key), orig)
+        _memo = (key, orig, baseline_key, base)
     n0, n1, n2 = orig.norm, row.norm, base.norm
     if not (n0 > 0 and n1 > 0 and n2 > 0):
         raise ConstantInput("correlation undefined for a constant vector")

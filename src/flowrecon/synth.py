@@ -9,6 +9,7 @@ independent of generation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from datetime import date
 
@@ -39,18 +40,21 @@ class ProfileParams:
 
     def __post_init__(self):
         object.__setattr__(self, "peaks", tuple(self.peaks))
-        if self.daily_total <= 0:
-            raise InvalidParams(f"daily_total must be positive, got {self.daily_total}")
-        if self.noise_std < 0:
-            raise InvalidParams("noise_std must be non-negative")
+        # chained bounds: a NaN fails every comparison, so it is rejected too
+        if not 0 < self.daily_total < math.inf:
+            raise InvalidParams(f"daily_total must be positive and finite, got {self.daily_total}")
+        if not 0 <= self.noise_std < math.inf:
+            raise InvalidParams("noise_std must be non-negative and finite")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidParams(f"seed must be a non-negative integer, got {self.seed!r}")
         weight_sum = 0.0
         for peak in self.peaks:
             if not 0 <= peak.center < SLOTS_PER_DAY:
                 raise InvalidParams(f"peak center {peak.center} outside the day grid")
-            if peak.width <= 0:
-                raise InvalidParams("peak width must be positive")
-            if peak.weight < 0:
-                raise InvalidParams("peak weight must be non-negative")
+            if not 0 < peak.width < math.inf:
+                raise InvalidParams("peak width must be positive and finite")
+            if not 0 <= peak.weight < math.inf:
+                raise InvalidParams("peak weight must be non-negative and finite")
             weight_sum += peak.weight
         if weight_sum > 1.0 + 1e-12:
             raise InvalidParams(f"peak weights sum to {weight_sum}, must be <= 1")
@@ -124,8 +128,8 @@ def generate_corpus(
     from the same per-date stream as the noise, so a fixed seed yields a
     byte-identical corpus.
     """
-    if jitter < 0:
-        raise InvalidParams("jitter must be non-negative")
+    if not 0 <= jitter < math.inf:
+        raise InvalidParams("jitter must be non-negative and finite")
     days = []
     for dom in range(1, 32):
         try:

@@ -7,7 +7,7 @@ replaced of ``normalize_percent``, ``pearson``, ``mean_abs_pct_error`` and
 ``share_mean_abs_diff``, kept in ``tests/metric_reference.py``; that
 normaliser checks shares with its own ``check_shares``, not with the
 package's ``share_row``. The check also runs with ``evaluate_day``'s
-single-entry caches of the original's and the baseline's terms warm:
+one-entry memo of the original's and the baseline's terms warm:
 across reconstructions, interleaved pairs, values mutated in place, new
 dates, threads, error cases, the subnormal-share boundary and an
 overflowing difference at an excluded slot.
@@ -163,9 +163,8 @@ CANCELLING[[145, 185, 231, 261]] = [632.0, -1e17, 1e17, 201.28]
 
 
 def clear_memo():
-    for name in ("_original_memo", "_baseline_memo"):
-        assert hasattr(metrics, name), name  # a renamed memo would otherwise stay warm
-        setattr(metrics, name, None)
+    assert hasattr(metrics, "_memo")  # a renamed memo would otherwise stay warm
+    metrics._memo = None
 
 
 def valid_triple(seed=0):
@@ -269,6 +268,48 @@ def test_memo_serves_many_reconstructions_and_interleaved_pairs():
         assert_same_outcome(a[0], a[1], pair_baseline, 2)
 
 
+def test_memo_scores_each_original_and_baseline_once(monkeypatch):
+    """Counts the rows whose shares are computed: one per original day, one
+    per baseline of a day and level, one per reconstruction."""
+    rows = []
+    centred_row = metrics._centred_row
+
+    def counted(values):
+        rows.append(values)
+        return centred_row(values)
+
+    monkeypatch.setattr(metrics, "_centred_row", counted)
+
+    def rows_scored(calls):
+        clear_memo()
+        rows.clear()
+        for args in calls:
+            evaluate_day(*args)
+        return len(rows)
+
+    rng = np.random.default_rng(7)
+    profiles = [donor(s, [rng.uniform(0.0, 300.0, SLOTS_PER_DAY)]) for s in (1, 2)]
+
+    def sweep(original):
+        # the recon-sweep plan: levels 1-5 x S1/S2 x raw/rescaled, level-major
+        for level in range(1, 6):
+            agg = aggregate(original, level)
+            baseline = staircase_baseline(agg)
+            for profile in profiles:
+                for rescale in (False, True):
+                    yield original, reconstruct_day(profile, agg, level, rescale), baseline, level
+
+    days = [valid_triple(seed)[0] for seed in (20, 21)]
+    assert rows_scored(args for day in days for args in sweep(day)) == 26 * len(days)
+    triples = [valid_triple(seed) for seed in range(20, 24)]
+    assert rows_scored((*t, 2) for t in triples) == 3 * len(triples)
+    a, b = valid_triple(3), valid_triple(4)
+    interleaved = [(*t, 2) for t in (a, b, a, b, a)]
+    # the same original against another baseline, then the first one again
+    interleaved += [(a[0], a[1], base, 2) for base in (b[2], a[2], b[2])]
+    assert rows_scored(interleaved) == 21
+
+
 def test_memo_follows_values_mutated_in_place():
     original, recon, baseline = valid_triple(5)
     assert_same_outcome(original, recon, baseline, 2)
@@ -301,7 +342,7 @@ def test_memo_is_consistent_across_threads():
     errors = []
 
     def score(offset):
-        # each thread walks the pairs in its own order, so the single-entry caches thrash
+        # each thread walks the pairs in its own order, so the one-entry memo thrashes
         try:
             for i in range(60):
                 k = (i * (offset + 1) + offset) % len(triples)

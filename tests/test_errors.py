@@ -69,13 +69,16 @@ def test_slot_out_of_range():
     raises(SlotOutOfRange, lambda: DaySignal(DAY, "s1", FLAT, frozenset({SLOTS_PER_DAY})))
 
 
-@pytest.mark.parametrize("level", (0, 6))
+@pytest.mark.parametrize("level", (-1, 0, 6))
 def test_level_out_of_range(level):
     profile, day = MatrixProfile(FLAT, 1, ()), DaySignal(DAY, "s1", FLAT)
+    ramp = DaySignal(DAY, "s1", np.arange(1.0, SLOTS_PER_DAY + 1))
     raises(LevelOutOfRange, lambda: AggregatedSignal(np.ones(144), DAY, level))
     raises(LevelOutOfRange, lambda: aggregate(day, level))
     raises(LevelOutOfRange, lambda: profile.residual(level))
     raises(LevelOutOfRange, lambda: reconstruct_day(profile, aggregate(day, 1), level))
+    raises(LevelOutOfRange, lambda: DayResult(DAY, level, 0.5, 1.0, 0.5, 1.0, 0.1, 0.1, 0))
+    raises(LevelOutOfRange, lambda: evaluate_day(ramp, ramp, ramp, level))
 
 
 def test_unknown_scenario():

@@ -49,13 +49,20 @@ def test_parse_well_formed_rows():
             "2012-03-13T08:00,s1,120\n"
             "2012-03-13T08:05,s1,131\n"
             "2012-03-13T08:10,s1,95\n"
+            # basic and week-date ISO forms: kept by Python 3.11's fromisoformat
+            "20190101T000500,s1,7\n"
+            "2019-W01-2T00:10,s1,8\n"
         )
     )
-    assert len(result.records) == 3
+    assert len(result.records) == 5
     assert result.rejected_rows == 0
     assert result.duplicate_rows == 0
     assert result.records[0].flow_total == 120.0
     assert result.records[1].timestamp == datetime(2012, 3, 13, 8, 5)
+    assert [r.timestamp for r in result.records[3:]] == [
+        datetime(2019, 1, 1, 0, 5),
+        datetime(2019, 1, 1, 0, 10),
+    ]
 
 
 def test_parse_rejects_negative_flow():

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,26 @@ def test_unused_import_check_finds_a_leftover():
     source = "from __future__ import annotations\nimport os\nimport numpy as np\n" \
         "from .errors import A, B\n\ndef f(x: np.ndarray) -> A:\n    return x\n"
     assert unused_imports(source) == ["os (line 2)", "B (line 4)"]
+
+
+def absolute_imports(source: str) -> set[str]:
+    """Top-level package names of a module's absolute imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_package_needs_only_numpy_and_the_standard_library():
+    imports = set()
+    for module in PACKAGE.glob("*.py"):
+        imports |= absolute_imports(module.read_text(encoding="utf-8"))
+    assert imports - sys.stdlib_module_names == {"numpy"}
+    dependencies = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", dep).group() for dep in dependencies] == ["numpy"]
 
 
 def documented_api() -> dict[str, set[str]]:

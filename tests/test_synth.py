@@ -95,6 +95,23 @@ def test_invalid_params_rejected():
         params_with(peaks=(PeakSpec(90.0, -1.0, 0.5),))
     with pytest.raises(InvalidParams):
         params_with(noise_std=-0.1)
+    nan, inf = float("nan"), float("inf")
+    for overrides in (
+        dict(noise_std=nan),
+        dict(noise_std=inf),
+        dict(daily_total=nan),
+        dict(daily_total=inf),
+        dict(peaks=(PeakSpec(90.0, nan, 0.5),)),
+        dict(peaks=(PeakSpec(90.0, inf, 0.5),)),
+        dict(peaks=(PeakSpec(90.0, 10.0, nan),)),
+        dict(seed=-1),
+        dict(seed=1.5),
+    ):
+        with pytest.raises(InvalidParams):
+            params_with(**overrides)
+    for jitter in (-0.1, nan, inf):
+        with pytest.raises(InvalidParams):
+            generate_corpus(DEFAULT_PARAMS, 2012, 3, jitter=jitter)
 
 
 def test_march_2012_typical_corpus_has_13_days():
