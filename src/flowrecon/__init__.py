@@ -14,8 +14,8 @@ own. Its public API, module by module:
     ``write_records_csv``, ``slot_start``; ``aggregate`` (to an
     ``AggregatedSignal``, whose window follows from its level) and
     ``check_level`` for the dyadic levels 1 to ``MAX_AGGREGATION_LEVEL``;
-    ``gap_report`` (a ``GapReport`` of ``MonthGap`` rows, with one CSV
-    writer) and ``classify_gap``. Constants
+    ``gap_report`` (a ``GapReport`` of ``MonthGap`` rows, each with its
+    severity from ``SEVERITY_LADDER``, and one CSV writer). Constants
     ``BASE_WINDOW_MINUTES``, ``SLOTS_PER_DAY``, ``SEVERITY_LADDER``.
 ``flowrecon.matrix``
     Donor profiles: ``DaySelectionCriteria`` (a year and month) and

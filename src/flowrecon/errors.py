@@ -16,11 +16,6 @@ class LengthMismatch(FlowReconError):
 class NotDyadicallyDivisible(FlowReconError):
     """2**levels does not divide the signal length."""
 
-    def __init__(self, levels: int, length: int):
-        super().__init__(f"2**{levels} does not divide signal length {length}")
-        self.levels = levels
-        self.length = length
-
 
 class LevelOutOfRange(FlowReconError):
     """Decomposition/aggregation level outside the supported ladder."""
@@ -91,6 +86,6 @@ class InvalidParams(FlowReconError):
 
     Raised for synthetic profile parameters or jitter, a day-selection month
     outside 1-12, a date span ending before it starts, a negative export
-    vehicle total and a day result whose correlation or error lies outside
-    its range.
+    vehicle total and a day result whose correlation, error, share
+    difference or excluded-slot count lies outside its range.
     """

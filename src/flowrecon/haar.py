@@ -147,7 +147,7 @@ def haar_forward(values, levels: int) -> WaveletDecomposition:
     if levels < 1:
         raise LevelOutOfRange(f"levels must be >= 1, got {levels}")
     if x.size % (1 << levels):
-        raise NotDyadicallyDivisible(levels, x.size)
+        raise NotDyadicallyDivisible(f"2**{levels} does not divide signal length {x.size}")
     details = []
     approx = x
     for _ in range(levels):

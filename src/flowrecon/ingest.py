@@ -69,11 +69,12 @@ def check_level(level: int) -> None:
 RECORD_COLUMNS = ("timestamp", "sensor_id", "flow_total")  # the record layout's header
 UNKNOWN_SENSOR = "unknown"  # the sensor of a row whose sensor cell is absent or blank
 
-# (upper missing-slot bound, label); anything above the last bound is ">1 week"
+# (upper missing-slot bound, label); the first bound a month's count does not exceed wins
 SEVERITY_LADDER = (
     (12, "<=1 hour"),
     (SLOTS_PER_DAY, "<=1 day"),
     (7 * SLOTS_PER_DAY, "<=1 week"),
+    (math.inf, ">1 week"),
 )
 
 
@@ -303,7 +304,11 @@ class MonthGap:
     year: int
     month: int
     missing_slots: int
-    severity: str
+
+    @property
+    def severity(self) -> str:
+        """The first ``SEVERITY_LADDER`` label whose bound ``missing_slots`` does not exceed."""
+        return next(label for bound, label in SEVERITY_LADDER if self.missing_slots <= bound)
 
 
 @dataclass(frozen=True)
@@ -321,26 +326,6 @@ class GapReport:
                 writer.writerow([self.sensor_id, m.year, m.month, m.missing_slots, m.severity])
 
 
-def classify_gap(missing_slots: int) -> str:
-    """Severity bucket for a month's missing-slot count."""
-    for bound, label in SEVERITY_LADDER:
-        if missing_slots <= bound:
-            return label
-    return ">1 week"
-
-
-def _month_range(start: date, end: date):
-    year, month = start.year, start.month
-    while (year, month) <= (end.year, end.month):
-        yield year, month
-        year, month = (year + 1, 1) if month == 12 else (year, month + 1)
-
-
-def _days_in_month(year: int, month: int) -> int:
-    nxt = date(year + 1, 1, 1) if month == 12 else date(year, month + 1, 1)
-    return (nxt - date(year, month, 1)).days
-
-
 def gap_report(
     records: Iterable[SensorRecord],
     start: date,
@@ -349,29 +334,24 @@ def gap_report(
 ) -> GapReport:
     """Count absent grid slots per month across [start, end].
 
-    Months are classified by how much data is missing: up to one hour
-    (12 slots), one day (288), one week (2016), or more. Raises
-    ``MixedSensors`` as :func:`assemble_day` does, and ``InvalidParams`` if
-    ``end`` precedes ``start``. Records with equal timestamps fill one slot.
+    A month's missing slots are the sum, over its days in the span, of
+    ``SLOTS_PER_DAY`` less the distinct timestamps dated that day, clamped
+    at zero for the month. Months come in calendar order, each with its
+    ``SEVERITY_LADDER`` label. Raises ``MixedSensors`` as
+    :func:`assemble_day` does, and ``InvalidParams`` if ``end`` precedes
+    ``start``.
     """
     records = list(records)
     sensor_id = _single_sensor(records, sensor_id)
     if end < start:
         raise InvalidParams("span end precedes start")
 
-    present = Counter()  # (year, month) -> distinct in-span timestamps
-    for day, n in Counter(map(datetime.date, {rec.timestamp for rec in records})).items():
-        if start <= day <= end:
-            present[day.year, day.month] += n
-
-    months = []
-    for year, month in _month_range(start, end):
-        first = max(start, date(year, month, 1))
-        last = min(end, date(year, month, _days_in_month(year, month)))
-        expected = ((last - first).days + 1) * SLOTS_PER_DAY
-        missing = max(0, expected - present[year, month])
-        months.append(MonthGap(year, month, missing, classify_gap(missing)))
-    return GapReport(sensor_id, tuple(months))
+    present = Counter(map(datetime.date, {rec.timestamp for rec in records}))  # distinct, per day
+    missing = Counter()  # (year, month) -> missing slots, months in calendar order
+    for i in range((end - start).days + 1):
+        day = start + timedelta(days=i)
+        missing[day.year, day.month] += SLOTS_PER_DAY - present[day]
+    return GapReport(sensor_id, tuple(MonthGap(*month, max(0, n)) for month, n in missing.items()))
 
 
 class _CsvCells(dict):

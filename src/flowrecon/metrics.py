@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConstantInput, EmptyResults, InvalidParams
-from .ingest import BASE_WINDOW_MINUTES, DaySignal, check_level
+from .ingest import BASE_WINDOW_MINUTES, SLOTS_PER_DAY, DaySignal, check_level
 from .reconstruct import share_row
 
 
@@ -56,8 +56,14 @@ class DayResult:
         for r in (self.correlation, self.baseline_correlation):
             if not -1.0 <= r <= 1.0:
                 raise InvalidParams(f"correlation {r} outside [-1, 1]")
-        if self.error_pct < 0 or self.baseline_error_pct < 0:
-            raise InvalidParams("error percentages must be non-negative")
+        errors = (self.error_pct, self.baseline_error_pct, self.share_mad, self.baseline_share_mad)
+        for error in errors:
+            if not error >= 0:  # NaN fails too; inf passes
+                raise InvalidParams(f"error {error} is not >= 0")
+        if not 0 <= self.excluded_slots < SLOTS_PER_DAY:
+            raise InvalidParams(
+                f"excluded_slots {self.excluded_slots} outside [0, {SLOTS_PER_DAY})"
+            )
 
 
 @dataclass(frozen=True)

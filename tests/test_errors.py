@@ -112,3 +112,12 @@ def test_day_result_out_of_range():
                   share_mad=0.0, baseline_share_mad=0.0, excluded_slots=0)
     raises(InvalidParams, lambda: DayResult(**{**fields, "correlation": 1.5}))
     raises(InvalidParams, lambda: DayResult(**{**fields, "baseline_error_pct": -1.0}))
+    for name in ("error_pct", "baseline_error_pct", "share_mad", "baseline_share_mad"):
+        for value in (np.nan, -1e-300, -np.inf):
+            raises(InvalidParams, lambda: DayResult(**{**fields, name: value}))
+        DayResult(**{**fields, name: np.inf})  # a subnormal original share gives an inf error
+    for excluded in (-3, -1, SLOTS_PER_DAY, SLOTS_PER_DAY + 1):
+        raises(InvalidParams, lambda: DayResult(**{**fields, "excluded_slots": excluded}))
+    DayResult(**{**fields, "excluded_slots": SLOTS_PER_DAY - 1})
+    # the defect case: NaN errors and a negative excluded-slot count
+    raises(InvalidParams, lambda: DayResult(DAY, 1, 0.5, np.nan, 0.5, 1.0, np.nan, 0.1, -3))

@@ -1,6 +1,7 @@
 import io
 import math
-from datetime import date, datetime
+from collections import Counter, defaultdict
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
@@ -16,10 +17,10 @@ from flowrecon.errors import (
 from flowrecon.ingest import (
     SLOTS_PER_DAY,
     DaySignal,
+    MonthGap,
     SensorRecord,
     aggregate,
     assemble_day,
-    classify_gap,
     day_to_records,
     gap_report,
     parse_sensor_csv,
@@ -281,12 +282,45 @@ def test_gap_report_rejects_a_contradicting_sensor_label():
 
 
 def test_gap_severity_boundaries():
-    assert classify_gap(0) == "<=1 hour"
-    assert classify_gap(12) == "<=1 hour"
-    assert classify_gap(13) == "<=1 day"
-    assert classify_gap(288) == "<=1 day"
-    assert classify_gap(2016) == "<=1 week"
-    assert classify_gap(2017) == ">1 week"
+    def severity(missing_slots):
+        return MonthGap(2012, 3, missing_slots).severity
+
+    assert severity(0) == "<=1 hour"
+    assert severity(12) == "<=1 hour"
+    assert severity(13) == "<=1 day"
+    assert severity(288) == "<=1 day"
+    assert severity(2016) == "<=1 week"
+    assert severity(2017) == ">1 week"
+
+
+def test_gap_report_counts_the_slots_assembly_fills(tmp_path):
+    """Each month's missing slots equal the zero-filled slots of its
+    assembled days, after a write and parse round trip."""
+    rng = np.random.default_rng(14)
+    start, end, outage = date(2012, 1, 29), date(2012, 4, 2), date(2012, 2, 29)
+    days = [start + timedelta(days=i) for i in range((end - start).days + 1)]
+    records = [
+        SensorRecord(slot_start(day, slot), "s1", float(rng.poisson(20)))
+        for day in days
+        if day != outage
+        for slot in range(SLOTS_PER_DAY)
+        if rng.random() >= 0.02  # scattered dropped slots
+    ]
+    records += [records[i] for i in rng.integers(0, len(records), 40)]  # repeated rows
+    path = tmp_path / "records.csv"
+    write_records_csv(records, path)
+    parsed = parse_sensor_csv(path)
+    assert parsed.duplicate_rows == 40
+
+    by_day = defaultdict(list)
+    for rec in parsed.records:
+        by_day[rec.timestamp.date()].append(rec)
+    filled = Counter()
+    for day in days:
+        filled[day.year, day.month] += len(assemble_day(by_day[day], day, "s1").filled_slots)
+    report = gap_report(parsed.records, start, end)
+    assert [((m.year, m.month), m.missing_slots) for m in report.months] == list(filled.items())
+    assert filled[2012, 2] > SLOTS_PER_DAY  # the outage and some dropped slots
 
 
 def test_gap_report_serialization(tmp_path):
