@@ -16,7 +16,8 @@ own. Its public API, module by module:
     ``check_level`` for the dyadic levels 1 to ``MAX_AGGREGATION_LEVEL``;
     ``gap_report`` (a ``GapReport`` of ``MonthGap`` rows, each with its
     severity from ``SEVERITY_LADDER``, and one CSV writer). Constants
-    ``BASE_WINDOW_MINUTES``, ``SLOTS_PER_DAY``, ``SEVERITY_LADDER``.
+    ``BASE_WINDOW_MINUTES``, ``SLOTS_PER_DAY``, ``SEVERITY_LADDER``,
+    ``MINUTE_CLOCKS`` (the ``"THH:MM"`` text of each minute of the day).
 ``flowrecon.matrix``
     Donor profiles: ``DaySelectionCriteria`` (a year and month) and
     ``select_typical_days`` (its fault-free Tuesdays to Thursdays,

@@ -28,6 +28,13 @@ contract.
 
 Missing slots are zero-filled and tracked per day, and daily signals can be
 re-windowed onto the dyadic aggregation ladder (10, 20, 40, 80, 160 minutes).
+
+The write side works a whole sensor-year per call. :func:`write_records_csv`
+builds a naive timestamp's text from its date's cached ``isoformat()`` and a
+``MINUTE_CLOCKS`` entry rather than formatting each record, and
+:func:`gap_report` counts each day's distinct timestamps by bisecting one
+sorted list of them. Both hold naive timestamps to the parser's rule: the
+writer formats a tz-aware one in full, and the gap report rejects it.
 """
 
 from __future__ import annotations
@@ -36,9 +43,12 @@ import csv
 import io
 import math
 import os
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
+from itertools import compress, count, islice
+from operator import eq
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -68,6 +78,10 @@ def check_level(level: int) -> None:
 
 RECORD_COLUMNS = ("timestamp", "sensor_id", "flow_total")  # the record layout's header
 UNKNOWN_SENSOR = "unknown"  # the sensor of a row whose sensor cell is absent or blank
+
+# "THH:MM" text of each minute of the day, indexed by hour * 60 + minute; a naive
+# timestamp's isoformat(timespec="minutes") is its date's isoformat() followed by this
+MINUTE_CLOCKS = tuple(f"T{minute // 60:02d}:{minute % 60:02d}" for minute in range(1440))
 
 # (upper missing-slot bound, label); the first bound a month's count does not exceed wins
 SEVERITY_LADDER = (
@@ -301,9 +315,19 @@ def aggregate(day: DaySignal, level: int) -> AggregatedSignal:
 
 @dataclass(frozen=True)
 class MonthGap:
+    """One month's missing-slot count; raises ``InvalidParams`` for a month
+    outside 1-12 or a count that is not a non-negative int."""
+
     year: int
     month: int
     missing_slots: int
+
+    def __post_init__(self):
+        if not 1 <= self.month <= 12:
+            raise InvalidParams(f"month {self.month!r} outside 1..12")
+        n = self.missing_slots
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise InvalidParams(f"missing_slots must be a non-negative int, got {n!r}")
 
     @property
     def severity(self) -> str:
@@ -337,31 +361,55 @@ def gap_report(
     A month's missing slots are the sum, over its days in the span, of
     ``SLOTS_PER_DAY`` less the distinct timestamps dated that day, clamped
     at zero for the month. Months come in calendar order, each with its
-    ``SEVERITY_LADDER`` label. Raises ``MixedSensors`` as
-    :func:`assemble_day` does, and ``InvalidParams`` if ``end`` precedes
-    ``start``.
+    ``SEVERITY_LADDER`` label.
+
+    The timestamps are counted from one sorted list: equal neighbours are
+    the repeats, and a day's distinct count is its ``bisect`` range less
+    the repeats inside it, so no set of the span's timestamps is built.
+    Raises ``MixedSensors`` as :func:`assemble_day` does, then
+    ``InvalidParams`` if ``end`` precedes ``start`` or any timestamp is
+    tz-aware (the rule :func:`parse_sensor_csv` applies to rows; naive and
+    aware timestamps do not order together).
     """
     records = list(records)
     sensor_id = _single_sensor(records, sensor_id)
     if end < start:
         raise InvalidParams("span end precedes start")
+    stamps = [rec.timestamp for rec in records]
+    if any(ts.tzinfo is not None for ts in stamps):
+        raise InvalidParams("tz-aware timestamps cannot be placed on the day grid")
+    stamps.sort()
+    # the indices i at which stamps[i] repeats stamps[i - 1]
+    repeats = list(compress(count(1), map(eq, stamps, islice(stamps, 1, None))))
 
-    present = Counter(map(datetime.date, {rec.timestamp for rec in records}))  # distinct, per day
+    day_of = datetime.date
     missing = Counter()  # (year, month) -> missing slots, months in calendar order
     for i in range((end - start).days + 1):
         day = start + timedelta(days=i)
-        missing[day.year, day.month] += SLOTS_PER_DAY - present[day]
+        lo = bisect_left(stamps, day, key=day_of)
+        hi = bisect_right(stamps, day, lo, key=day_of)
+        present = hi - lo - (bisect_left(repeats, hi) - bisect_left(repeats, lo))  # distinct
+        missing[day.year, day.month] += SLOTS_PER_DAY - present
     return GapReport(sensor_id, tuple(MonthGap(*month, max(0, n)) for month, n in missing.items()))
 
 
-class _CsvCells(dict):
-    """Text -> the cell ``csv.writer`` writes for it inside a row, computed once per text."""
+class _Memo(dict):
+    """Key -> ``text_of(key)``, computed once per key."""
 
-    def __missing__(self, text):
-        buf = io.StringIO()
-        csv.writer(buf).writerow(("", text, ""))
-        cell = self[text] = buf.getvalue()[1:-3]  # drop the empty neighbours and the CRLF
-        return cell
+    def __init__(self, text_of):
+        super().__init__()
+        self.text_of = text_of
+
+    def __missing__(self, key):
+        text = self[key] = self.text_of(key)
+        return text
+
+
+def _csv_cell(text: str) -> str:
+    """The cell ``csv.writer`` writes for ``text`` inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(("", text, ""))
+    return buf.getvalue()[1:-3]  # drop the empty neighbours and the CRLF
 
 
 def write_records_csv(records: Sequence[SensorRecord], path) -> None:
@@ -369,18 +417,24 @@ def write_records_csv(records: Sequence[SensorRecord], path) -> None:
 
     Timestamps are written as ``isoformat(timespec="minutes")`` and flows
     with ``str``, the shortest exact text of a Python or numpy float64, so
-    a parse round-trip is exact. The bytes are what ``csv.writer`` writes:
-    CRLF line ends and minimal quoting, which only a sensor id can need.
+    a parse round-trip is exact. A naive timestamp's text is built from two
+    lookups, its date's ``isoformat()`` (computed once per date in a call)
+    and its ``MINUTE_CLOCKS`` entry; a tz-aware one is formatted in full,
+    offset included. The bytes are what ``csv.writer`` writes: CRLF line
+    ends and minimal quoting, which only a sensor id can need.
     """
-    sensor_cells = _CsvCells()
+    sensor_cells = _Memo(_csv_cell)
+    day_texts = _Memo(date.isoformat)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(RECORD_COLUMNS) + "\r\n")
         fh.writelines(
             "%s,%s,%s\r\n"
             % (
-                rec.timestamp.isoformat(timespec="minutes"),
-                sensor_cells[rec.sensor_id],
-                rec.flow_total,
+                day_texts[ts.date()] + MINUTE_CLOCKS[ts.hour * 60 + ts.minute]
+                if ts.tzinfo is None
+                else ts.isoformat(timespec="minutes"),
+                sensor_cells[sensor],
+                flow,
             )
-            for rec in records
+            for ts, sensor, flow in records
         )

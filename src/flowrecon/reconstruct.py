@@ -41,7 +41,7 @@ from .errors import (
 )
 from .ingest import (
     BASE_WINDOW_MINUTES,
-    SLOTS_PER_DAY,
+    MINUTE_CLOCKS,
     AggregatedSignal,
     DaySignal,
     check_level,
@@ -52,10 +52,7 @@ SHARE_SUM_TOL = 1e-9
 
 # Wall-clock start of each slot as "THH:MM"; a slot's timestamp is its
 # date's isoformat() followed by this suffix.
-SLOT_CLOCKS = tuple(
-    f"T{minute // 60:02d}:{minute % 60:02d}"
-    for minute in range(0, SLOTS_PER_DAY * BASE_WINDOW_MINUTES, BASE_WINDOW_MINUTES)
-)
+SLOT_CLOCKS = MINUTE_CLOCKS[::BASE_WINDOW_MINUTES]
 
 
 def share_row(values: np.ndarray) -> tuple[np.ndarray, float]:

@@ -4,7 +4,7 @@ Code that scores a whole corpus catches ``FlowReconError`` to count a failed
 day and go on; a plain ``ValueError`` would end the run instead.
 """
 
-from datetime import date
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -21,7 +21,15 @@ from flowrecon.errors import (
     WrongShape,
 )
 from flowrecon.haar import haar_forward, max_levels
-from flowrecon.ingest import SLOTS_PER_DAY, AggregatedSignal, DaySignal, aggregate, gap_report
+from flowrecon.ingest import (
+    SLOTS_PER_DAY,
+    AggregatedSignal,
+    DaySignal,
+    MonthGap,
+    SensorRecord,
+    aggregate,
+    gap_report,
+)
 from flowrecon.matrix import DaySelectionCriteria, MatrixProfile
 from flowrecon.metrics import DayResult, evaluate_day
 from flowrecon.reconstruct import reconstruct_day, share_row
@@ -100,6 +108,24 @@ def test_shares_not_normalized():
 
 def test_gap_report_reversed_span():
     raises(InvalidParams, lambda: gap_report([], date(2012, 4, 30), date(2012, 4, 1), "s1"))
+
+
+def test_gap_report_tz_aware_timestamps():
+    naive = datetime(2012, 4, 10, 8, 15)
+    utc, eastern = timezone.utc, timezone(timedelta(hours=-5))
+    aware = [naive.replace(tzinfo=utc), naive.replace(tzinfo=eastern)]
+    for stamps in (aware, [naive, aware[0]], [aware[1], naive, naive]):
+        records = [SensorRecord(ts, "s1", 1.0) for ts in stamps]
+        raises(InvalidParams, lambda: gap_report(records, date(2012, 4, 1), date(2012, 4, 30), "s1"))
+
+
+def test_month_gap_invalid():
+    for month in (0, 13, -1, np.nan):
+        raises(InvalidParams, lambda: MonthGap(2012, month, 0))
+    for missing in (-1, -5, np.nan, 1.0, np.inf, True, "3"):
+        raises(InvalidParams, lambda: MonthGap(2012, 3, missing))
+    raises(InvalidParams, lambda: MonthGap(2012, 13, -5))  # the defect case
+    assert MonthGap(2012, 12, 0).severity == "<=1 hour"
 
 
 def test_day_selection_criteria_invalid():

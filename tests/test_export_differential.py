@@ -28,11 +28,17 @@ writer; dense and sparse single- and two-sensor record sets with
 duplicate, off-grid and out-of-span naive timestamps (as the parser
 keeps them) on multi-month, year-crossing, leap-day and reversed spans
 for the gap report.
+
+The whole-year tests compare both records writers and both gap reports
+on one synthetic sensor-year of ~100k records with dropped slots, a dead
+day and repeated timestamps, and hold the gap report's transient memory
+to a bound that a set of the year's timestamps alone exceeds.
 """
 
 import csv
 import json
 import tempfile
+import tracemalloc
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 
@@ -54,12 +60,14 @@ from flowrecon.ingest import (
     DaySignal,
     SensorRecord,
     aggregate,
+    day_to_records,
     gap_report,
     slot_start,
     write_records_csv,
 )
 from flowrecon.matrix import build_matrix_scenario1, build_matrix_scenario2
 from flowrecon.reconstruct import reconstruct_day, write_reconstruction_csv, write_reconstruction_json
+from flowrecon.synth import DEFAULT_PARAMS, generate_corpus
 
 from metric_reference import normalize_percent
 
@@ -351,3 +359,54 @@ def gap_outcome(report, records, start, end, sensor_id):
 @given(gap_cases())
 def test_gap_report_matches_reference(case):
     assert gap_outcome(library_gap_report, *case) == gap_outcome(reference_gap_report, *case)
+
+
+YEAR = 2012
+EVERY_WEEKDAY = frozenset(range(7))
+GAP_REPORT_PEAK_BYTES = 3.5e6  # a set of the year's timestamps alone takes ~4 MB
+
+
+@pytest.fixture(scope="module")
+def sensor_year():
+    """One leap year of records: ~1% of slots dropped, 3 June dead, ~0.5%
+    of timestamps repeated with another flow, some right after their first
+    and some at the end of the list."""
+    rng = np.random.default_rng(15)
+    days = [
+        day for month in range(1, 13) for day in generate_corpus(DEFAULT_PARAMS, YEAR, month, EVERY_WEEKDAY)
+    ]
+    kept = [
+        rec
+        for day in days
+        if day.date != date(YEAR, 6, 3)
+        for rec in day_to_records(day)
+        if rng.random() >= 0.01
+    ]
+    records = []
+    for rec in kept:
+        records.append(rec)
+        if rng.random() < 0.003:
+            records.append(rec._replace(flow_total=rec.flow_total + 1.0))
+    records += [kept[i]._replace(flow_total=0.0) for i in rng.integers(0, len(kept), 150)]
+    return records
+
+
+def test_sensor_year_records_csv_matches_reference(sensor_year):
+    assert len(sensor_year) > 100_000
+    written = records_bytes(write_records_csv, sensor_year)
+    assert written == records_bytes(reference_records_csv, sensor_year)
+
+
+def test_sensor_year_gap_report_matches_reference(sensor_year):
+    span = (date(YEAR, 1, 1), date(YEAR, 12, 31), None)
+    assert library_gap_report(sensor_year, *span) == reference_gap_report(sensor_year, *span)
+
+
+def test_sensor_year_gap_report_memory(sensor_year):
+    tracemalloc.start()
+    try:
+        gap_report(sensor_year, date(YEAR, 1, 1), date(YEAR, 12, 31))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= GAP_REPORT_PEAK_BYTES, f"gap_report peaked at {peak / 1e6:.2f} MB"

@@ -15,6 +15,7 @@ from flowrecon.errors import (
     MixedSensors,
 )
 from flowrecon.ingest import (
+    MINUTE_CLOCKS,
     SLOTS_PER_DAY,
     DaySignal,
     MonthGap,
@@ -279,6 +280,14 @@ def test_gap_report_empty_thirty_day_month():
 def test_gap_report_rejects_a_contradicting_sensor_label():
     with pytest.raises(MixedSensors):
         gap_report(make_records(sensor="s2"), DAY, DAY, sensor_id="s1")
+
+
+def test_minute_clocks_match_isoformat():
+    midnight = datetime(2012, 2, 29)
+    assert len(MINUTE_CLOCKS) == 1440
+    for minute, clock in enumerate(MINUTE_CLOCKS):
+        stamp = (midnight + timedelta(minutes=minute)).isoformat(timespec="minutes")
+        assert "2012-02-29" + clock == stamp
 
 
 def test_gap_severity_boundaries():

@@ -332,4 +332,6 @@ def test_reconstruction_export_csv_and_json(tmp_path):
 def test_slot_clocks_match_slot_start(day):
     assert len(SLOT_CLOCKS) == SLOTS_PER_DAY
     for slot, clock in enumerate(SLOT_CLOCKS):
-        assert day.isoformat() + clock == slot_start(day, slot).isoformat(timespec="minutes")
+        stamp = slot_start(day, slot).isoformat(timespec="minutes")
+        assert clock == stamp[10:]
+        assert day.isoformat() + clock == stamp
