@@ -15,9 +15,10 @@ own. Its public API, module by module:
     ``AggregatedSignal``, whose window follows from its level) and
     ``check_level`` for the dyadic levels 1 to ``MAX_AGGREGATION_LEVEL``;
     ``gap_report`` (a ``GapReport`` of ``MonthGap`` rows, each with its
-    severity from ``SEVERITY_LADDER``, and one CSV writer). Constants
-    ``BASE_WINDOW_MINUTES``, ``SLOTS_PER_DAY``, ``SEVERITY_LADDER``,
-    ``MINUTE_CLOCKS`` (the ``"THH:MM"`` text of each minute of the day).
+    severity from ``SEVERITY_LADDER``, and one CSV writer). The day grid:
+    ``BASE_WINDOW_MINUTES``, ``SLOTS_PER_DAY``, ``SLOT_TIMES`` (each slot's
+    naive start), ``SLOT_OF`` (start to slot; the one on-grid test) and
+    ``SLOT_CLOCKS`` (each slot's ``"THH:MM"`` text).
 ``flowrecon.matrix``
     Donor profiles: ``DaySelectionCriteria`` (a year and month) and
     ``select_typical_days`` (its fault-free Tuesdays to Thursdays,

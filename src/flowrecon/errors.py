@@ -85,7 +85,8 @@ class InvalidParams(FlowReconError):
     """Arguments violate their type's invariants.
 
     Raised for synthetic profile parameters or jitter, a day-selection month
-    outside 1-12, a date span ending before it starts, a negative export
-    vehicle total and a day result whose correlation, error, share
+    outside 1-12, a date span ending before it starts, a record off the day
+    grid or one with a flow the parser rejects (records writer), a negative
+    export vehicle total and a day result whose correlation, error, share
     difference or excluded-slot count lies outside its range.
     """

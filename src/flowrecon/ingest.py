@@ -13,9 +13,9 @@ Row rules of :func:`parse_sensor_csv`:
 - Blank lines are skipped and not counted.
 - Of repeated header names the last column wins; a short row reads its
   missing cells as absent, and an absent or blank sensor as ``UNKNOWN_SENSOR``.
-- A row is rejected and counted when its timestamp is absent, unparseable,
-  tz-aware or off the 5-minute grid, or its flow is absent, unparseable,
-  NaN, infinite or negative.
+- A row is rejected and counted when its timestamp is absent, unparseable
+  or off the day grid (below), or its flow is absent, unparseable, NaN,
+  infinite or negative.
 - The first row of each (sensor, timestamp) key wins; later ones are
   counted as duplicates.
 
@@ -26,15 +26,16 @@ first-wins check hashes each timestamp against its own sensor's set, so a
 row allocates no key of its own; object identity is not part of the
 contract.
 
+One table holds the day grid: ``SLOT_OF`` maps each naive slot start of
+``SLOT_TIMES`` to its slot, and a timestamp lies on the grid exactly when
+``ts.timetz() in SLOT_OF``, which a tz-aware or off-grid one is not. The
+parser rejects such a row, and :func:`assemble_day`, :func:`gap_report` and
+:func:`write_records_csv` raise ``InvalidParams`` for such a record. As in
+Python, a time whose tzinfo gives ``utcoffset(None) is None`` (a ``zoneinfo``
+zone) is naive; ``fromisoformat`` makes fixed offsets only.
+
 Missing slots are zero-filled and tracked per day, and daily signals can be
 re-windowed onto the dyadic aggregation ladder (10, 20, 40, 80, 160 minutes).
-
-The write side works a whole sensor-year per call. :func:`write_records_csv`
-builds a naive timestamp's text from its date's cached ``isoformat()`` and a
-``MINUTE_CLOCKS`` entry rather than formatting each record, and
-:func:`gap_report` counts each day's distinct timestamps by bisecting one
-sorted list of them. Both hold naive timestamps to the parser's rule: the
-writer formats a tz-aware one in full, and the gap report rejects it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from itertools import compress, count, islice
-from operator import eq
+from operator import eq, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -63,11 +64,15 @@ from .errors import (
     SlotOutOfRange,
     WrongShape,
 )
-from .haar import max_levels
 
 BASE_WINDOW_MINUTES = 5
 SLOTS_PER_DAY = 1440 // BASE_WINDOW_MINUTES  # 288
-MAX_AGGREGATION_LEVEL = max_levels(SLOTS_PER_DAY)  # 5
+MAX_AGGREGATION_LEVEL = 5  # haar.max_levels(SLOTS_PER_DAY), pinned by a test
+
+# The day grid: each slot's naive start, its "THH:MM" text and the slot of each start
+SLOT_TIMES = tuple(time(*divmod(slot * BASE_WINDOW_MINUTES, 60)) for slot in range(SLOTS_PER_DAY))
+SLOT_CLOCKS = tuple("T" + start.isoformat("minutes") for start in SLOT_TIMES)
+SLOT_OF = {start: slot for slot, start in enumerate(SLOT_TIMES)}
 
 
 def check_level(level: int) -> None:
@@ -78,10 +83,6 @@ def check_level(level: int) -> None:
 
 RECORD_COLUMNS = ("timestamp", "sensor_id", "flow_total")  # the record layout's header
 UNKNOWN_SENSOR = "unknown"  # the sensor of a row whose sensor cell is absent or blank
-
-# "THH:MM" text of each minute of the day, indexed by hour * 60 + minute; a naive
-# timestamp's isoformat(timespec="minutes") is its date's isoformat() followed by this
-MINUTE_CLOCKS = tuple(f"T{minute // 60:02d}:{minute % 60:02d}" for minute in range(1440))
 
 # (upper missing-slot bound, label); the first bound a month's count does not exceed wins
 SEVERITY_LADDER = (
@@ -225,9 +226,8 @@ def parse_sensor_csv(source) -> ParseResult:
             except ValueError:
                 rejected += 1
                 continue
-            # tz-aware or off the base grid; NaN, negative or infinite flow
-            if (ts.tzinfo is not None or ts.minute % BASE_WINDOW_MINUTES or ts.second
-                    or ts.microsecond or not 0 <= flow < math.inf):
+            # tz-aware or off the day grid; NaN, negative or infinite flow
+            if ts.timetz() not in SLOT_OF or not 0 <= flow < math.inf:
                 rejected += 1
                 continue
             sensor = (row[sensor_col] or "").strip() if sensor_col is not None else ""
@@ -251,13 +251,15 @@ def parse_sensor_csv(source) -> ParseResult:
 
 
 def slot_start(day: date, slot: int) -> datetime:
-    """Timestamp at which the given 5-minute slot begins."""
-    return datetime.combine(day, time()) + timedelta(minutes=slot * BASE_WINDOW_MINUTES)
+    """Naive start of ``day``'s given slot; ``SlotOutOfRange`` outside 0..287."""
+    if not 0 <= slot < SLOTS_PER_DAY:
+        raise SlotOutOfRange(f"slot {slot!r} outside 0..{SLOTS_PER_DAY - 1}")
+    return datetime.combine(day, SLOT_TIMES[slot])
 
 
 def _single_sensor(records: list[SensorRecord], sensor_id: str | None) -> str:
     """The one sensor the records come from; ``sensor_id`` may name it."""
-    sensors = {sensor for _, sensor, _ in records}
+    sensors = set(map(itemgetter(1), records))
     if len(sensors) > 1:
         raise MixedSensors(f"records span sensors {sorted(sensors)}")
     if sensor_id is None:
@@ -275,14 +277,18 @@ def assemble_day(
     Records dated outside ``day`` are ignored; of records sharing a slot the
     first is placed. Slots without a record are set to zero and reported in
     ``filled_slots``. Raises ``MixedSensors`` if the records span sensors or
-    ``sensor_id`` names another sensor than theirs.
+    ``sensor_id`` names another sensor than theirs, then ``InvalidParams``
+    for a record dated ``day`` whose timestamp is not in ``SLOT_OF``.
     """
     records = list(records)
     sensor_id = _single_sensor(records, sensor_id)
     placed: dict[int, float] = {}
-    for ts, _, flow in records:
-        if ts.date() == day:
-            placed.setdefault((ts.hour * 60 + ts.minute) // BASE_WINDOW_MINUTES, flow)
+    try:
+        for ts, _, flow in records:
+            if ts.date() == day:
+                placed.setdefault(SLOT_OF[ts.timetz()], flow)
+    except KeyError:
+        raise InvalidParams(f"timestamp {ts!r} is tz-aware or off the day grid") from None
     values = np.zeros(SLOTS_PER_DAY)
     values[list(placed)] = list(placed.values())
     filled = frozenset(range(SLOTS_PER_DAY)).difference(placed)
@@ -360,25 +366,25 @@ def gap_report(
 
     A month's missing slots are the sum, over its days in the span, of
     ``SLOTS_PER_DAY`` less the distinct timestamps dated that day, clamped
-    at zero for the month. Months come in calendar order, each with its
-    ``SEVERITY_LADDER`` label.
-
-    The timestamps are counted from one sorted list: equal neighbours are
-    the repeats, and a day's distinct count is its ``bisect`` range less
-    the repeats inside it, so no set of the span's timestamps is built.
-    Raises ``MixedSensors`` as :func:`assemble_day` does, then
-    ``InvalidParams`` if ``end`` precedes ``start`` or any timestamp is
-    tz-aware (the rule :func:`parse_sensor_csv` applies to rows; naive and
-    aware timestamps do not order together).
+    at zero for the month; months come in calendar order, each with its
+    ``SEVERITY_LADDER`` label. A day's distinct count is its ``bisect``
+    range of one sorted list less the equal neighbours inside it, so no set
+    of the span's timestamps is built. Raises ``MixedSensors`` as
+    :func:`assemble_day` does, then ``InvalidParams`` if ``end`` precedes
+    ``start`` or any timestamp, in the span or not, is off the day grid, so
+    each distinct timestamp is one present slot.
     """
     records = list(records)
     sensor_id = _single_sensor(records, sensor_id)
     if end < start:
         raise InvalidParams("span end precedes start")
     stamps = [rec.timestamp for rec in records]
-    if any(ts.tzinfo is not None for ts in stamps):
-        raise InvalidParams("tz-aware timestamps cannot be placed on the day grid")
-    stamps.sort()
+    if not all(map(SLOT_OF.__contains__, map(datetime.timetz, stamps))):
+        raise InvalidParams("tz-aware or off-grid timestamps cannot be placed on the day grid")
+    try:
+        stamps.sort()
+    except TypeError:  # zoneinfo stamps, naive to SLOT_OF, among naive ones
+        raise InvalidParams("naive and zone-aware timestamps do not order together") from None
     # the indices i at which stamps[i] repeats stamps[i - 1]
     repeats = list(compress(count(1), map(eq, stamps, islice(stamps, 1, None))))
 
@@ -415,26 +421,28 @@ def _csv_cell(text: str) -> str:
 def write_records_csv(records: Sequence[SensorRecord], path) -> None:
     """Write records in the record layout that :func:`parse_sensor_csv` reads.
 
-    Timestamps are written as ``isoformat(timespec="minutes")`` and flows
-    with ``str``, the shortest exact text of a Python or numpy float64, so
-    a parse round-trip is exact. A naive timestamp's text is built from two
-    lookups, its date's ``isoformat()`` (computed once per date in a call)
-    and its ``MINUTE_CLOCKS`` entry; a tz-aware one is formatted in full,
-    offset included. The bytes are what ``csv.writer`` writes: CRLF line
-    ends and minimal quoting, which only a sensor id can need.
+    A timestamp is written as its date's ``isoformat()`` (cached per call)
+    and its slot's ``SLOT_CLOCKS`` entry, a flow with ``str``, the shortest
+    exact text of a Python or numpy float64, so a parse round-trip is exact.
+    The bytes are what ``csv.writer`` writes: CRLF line ends and minimal
+    quoting, which only a sensor id can need. A record the parser would
+    reject (off the day grid, or a flow outside ``0 <= float(flow) < inf``)
+    raises ``InvalidParams`` within the one pass, and the file is removed.
     """
     sensor_cells = _Memo(_csv_cell)
     day_texts = _Memo(date.isoformat)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(RECORD_COLUMNS) + "\r\n")
-        fh.writelines(
-            "%s,%s,%s\r\n"
-            % (
-                day_texts[ts.date()] + MINUTE_CLOCKS[ts.hour * 60 + ts.minute]
-                if ts.tzinfo is None
-                else ts.isoformat(timespec="minutes"),
-                sensor_cells[sensor],
-                flow,
-            )
-            for ts, sensor, flow in records
-        )
+
+    def lines():
+        for ts, sensor, flow in records:
+            if not 0 <= float(flow) < math.inf:  # OverflowError: an int whose text reads as inf
+                raise InvalidParams(f"flow {flow!r} is negative, NaN or infinite")
+            clock = SLOT_CLOCKS[SLOT_OF[ts.timetz()]]  # KeyError: off the day grid
+            yield "%s,%s,%s\r\n" % (day_texts[ts.date()] + clock, sensor_cells[sensor], flow)
+
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(RECORD_COLUMNS) + "\r\n")
+            fh.writelines(lines())
+    except (KeyError, OverflowError, InvalidParams) as exc:
+        os.remove(path)
+        raise InvalidParams(f"a record the parser would reject: {exc!r}") from exc

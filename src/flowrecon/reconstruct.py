@@ -39,20 +39,10 @@ from .errors import (
     SharesNotNormalized,
     ZeroDailyTotal,
 )
-from .ingest import (
-    BASE_WINDOW_MINUTES,
-    MINUTE_CLOCKS,
-    AggregatedSignal,
-    DaySignal,
-    check_level,
-)
+from .ingest import SLOT_CLOCKS, AggregatedSignal, DaySignal, check_level
 from .matrix import MatrixProfile
 
 SHARE_SUM_TOL = 1e-9
-
-# Wall-clock start of each slot as "THH:MM"; a slot's timestamp is its
-# date's isoformat() followed by this suffix.
-SLOT_CLOCKS = MINUTE_CLOCKS[::BASE_WINDOW_MINUTES]
 
 
 def share_row(values: np.ndarray) -> tuple[np.ndarray, float]:

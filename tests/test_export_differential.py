@@ -16,18 +16,21 @@ finite, non-negative totals only.
 
 ``reference_records_csv`` and ``reference_gap_report`` are the
 ``csv.writer`` records writer and the per-month-set gap report, kept here
-as they were, except that the records writer hands each flow to
+as they were, except for two things. The records writer hands each flow to
 ``csv.writer`` as it is: its ``repr`` spelled ``np.float64(3.0)`` for a
-numpy float, which no parse reads. The gap report carries its own month
-calendar, sensor check and severity ladder; both sides are compared as
-``(sensor_id, [(year, month, missing_slots, severity), ...])``.
-Hypothesis draws sensor ids that need quoting, naive, tz-aware
-and second-bearing timestamps, int, float and numpy-scalar flows
-(``-0.0``, subnormal, huge, non-finite), and empty record lists for the
-writer; dense and sparse single- and two-sensor record sets with
-duplicate, off-grid and out-of-span naive timestamps (as the parser
-keeps them) on multi-month, year-crossing, leap-day and reversed spans
-for the gap report.
+numpy float, which no parse reads. And both now refuse, with
+``InvalidParams``, a record the parser would reject, by the parser's
+former clause-by-clause rule (``reference_on_grid``, and for the writer a
+flow whose text ``float`` reads as negative, NaN or infinite); the writer
+then leaves no file. The gap report carries its own month calendar, sensor
+check and severity ladder; both sides are compared as
+``(sensor_id, [(year, month, missing_slots, severity), ...])``, or as the
+type of the error raised. Hypothesis draws sensor ids that need quoting,
+naive, tz-aware and second-bearing timestamps, int, float and numpy-scalar
+flows (``-0.0``, subnormal, huge, non-finite), and empty record lists for
+the writer; dense and sparse single- and two-sensor record sets with
+duplicate, off-grid and out-of-span naive timestamps on multi-month,
+year-crossing, leap-day and reversed spans for the gap report.
 
 The whole-year tests compare both records writers and both gap reports
 on one synthetic sensor-year of ~100k records with dropped slots, a dead
@@ -220,7 +223,14 @@ def test_zero_totals_stay_valid(write, reference, total):
     assert written[1] == 1
 
 
+def reference_on_grid(ts):
+    return ts.tzinfo is None and not (ts.second or ts.microsecond or ts.minute % 5)
+
+
 def reference_records_csv(records, path):
+    for rec in records:
+        if not (reference_on_grid(rec.timestamp) and 0 <= float(str(rec.flow_total)) < np.inf):
+            raise InvalidParams("the parser would reject this record")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "sensor_id", "flow_total"])
@@ -229,9 +239,13 @@ def reference_records_csv(records, path):
 
 
 def records_bytes(write, records):
+    """The written bytes, or the type of the error raised and whether a file is left."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.csv"
-        write(records, path)
+        try:
+            write(records, path)
+        except FlowReconError as exc:
+            return type(exc), path.exists()
         return path.read_bytes()
 
 
@@ -258,6 +272,21 @@ flows = st.one_of(
 @example([])
 def test_records_csv_bytes_match_reference(records):
     written = records_bytes(write_records_csv, records)
+    assert written == records_bytes(reference_records_csv, records)
+
+
+# the draws above with every timestamp moved onto the grid and every flow one the parser keeps
+grid_timestamps = timestamps.map(
+    lambda ts: ts.replace(minute=ts.minute - ts.minute % 5, second=0, microsecond=0, tzinfo=None)
+)
+kept_flows = flows.filter(lambda flow: 0 <= float(str(flow)) < np.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(SensorRecord, grid_timestamps, sensor_ids, kept_flows), max_size=12))
+def test_records_csv_bytes_match_reference_on_the_grid(records):
+    written = records_bytes(write_records_csv, records)
+    assert isinstance(written, bytes)
     assert written == records_bytes(reference_records_csv, records)
 
 
@@ -297,6 +326,8 @@ def reference_gap_report(records, start, end, sensor_id=None):
     sensor_id = reference_single_sensor(records, sensor_id)
     if end < start:
         raise InvalidParams("span end precedes start")
+    if not all(reference_on_grid(rec.timestamp) for rec in records):
+        raise InvalidParams("a timestamp is off the day grid")
 
     present = {}
     for rec in records:
@@ -324,8 +355,9 @@ GAP_ANCHORS = (date(2012, 2, 27), date(2011, 12, 30), date(2000, 2, 1), date(201
 
 
 @st.composite
-def gap_cases(draw):
-    """(records, span start, span end, sensor_id argument)."""
+def gap_cases(draw, on_grid=False):
+    """(records, span start, span end, sensor_id argument); ``on_grid`` moves
+    the scattered timestamps onto the grid and leaves out the off-grid ones."""
     anchor = draw(st.sampled_from(GAP_ANCHORS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     first = anchor + timedelta(days=draw(st.integers(-3, 3)))
@@ -334,12 +366,15 @@ def gap_cases(draw):
     drop = draw(st.sampled_from((0.0, 0.001, 0.03, 0.5, 1.0)))
     minutes = (5 * slots[rng.random(slots.size) >= drop]).tolist()
     minutes += rng.integers(-3 * 1440, (days + 3) * 1440, draw(st.integers(0, 30))).tolist()
+    if on_grid:
+        minutes = [m - m % 5 for m in minutes]
     if minutes:
         minutes += [minutes[i] for i in rng.integers(0, len(minutes), draw(st.integers(0, 20)))]
     origin = datetime.combine(first, time())
     stamps = [origin + timedelta(minutes=m) for m in minutes]
     off_grid = st.datetimes(origin - timedelta(days=2), origin + timedelta(days=45))
-    stamps += draw(st.lists(off_grid, max_size=5))
+    if not on_grid:
+        stamps += draw(st.lists(off_grid, max_size=5))
     rng.shuffle(stamps)
     sensors = draw(st.sampled_from((("s1",),) * 5 + (("s1", "s2"),)))
     records = [SensorRecord(ts, sensors[i % len(sensors)], 1.0) for i, ts in enumerate(stamps)]
@@ -358,6 +393,12 @@ def gap_outcome(report, records, start, end, sensor_id):
 @settings(max_examples=200, deadline=None)
 @given(gap_cases())
 def test_gap_report_matches_reference(case):
+    assert gap_outcome(library_gap_report, *case) == gap_outcome(reference_gap_report, *case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gap_cases(on_grid=True))
+def test_gap_report_matches_reference_on_the_grid(case):
     assert gap_outcome(library_gap_report, *case) == gap_outcome(reference_gap_report, *case)
 
 

@@ -1,7 +1,7 @@
 import io
 import math
 from collections import Counter, defaultdict
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, time, timedelta, timezone, tzinfo
 
 import numpy as np
 import pytest
@@ -10,12 +10,16 @@ from hypothesis import strategies as st
 
 from flowrecon.errors import (
     EmptyInput,
+    InvalidParams,
     LevelOutOfRange,
     MissingColumn,
     MixedSensors,
+    SlotOutOfRange,
 )
+from flowrecon.haar import max_levels
 from flowrecon.ingest import (
-    MINUTE_CLOCKS,
+    MAX_AGGREGATION_LEVEL,
+    SLOT_OF,
     SLOTS_PER_DAY,
     DaySignal,
     MonthGap,
@@ -282,12 +286,92 @@ def test_gap_report_rejects_a_contradicting_sensor_label():
         gap_report(make_records(sensor="s2"), DAY, DAY, sensor_id="s1")
 
 
-def test_minute_clocks_match_isoformat():
-    midnight = datetime(2012, 2, 29)
-    assert len(MINUTE_CLOCKS) == 1440
-    for minute, clock in enumerate(MINUTE_CLOCKS):
-        stamp = (midnight + timedelta(minutes=minute)).isoformat(timespec="minutes")
-        assert "2012-02-29" + clock == stamp
+def test_max_aggregation_level_is_the_transform_depth():
+    assert MAX_AGGREGATION_LEVEL == max_levels(SLOTS_PER_DAY)
+
+
+@pytest.mark.parametrize("slot", (-1, SLOTS_PER_DAY, 10**6))
+def test_slot_start_rejects_a_slot_off_the_day(slot):
+    with pytest.raises(SlotOutOfRange):
+        slot_start(DAY, slot)
+
+
+class NoOffset(tzinfo):
+    """A tzinfo without an offset: Python counts its times as naive."""
+
+    def utcoffset(self, dt):
+        return None
+
+
+class DateOffset(NoOffset):
+    """An offset only for a date, as a zoneinfo zone: aware stamps, naive times."""
+
+    def utcoffset(self, dt):
+        return None if dt is None else timedelta(hours=1)
+
+
+def test_slot_of_takes_pythons_naive():
+    assert time(8, 15, tzinfo=NoOffset()) in SLOT_OF
+    assert time(8, 15, tzinfo=DateOffset()) in SLOT_OF
+    assert time(8, 15, tzinfo=timezone.utc) not in SLOT_OF
+    assert time(8, 15, fold=1) in SLOT_OF
+
+
+def test_gap_report_refuses_zone_aware_among_naive_stamps():
+    zoned = datetime(2012, 3, 13, 8, 20, tzinfo=DateOffset())
+    assert zoned.utcoffset() is not None
+    records = [SensorRecord(datetime(2012, 3, 13, 8, 15), "s1", 1.0), SensorRecord(zoned, "s1", 1.0)]
+    with pytest.raises(InvalidParams):
+        gap_report(records, DAY, DAY)
+
+
+# the former per-field rules placed these in slots 99, 108 and 120; the parser rejects them
+OFF_GRID = (
+    datetime(2012, 3, 13, 8, 17),
+    datetime(2012, 3, 13, 9, 0, 30),
+    datetime(2012, 3, 13, 10, 0, tzinfo=timezone(timedelta(hours=2))),
+)
+
+
+@pytest.mark.parametrize("ts", OFF_GRID)
+def test_off_grid_records_raise_and_leave_no_file(tmp_path, ts):
+    text = f"timestamp,sensor_id,flow_total\n{ts.isoformat()},s1,4\n"
+    assert parse_sensor_csv(csv_stream(text)).rejected_rows == 1
+    records = make_records() + [SensorRecord(ts, "s1", 4.0)]
+    with pytest.raises(InvalidParams):
+        assemble_day(records, DAY)
+    with pytest.raises(InvalidParams):
+        gap_report(records, DAY, DAY)
+    path = tmp_path / "records.csv"
+    with pytest.raises(InvalidParams):
+        write_records_csv(records, path)
+    assert not path.exists()
+
+
+def test_gap_report_rejects_a_second_stamp_in_a_slot():
+    records = [SensorRecord(datetime(2012, 3, 13, 8, 15, s), "s1", 1.0) for s in (0, 30)]
+    with pytest.raises(InvalidParams):
+        gap_report(records, DAY, DAY)
+
+
+@pytest.mark.parametrize(
+    "flow, kept",
+    [(-1.0, False), (-1, False), (math.nan, False), (math.inf, False), (-math.inf, False),
+     (10**400, False), (-(10**400), False), (np.float64(-0.5), False), (np.float32("inf"), False),
+     (0, True), (-0.0, True), (5e-324, True), (10**300, True), (np.float32(0.1), True)],
+)
+def test_writer_refuses_the_flows_the_parser_drops(tmp_path, flow, kept):
+    row = f"timestamp,sensor_id,flow_total\n2012-03-14T00:00,s1,{flow}\n"
+    assert len(parse_sensor_csv(csv_stream(row)).records) == kept
+    path = tmp_path / "records.csv"
+    records = make_records() + [SensorRecord(datetime(2012, 3, 14), "s1", flow)]
+    if kept:
+        write_records_csv(records, path)
+        assert parse_sensor_csv(path).records[-1] == (datetime(2012, 3, 14), "s1", float(str(flow)))
+    else:
+        with pytest.raises(InvalidParams):
+            write_records_csv(records, path)
+        assert not path.exists()
 
 
 def test_gap_severity_boundaries():
@@ -349,6 +433,21 @@ kept_ids = st.one_of(
     st.sampled_from(("s1", "a,b", 'say "hi"', "line\nbreak", "cr\rlf", "a \r\n b", '"', ",")),
     st.text(min_size=1, max_size=8).filter(lambda text: text == text.strip()),
 )
+DAY_LESS_A_MINUTE = timedelta(hours=23, minutes=59)
+fixed_offsets = st.builds(timezone, st.timedeltas(-DAY_LESS_A_MINUTE, DAY_LESS_A_MINUTE))
+nudges = st.sampled_from(
+    (timedelta(0), timedelta(minutes=2), timedelta(seconds=30), timedelta(microseconds=1))
+)
+# naive and fixed-offset aware, on the grid's clock or off it by minutes, seconds
+# or a microsecond, and unconstrained naive and aware datetimes
+grid_probes = st.one_of(
+    st.builds(
+        lambda ts, nudge, tz: (ts + nudge).replace(tzinfo=tz),
+        on_grid, nudges, st.one_of(st.none(), fixed_offsets),
+    ),
+    st.datetimes(),
+    st.datetimes(timezones=fixed_offsets),
+)
 finite_flows = st.one_of(
     st.floats(min_value=0.0, allow_infinity=False),
     st.sampled_from((-0.0, 5e-324, 1e300)),
@@ -371,3 +470,31 @@ def test_write_records_csv_roundtrip(tmp_path_factory, records):
     assert (parsed.rejected_rows, parsed.duplicate_rows) == (0, 0)
     expected = [(ts, sensor, repr(float(flow))) for ts, sensor, flow in records]
     assert [(ts, sensor, repr(flow)) for ts, sensor, flow in parsed.records] == expected
+
+
+def accepts(call):
+    try:
+        call()
+    except InvalidParams:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_probes)
+def test_parser_writer_assembly_and_gap_report_share_one_grid(tmp_path_factory, ts):
+    """The parser keeps a row exactly when the writer writes its record,
+    assembly places it and the gap report counts it."""
+    tmp = tmp_path_factory.mktemp("grid")
+    rec, day = SensorRecord(ts, "s1", 4.0), ts.date()
+    parsed = parse_sensor_csv(csv_stream(f"timestamp,sensor_id,flow_total\n{ts.isoformat()},s1,4\n"))
+    assert parsed.records in ([], [rec])
+    on_grid = parsed.records == [rec]
+    path = tmp / "records.csv"
+    assert accepts(lambda: write_records_csv([rec], path)) == path.exists() == on_grid
+    assert accepts(lambda: assemble_day([rec], day)) == on_grid
+    assert accepts(lambda: gap_report([rec], day, day)) == on_grid
+    if on_grid:
+        assert parse_sensor_csv(path).records == [rec]
+        assert len(assemble_day([rec], day).filled_slots) == SLOTS_PER_DAY - 1
+        assert gap_report([rec], day, day).months[0].missing_slots == SLOTS_PER_DAY - 1

@@ -1,5 +1,5 @@
 import json
-from datetime import date
+from datetime import date, datetime, time, timedelta
 
 import numpy as np
 import pytest
@@ -8,11 +8,19 @@ from hypothesis import strategies as st
 
 from flowrecon.errors import LevelMismatch, LevelOutOfRange, ZeroDailyTotal
 from flowrecon.haar import WaveletDecomposition, haar_forward, haar_inverse
-from flowrecon.ingest import SLOTS_PER_DAY, AggregatedSignal, DaySignal, aggregate, slot_start
+from flowrecon.ingest import (
+    SLOT_CLOCKS,
+    SLOT_OF,
+    SLOT_TIMES,
+    SLOTS_PER_DAY,
+    AggregatedSignal,
+    DaySignal,
+    aggregate,
+    slot_start,
+)
 from flowrecon.matrix import build_matrix_scenario1, build_matrix_scenario2
 from flowrecon.metrics import evaluate_day
 from flowrecon.reconstruct import (
-    SLOT_CLOCKS,
     reconstruct_day,
     share_row,
     staircase_baseline,
@@ -330,8 +338,12 @@ def test_reconstruction_export_csv_and_json(tmp_path):
     "day", [date(2012, 2, 29), date(2012, 12, 31), date(2024, 3, 31), date.min, date.max]
 )
 def test_slot_clocks_match_slot_start(day):
-    assert len(SLOT_CLOCKS) == SLOTS_PER_DAY
-    for slot, clock in enumerate(SLOT_CLOCKS):
-        stamp = slot_start(day, slot).isoformat(timespec="minutes")
-        assert clock == stamp[10:]
-        assert day.isoformat() + clock == stamp
+    assert len(SLOT_TIMES) == len(SLOT_CLOCKS) == len(SLOT_OF) == SLOTS_PER_DAY
+    for slot, (start, clock) in enumerate(zip(SLOT_TIMES, SLOT_CLOCKS)):
+        assert SLOT_OF[start] == slot and start.tzinfo is None
+        stamp = slot_start(day, slot)
+        assert stamp == datetime.combine(day, time()) + timedelta(minutes=5 * slot)
+        assert stamp.time() == start
+        text = stamp.isoformat(timespec="minutes")
+        assert clock == text[10:]
+        assert day.isoformat() + clock == text
