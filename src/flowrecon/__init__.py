@@ -17,8 +17,8 @@ own. Its public API, module by module:
     ``gap_report`` (a ``GapReport`` of ``MonthGap`` rows, each with its
     severity from ``SEVERITY_LADDER``, and one CSV writer). The day grid:
     ``BASE_WINDOW_MINUTES``, ``SLOTS_PER_DAY``, ``SLOT_TIMES`` (each slot's
-    naive start), ``SLOT_OF`` (start to slot; the one on-grid test) and
-    ``SLOT_CLOCKS`` (each slot's ``"THH:MM"`` text).
+    naive start), ``SLOT_OF`` (start to slot; a naive stamp whose time is a
+    key is on the grid) and ``SLOT_CLOCKS`` (each slot's ``"THH:MM"`` text).
 ``flowrecon.matrix``
     Donor profiles: ``DaySelectionCriteria`` (a year and month) and
     ``select_typical_days`` (its fault-free Tuesdays to Thursdays,

@@ -26,13 +26,11 @@ first-wins check hashes each timestamp against its own sensor's set, so a
 row allocates no key of its own; object identity is not part of the
 contract.
 
-One table holds the day grid: ``SLOT_OF`` maps each naive slot start of
-``SLOT_TIMES`` to its slot, and a timestamp lies on the grid exactly when
-``ts.timetz() in SLOT_OF``, which a tz-aware or off-grid one is not. The
-parser rejects such a row, and :func:`assemble_day`, :func:`gap_report` and
-:func:`write_records_csv` raise ``InvalidParams`` for such a record. As in
-Python, a time whose tzinfo gives ``utcoffset(None) is None`` (a ``zoneinfo``
-zone) is naive; ``fromisoformat`` makes fixed offsets only.
+One table holds the day grid: ``SLOT_OF`` maps each slot start of
+``SLOT_TIMES`` to its slot. A timestamp is on the grid exactly when it is
+naive (``ts.utcoffset() is None``; a ``zoneinfo`` stamp is aware) and
+``ts.time() in SLOT_OF``. The parser rejects a row off the grid, and
+:func:`assemble_day`, :func:`gap_report` and the writer raise ``InvalidParams``.
 
 Missing slots are zero-filled and tracked per day, and daily signals can be
 re-windowed onto the dyadic aggregation ladder (10, 20, 40, 80, 160 minutes).
@@ -64,15 +62,21 @@ from .errors import (
     SlotOutOfRange,
     WrongShape,
 )
+from .haar import max_levels
 
 BASE_WINDOW_MINUTES = 5
 SLOTS_PER_DAY = 1440 // BASE_WINDOW_MINUTES  # 288
-MAX_AGGREGATION_LEVEL = 5  # haar.max_levels(SLOTS_PER_DAY), pinned by a test
+MAX_AGGREGATION_LEVEL = max_levels(SLOTS_PER_DAY)  # 5
 
 # The day grid: each slot's naive start, its "THH:MM" text and the slot of each start
 SLOT_TIMES = tuple(time(*divmod(slot * BASE_WINDOW_MINUTES, 60)) for slot in range(SLOTS_PER_DAY))
 SLOT_CLOCKS = tuple("T" + start.isoformat("minutes") for start in SLOT_TIMES)
 SLOT_OF = {start: slot for slot, start in enumerate(SLOT_TIMES)}
+
+
+def _slot(ts: datetime) -> int | None:
+    """``ts``'s slot on the day grid; None if ``ts`` is tz-aware or off the grid."""
+    return SLOT_OF.get(ts.time()) if ts.utcoffset() is None else None
 
 
 def check_level(level: int) -> None:
@@ -227,7 +231,7 @@ def parse_sensor_csv(source) -> ParseResult:
                 rejected += 1
                 continue
             # tz-aware or off the day grid; NaN, negative or infinite flow
-            if ts.timetz() not in SLOT_OF or not 0 <= flow < math.inf:
+            if _slot(ts) is None or not 0 <= flow < math.inf:
                 rejected += 1
                 continue
             sensor = (row[sensor_col] or "").strip() if sensor_col is not None else ""
@@ -278,17 +282,16 @@ def assemble_day(
     first is placed. Slots without a record are set to zero and reported in
     ``filled_slots``. Raises ``MixedSensors`` if the records span sensors or
     ``sensor_id`` names another sensor than theirs, then ``InvalidParams``
-    for a record dated ``day`` whose timestamp is not in ``SLOT_OF``.
+    for a record dated ``day`` whose timestamp is tz-aware or off the grid.
     """
     records = list(records)
     sensor_id = _single_sensor(records, sensor_id)
     placed: dict[int, float] = {}
-    try:
-        for ts, _, flow in records:
-            if ts.date() == day:
-                placed.setdefault(SLOT_OF[ts.timetz()], flow)
-    except KeyError:
-        raise InvalidParams(f"timestamp {ts!r} is tz-aware or off the day grid") from None
+    for ts, _, flow in records:
+        if ts.date() == day:
+            if (slot := _slot(ts)) is None:
+                raise InvalidParams(f"timestamp {ts!r} is tz-aware or off the day grid")
+            placed.setdefault(slot, flow)
     values = np.zeros(SLOTS_PER_DAY)
     values[list(placed)] = list(placed.values())
     filled = frozenset(range(SLOTS_PER_DAY)).difference(placed)
@@ -379,12 +382,9 @@ def gap_report(
     if end < start:
         raise InvalidParams("span end precedes start")
     stamps = [rec.timestamp for rec in records]
-    if not all(map(SLOT_OF.__contains__, map(datetime.timetz, stamps))):
+    if None in map(_slot, stamps):
         raise InvalidParams("tz-aware or off-grid timestamps cannot be placed on the day grid")
-    try:
-        stamps.sort()
-    except TypeError:  # zoneinfo stamps, naive to SLOT_OF, among naive ones
-        raise InvalidParams("naive and zone-aware timestamps do not order together") from None
+    stamps.sort()
     # the indices i at which stamps[i] repeats stamps[i - 1]
     repeats = list(compress(count(1), map(eq, stamps, islice(stamps, 1, None))))
 
@@ -426,23 +426,23 @@ def write_records_csv(records: Sequence[SensorRecord], path) -> None:
     exact text of a Python or numpy float64, so a parse round-trip is exact.
     The bytes are what ``csv.writer`` writes: CRLF line ends and minimal
     quoting, which only a sensor id can need. A record the parser would
-    reject (off the day grid, or a flow outside ``0 <= float(flow) < inf``)
-    raises ``InvalidParams`` within the one pass, and the file is removed.
+    reject (tz-aware or off the grid, or a flow whose text is no number in
+    ``[0, inf)``) raises ``InvalidParams`` in the one pass; the file is removed.
     """
     sensor_cells = _Memo(_csv_cell)
     day_texts = _Memo(date.isoformat)
 
     def lines():
         for ts, sensor, flow in records:
-            if not 0 <= float(flow) < math.inf:  # OverflowError: an int whose text reads as inf
-                raise InvalidParams(f"flow {flow!r} is negative, NaN or infinite")
-            clock = SLOT_CLOCKS[SLOT_OF[ts.timetz()]]  # KeyError: off the day grid
-            yield "%s,%s,%s\r\n" % (day_texts[ts.date()] + clock, sensor_cells[sensor], flow)
+            text, slot = str(flow), _slot(ts)
+            if slot is None or not 0 <= float(text) < math.inf:  # float: ValueError for "True"
+                raise ValueError(f"timestamp {ts!r} or flow {flow!r}")
+            yield f"{day_texts[ts.date()]}{SLOT_CLOCKS[slot]},{sensor_cells[sensor]},{text}\r\n"
 
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(RECORD_COLUMNS) + "\r\n")
             fh.writelines(lines())
-    except (KeyError, OverflowError, InvalidParams) as exc:
+    except ValueError as exc:
         os.remove(path)
         raise InvalidParams(f"a record the parser would reject: {exc!r}") from exc

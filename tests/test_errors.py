@@ -4,7 +4,7 @@ Code that scores a whole corpus catches ``FlowReconError`` to count a failed
 day and go on; a plain ``ValueError`` would end the run instead.
 """
 
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone, tzinfo
 
 import numpy as np
 import pytest
@@ -110,11 +110,20 @@ def test_gap_report_reversed_span():
     raises(InvalidParams, lambda: gap_report([], date(2012, 4, 30), date(2012, 4, 1), "s1"))
 
 
+class Zone(tzinfo):
+    """As a zoneinfo zone: an offset for a datetime, none for a bare time."""
+
+    def utcoffset(self, dt):
+        return None if dt is None else timedelta(hours=-5)
+
+
 def test_gap_report_tz_aware_timestamps():
     naive = datetime(2012, 4, 10, 8, 15)
     utc, eastern = timezone.utc, timezone(timedelta(hours=-5))
     aware = [naive.replace(tzinfo=utc), naive.replace(tzinfo=eastern)]
-    for stamps in (aware, [naive, aware[0]], [aware[1], naive, naive]):
+    zoned = [naive.replace(tzinfo=Zone()), naive.replace(minute=20, tzinfo=Zone())]
+    mixed = ([naive, aware[0]], [aware[1], naive, naive], [naive, zoned[1]])
+    for stamps in (aware, zoned, *mixed):
         records = [SensorRecord(ts, "s1", 1.0) for ts in stamps]
         raises(InvalidParams, lambda: gap_report(records, date(2012, 4, 1), date(2012, 4, 30), "s1"))
 

@@ -1,7 +1,8 @@
 import io
 import math
 from collections import Counter, defaultdict
-from datetime import date, datetime, time, timedelta, timezone, tzinfo
+from datetime import date, datetime, timedelta, timezone, tzinfo
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,14 +17,12 @@ from flowrecon.errors import (
     MixedSensors,
     SlotOutOfRange,
 )
-from flowrecon.haar import max_levels
 from flowrecon.ingest import (
-    MAX_AGGREGATION_LEVEL,
-    SLOT_OF,
     SLOTS_PER_DAY,
     DaySignal,
     MonthGap,
     SensorRecord,
+    _slot,
     aggregate,
     assemble_day,
     day_to_records,
@@ -286,10 +285,6 @@ def test_gap_report_rejects_a_contradicting_sensor_label():
         gap_report(make_records(sensor="s2"), DAY, DAY, sensor_id="s1")
 
 
-def test_max_aggregation_level_is_the_transform_depth():
-    assert MAX_AGGREGATION_LEVEL == max_levels(SLOTS_PER_DAY)
-
-
 @pytest.mark.parametrize("slot", (-1, SLOTS_PER_DAY, 10**6))
 def test_slot_start_rejects_a_slot_off_the_day(slot):
     with pytest.raises(SlotOutOfRange):
@@ -297,39 +292,35 @@ def test_slot_start_rejects_a_slot_off_the_day(slot):
 
 
 class NoOffset(tzinfo):
-    """A tzinfo without an offset: Python counts its times as naive."""
+    """A tzinfo without an offset: Python counts its stamps as naive."""
 
     def utcoffset(self, dt):
         return None
 
 
 class DateOffset(NoOffset):
-    """An offset only for a date, as a zoneinfo zone: aware stamps, naive times."""
+    """An offset only for a datetime, as a zoneinfo zone: its stamps are aware,
+    though their ``timetz()`` is naive."""
 
     def utcoffset(self, dt):
         return None if dt is None else timedelta(hours=1)
 
 
-def test_slot_of_takes_pythons_naive():
-    assert time(8, 15, tzinfo=NoOffset()) in SLOT_OF
-    assert time(8, 15, tzinfo=DateOffset()) in SLOT_OF
-    assert time(8, 15, tzinfo=timezone.utc) not in SLOT_OF
-    assert time(8, 15, fold=1) in SLOT_OF
+def test_slot_takes_a_datetimes_naive():
+    stamp = datetime(2012, 3, 13, 8, 15)
+    for naive in (stamp, stamp.replace(tzinfo=NoOffset()), stamp.replace(fold=1)):
+        assert _slot(naive) == 99
+    zoned = stamp.replace(tzinfo=DateOffset())
+    assert zoned.timetz().utcoffset() is None and zoned.utcoffset() is not None
+    assert _slot(zoned) is _slot(stamp.replace(tzinfo=timezone.utc)) is None
 
 
-def test_gap_report_refuses_zone_aware_among_naive_stamps():
-    zoned = datetime(2012, 3, 13, 8, 20, tzinfo=DateOffset())
-    assert zoned.utcoffset() is not None
-    records = [SensorRecord(datetime(2012, 3, 13, 8, 15), "s1", 1.0), SensorRecord(zoned, "s1", 1.0)]
-    with pytest.raises(InvalidParams):
-        gap_report(records, DAY, DAY)
-
-
-# the former per-field rules placed these in slots 99, 108 and 120; the parser rejects them
+# the former per-field rules placed these in slots 99, 108, 120 and 120; the parser rejects them
 OFF_GRID = (
     datetime(2012, 3, 13, 8, 17),
     datetime(2012, 3, 13, 9, 0, 30),
     datetime(2012, 3, 13, 10, 0, tzinfo=timezone(timedelta(hours=2))),
+    datetime(2012, 3, 13, 10, 0, tzinfo=DateOffset()),
 )
 
 
@@ -358,6 +349,7 @@ def test_gap_report_rejects_a_second_stamp_in_a_slot():
     "flow, kept",
     [(-1.0, False), (-1, False), (math.nan, False), (math.inf, False), (-math.inf, False),
      (10**400, False), (-(10**400), False), (np.float64(-0.5), False), (np.float32("inf"), False),
+     ("abc", False), (None, False), (True, False), (np.True_, False), (Fraction(1, 3), False),
      (0, True), (-0.0, True), (5e-324, True), (10**300, True), (np.float32(0.1), True)],
 )
 def test_writer_refuses_the_flows_the_parser_drops(tmp_path, flow, kept):
@@ -438,12 +430,14 @@ fixed_offsets = st.builds(timezone, st.timedeltas(-DAY_LESS_A_MINUTE, DAY_LESS_A
 nudges = st.sampled_from(
     (timedelta(0), timedelta(minutes=2), timedelta(seconds=30), timedelta(microseconds=1))
 )
-# naive and fixed-offset aware, on the grid's clock or off it by minutes, seconds
-# or a microsecond, and unconstrained naive and aware datetimes
+# naive (also by a tzinfo without offsets), fixed-offset aware and zoneinfo-like
+# aware, on the grid's clock or off it by minutes, seconds or a microsecond, and
+# unconstrained naive and aware datetimes
 grid_probes = st.one_of(
     st.builds(
         lambda ts, nudge, tz: (ts + nudge).replace(tzinfo=tz),
-        on_grid, nudges, st.one_of(st.none(), fixed_offsets),
+        on_grid, nudges,
+        st.one_of(st.none(), fixed_offsets, st.sampled_from((NoOffset(), DateOffset()))),
     ),
     st.datetimes(),
     st.datetimes(timezones=fixed_offsets),

@@ -1,9 +1,6 @@
 import ast
 import importlib
-import json
-import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
@@ -123,21 +120,3 @@ def test_top_level_names_exempt_only_error_subclasses():
     tree = ast.parse("X = 1\nclass E(FlowReconError): pass\nclass A: pass\n"
                      "def _f(): pass\ndef g(): pass\n")
     assert top_level_names(tree) == ({"X", "E", "A", "_f", "g"}, {"A", "g"})
-
-
-def test_hot_path_modules_leave_the_reference_transform_unimported():
-    """``flowrecon.haar`` is the reference and test oracle; no module the
-    pipeline runs imports it."""
-    code = (
-        "import json, sys\n"
-        "import flowrecon.ingest, flowrecon.matrix, flowrecon.reconstruct\n"
-        "import flowrecon.metrics, flowrecon.synth\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('flowrecon'))))\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = json.loads(run.stdout)
-    assert loaded == sorted(
-        ["flowrecon"] + [f"flowrecon.{m}" for m in ("errors", "ingest", "matrix", "metrics",
-                                                     "reconstruct", "synth")]
-    )
