@@ -10,15 +10,16 @@ own. Its public API, module by module:
     Detector CSVs in one record layout (header ``RECORD_COLUMNS``, sensor
     ``UNKNOWN_SENSOR`` where none is given) onto the 288-slot day grid:
     ``parse_sensor_csv`` (to a ``ParseResult`` of ``SensorRecord`` rows),
-    ``assemble_day`` (to a ``DaySignal``), ``day_to_records``,
-    ``write_records_csv``, ``slot_start``; ``aggregate`` (to an
+    ``assemble_day`` (one given sensor's day, to a ``DaySignal``),
+    ``day_to_records``, ``write_records_csv``; ``aggregate`` (to an
     ``AggregatedSignal``, whose window follows from its level) and
     ``check_level`` for the dyadic levels 1 to ``MAX_AGGREGATION_LEVEL``;
-    ``gap_report`` (a ``GapReport`` of ``MonthGap`` rows, each with its
-    severity from ``SEVERITY_LADDER``, and one CSV writer). The day grid:
-    ``BASE_WINDOW_MINUTES``, ``SLOTS_PER_DAY``, ``SLOT_TIMES`` (each slot's
-    naive start), ``SLOT_OF`` (start to slot; a naive stamp whose time is a
-    key is on the grid) and ``SLOT_CLOCKS`` (each slot's ``"THH:MM"`` text).
+    ``gap_report`` (one given sensor's ``GapReport`` of ``MonthGap`` rows,
+    each with its severity from ``SEVERITY_LADDER``, and one CSV writer).
+    The day grid: ``BASE_WINDOW_MINUTES``, ``SLOTS_PER_DAY``, ``SLOT_TIMES``
+    (each slot's naive start), ``SLOT_OF`` (start to slot; a naive stamp
+    whose time is a key is on the grid) and ``SLOT_CLOCKS`` (each slot's
+    ``"THH:MM"`` text).
 ``flowrecon.matrix``
     Donor profiles: ``DaySelectionCriteria`` (a year and month) and
     ``select_typical_days`` (its fault-free Tuesdays to Thursdays,

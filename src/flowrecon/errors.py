@@ -88,5 +88,6 @@ class InvalidParams(FlowReconError):
     outside 1-12, a date span ending before it starts, a record off the day
     grid or one with a flow the parser rejects (records writer), a negative
     export vehicle total and a day result whose correlation, error, share
-    difference or excluded-slot count lies outside its range.
+    difference or excluded-slot count lies outside its range (an error must
+    be finite and non-negative, so a day whose error overflows is refused).
     """

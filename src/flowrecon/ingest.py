@@ -32,8 +32,10 @@ naive (``ts.utcoffset() is None``; a ``zoneinfo`` stamp is aware) and
 ``ts.time() in SLOT_OF``. The parser rejects a row off the grid, and
 :func:`assemble_day`, :func:`gap_report` and the writer raise ``InvalidParams``.
 
-Missing slots are zero-filled and tracked per day, and daily signals can be
-re-windowed onto the dyadic aggregation ladder (10, 20, 40, 80, 160 minutes).
+Each assembled day and gap report is of one sensor, whose id the caller
+gives; a record of another raises ``MixedSensors``. Missing slots are
+zero-filled and tracked per day, and daily signals can be re-windowed onto
+the dyadic aggregation ladder (10, 20, 40, 80, 160 minutes).
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
-from itertools import compress, count, islice
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -72,6 +73,7 @@ MAX_AGGREGATION_LEVEL = max_levels(SLOTS_PER_DAY)  # 5
 SLOT_TIMES = tuple(time(*divmod(slot * BASE_WINDOW_MINUTES, 60)) for slot in range(SLOTS_PER_DAY))
 SLOT_CLOCKS = tuple("T" + start.isoformat("minutes") for start in SLOT_TIMES)
 SLOT_OF = {start: slot for slot, start in enumerate(SLOT_TIMES)}
+_ALL_SLOTS = frozenset(range(SLOTS_PER_DAY))
 
 
 def _slot(ts: datetime) -> int | None:
@@ -117,9 +119,10 @@ class ParseResult:
 class DaySignal:
     """One calendar day of flow on the 288-slot grid.
 
-    ``filled_slots`` lists the indices that carried no record and were set
-    to zero. Ingested and synthetic days are non-negative; reconstructed
-    days may carry negative raw values (see :mod:`flowrecon.reconstruct`).
+    ``filled_slots`` lists the slot indices (ints, numpy's too, in 0..287;
+    else ``SlotOutOfRange``) that carried no record and were set to zero.
+    Ingested and synthetic days are non-negative; reconstructed days may
+    carry negative raw values (see :mod:`flowrecon.reconstruct`).
     """
 
     date: date
@@ -136,9 +139,14 @@ class DaySignal:
         if not np.isfinite(vals).all():
             raise NonFiniteValues("day values must be finite")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "filled_slots", frozenset(self.filled_slots))
-        if self.filled_slots and any(not 0 <= s < SLOTS_PER_DAY for s in self.filled_slots):
-            raise SlotOutOfRange("filled slot index out of range")
+        filled = frozenset(self.filled_slots)
+        object.__setattr__(self, "filled_slots", filled)
+        # True and 2.0 equal slots, so the subset test alone would let them through
+        if filled and not (
+            filled <= _ALL_SLOTS
+            and all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in filled)
+        ):
+            raise SlotOutOfRange(f"filled slots must be ints in 0..{SLOTS_PER_DAY - 1}")
 
     @property
     def daily_total(self) -> float:
@@ -254,38 +262,24 @@ def parse_sensor_csv(source) -> ParseResult:
             stream.detach()
 
 
-def slot_start(day: date, slot: int) -> datetime:
-    """Naive start of ``day``'s given slot; ``SlotOutOfRange`` outside 0..287."""
-    if not 0 <= slot < SLOTS_PER_DAY:
-        raise SlotOutOfRange(f"slot {slot!r} outside 0..{SLOTS_PER_DAY - 1}")
-    return datetime.combine(day, SLOT_TIMES[slot])
+def _check_sensor(records: list[SensorRecord], sensor_id: str) -> None:
+    """Raise ``MixedSensors`` unless every record carries ``sensor_id``."""
+    if not {sensor_id}.issuperset(map(itemgetter(1), records)):
+        others = set(map(itemgetter(1), records)) - {sensor_id}
+        raise MixedSensors(f"records from {sorted(others)} labelled {sensor_id!r}")
 
 
-def _single_sensor(records: list[SensorRecord], sensor_id: str | None) -> str:
-    """The one sensor the records come from; ``sensor_id`` may name it."""
-    sensors = set(map(itemgetter(1), records))
-    if len(sensors) > 1:
-        raise MixedSensors(f"records span sensors {sorted(sensors)}")
-    if sensor_id is None:
-        return sensors.pop() if sensors else UNKNOWN_SENSOR
-    if sensors and sensor_id not in sensors:
-        raise MixedSensors(f"records from {sensors.pop()!r} labelled {sensor_id!r}")
-    return sensor_id
-
-
-def assemble_day(
-    records: Iterable[SensorRecord], day: date, sensor_id: str | None = None
-) -> DaySignal:
-    """Place one day's records on the 288-slot grid, zero-filling gaps.
+def assemble_day(records: Iterable[SensorRecord], day: date, sensor_id: str) -> DaySignal:
+    """Place sensor ``sensor_id``'s records of ``day`` on the 288-slot grid.
 
     Records dated outside ``day`` are ignored; of records sharing a slot the
     first is placed. Slots without a record are set to zero and reported in
-    ``filled_slots``. Raises ``MixedSensors`` if the records span sensors or
-    ``sensor_id`` names another sensor than theirs, then ``InvalidParams``
-    for a record dated ``day`` whose timestamp is tz-aware or off the grid.
+    ``filled_slots``. Raises ``MixedSensors`` if a record carries another
+    sensor id, then ``InvalidParams`` for a record dated ``day`` whose
+    timestamp is tz-aware or off the grid.
     """
     records = list(records)
-    sensor_id = _single_sensor(records, sensor_id)
+    _check_sensor(records, sensor_id)
     placed: dict[int, float] = {}
     for ts, _, flow in records:
         if ts.date() == day:
@@ -294,20 +288,21 @@ def assemble_day(
             placed.setdefault(slot, flow)
     values = np.zeros(SLOTS_PER_DAY)
     values[list(placed)] = list(placed.values())
-    filled = frozenset(range(SLOTS_PER_DAY)).difference(placed)
-    return DaySignal(day, sensor_id, values, filled)
+    return DaySignal(day, sensor_id, values, _ALL_SLOTS.difference(placed))
 
 
 def day_to_records(day: DaySignal) -> list[SensorRecord]:
     """Flatten a day back to records, omitting zero-filled slots.
 
-    Re-assembling the result reproduces the day exactly, including its
-    ``filled_slots`` set.
+    Each record is stamped with its slot's ``SLOT_TIMES`` start on the day's
+    date and carries its flow as a Python float. Re-assembling the result
+    reproduces the day exactly, including its ``filled_slots`` set.
     """
+    filled, sensor, flows = day.filled_slots, day.sensor_id, day.values.tolist()
     return [
-        SensorRecord(slot_start(day.date, slot), day.sensor_id, float(day.values[slot]))
-        for slot in range(SLOTS_PER_DAY)
-        if slot not in day.filled_slots
+        SensorRecord(datetime.combine(day.date, start), sensor, flows[slot])
+        for slot, start in enumerate(SLOT_TIMES)
+        if slot not in filled
     ]
 
 
@@ -360,43 +355,34 @@ class GapReport:
 
 
 def gap_report(
-    records: Iterable[SensorRecord],
-    start: date,
-    end: date,
-    sensor_id: str | None = None,
+    records: Iterable[SensorRecord], start: date, end: date, sensor_id: str
 ) -> GapReport:
-    """Count absent grid slots per month across [start, end].
+    """Count absent grid slots per month across [start, end] for sensor ``sensor_id``.
 
     A month's missing slots are the sum, over its days in the span, of
-    ``SLOTS_PER_DAY`` less the distinct timestamps dated that day, clamped
-    at zero for the month; months come in calendar order, each with its
-    ``SEVERITY_LADDER`` label. A day's distinct count is its ``bisect``
-    range of one sorted list less the equal neighbours inside it, so no set
-    of the span's timestamps is built. Raises ``MixedSensors`` as
+    ``SLOTS_PER_DAY`` less the distinct timestamps dated that day (its
+    ``bisect`` range of one sorted list); months come in calendar order,
+    each with its ``SEVERITY_LADDER`` label. Raises ``MixedSensors`` as
     :func:`assemble_day` does, then ``InvalidParams`` if ``end`` precedes
     ``start`` or any timestamp, in the span or not, is off the day grid, so
-    each distinct timestamp is one present slot.
+    each distinct timestamp is one present slot, at most 288 a day.
     """
     records = list(records)
-    sensor_id = _single_sensor(records, sensor_id)
+    _check_sensor(records, sensor_id)
     if end < start:
         raise InvalidParams("span end precedes start")
     stamps = [rec.timestamp for rec in records]
     if None in map(_slot, stamps):
         raise InvalidParams("tz-aware or off-grid timestamps cannot be placed on the day grid")
     stamps.sort()
-    # the indices i at which stamps[i] repeats stamps[i - 1]
-    repeats = list(compress(count(1), map(eq, stamps, islice(stamps, 1, None))))
-
     day_of = datetime.date
     missing = Counter()  # (year, month) -> missing slots, months in calendar order
     for i in range((end - start).days + 1):
         day = start + timedelta(days=i)
         lo = bisect_left(stamps, day, key=day_of)
         hi = bisect_right(stamps, day, lo, key=day_of)
-        present = hi - lo - (bisect_left(repeats, hi) - bisect_left(repeats, lo))  # distinct
-        missing[day.year, day.month] += SLOTS_PER_DAY - present
-    return GapReport(sensor_id, tuple(MonthGap(*month, max(0, n)) for month, n in missing.items()))
+        missing[day.year, day.month] += SLOTS_PER_DAY - len(set(stamps[lo:hi]))
+    return GapReport(sensor_id, tuple(MonthGap(*month, n) for month, n in missing.items()))
 
 
 class _Memo(dict):

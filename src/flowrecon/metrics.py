@@ -58,8 +58,8 @@ class DayResult:
                 raise InvalidParams(f"correlation {r} outside [-1, 1]")
         errors = (self.error_pct, self.baseline_error_pct, self.share_mad, self.baseline_share_mad)
         for error in errors:
-            if not error >= 0:  # NaN fails too; inf passes
-                raise InvalidParams(f"error {error} is not >= 0")
+            if not 0 <= error < math.inf:  # NaN fails too
+                raise InvalidParams(f"error {error} is not finite and >= 0")
         if not 0 <= self.excluded_slots < SLOTS_PER_DAY:
             raise InvalidParams(
                 f"excluded_slots {self.excluded_slots} outside [0, {SLOTS_PER_DAY})"
@@ -157,9 +157,10 @@ def evaluate_day(
     share rows (``tests/metric_reference.py``). The original is checked
     first, then the reconstruction, then the baseline, each raising what
     ``share_row`` raises on it; then ``ConstantInput``, and last the
-    result's ``LevelOutOfRange``. Shares that sum to one hold a positive
-    share, so the original always keeps a slot for the relative error and
-    no all-zero original can reach it.
+    result's ``LevelOutOfRange``, or its ``InvalidParams`` for an error that
+    overflows to inf (a subnormal original share). Shares that sum to one
+    hold a positive share, so the original always keeps a slot for the
+    relative error and no all-zero original can reach it.
     """
     global _memo
     memo = _memo

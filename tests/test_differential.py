@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from flowrecon import metrics
-from flowrecon.errors import FlowReconError, ZeroDailyTotal
+from flowrecon.errors import FlowReconError, InvalidParams, ZeroDailyTotal
 from flowrecon.haar import WaveletDecomposition, haar_forward, haar_inverse
 from flowrecon.ingest import SLOTS_PER_DAY, DaySignal, aggregate
 from flowrecon.matrix import MatrixProfile, build_matrix_scenario1, build_matrix_scenario2
@@ -229,7 +229,8 @@ def test_evaluate_day_raises_like_reference(original, reconstructed, baseline, c
 def test_evaluate_day_matches_reference_on_a_subnormal_original_share(
     donor_flows, target, slot, tiny, scenario, level, rescale
 ):
-    """Dividing by a subnormal share overflows: the error must be inf on both sides."""
+    """Dividing by a subnormal share can overflow: then both sides refuse the
+    day with ``InvalidParams``, else they agree on a finite error."""
     target[slot] = tiny
     original = DaySignal(DAY, "s1", target)
     assume(0 < normalize_percent(original).values[slot] < np.finfo(float).smallest_normal)
@@ -393,28 +394,31 @@ def test_subnormal_share_boundary_matches_reference(share, recon_values):
     recon = DaySignal(DAY, "s1", recon_values)
     baseline = staircase_baseline(aggregate(original, 2))
     with np.errstate(over="ignore"):
-        want = reference_evaluate(original, recon, baseline, 2)
+        want = outcome(reference_evaluate, original, recon, baseline, 2)
         assert_same_outcome(original, recon, baseline, 2)
-        got = evaluate_day(original, recon, baseline, 2)
-    assert math.isinf(got.error_pct) == math.isinf(want.error_pct)
-    assert math.isinf(want.error_pct) == (recon_values is OVERSHOOT)
+        got = outcome(evaluate_day, original, recon, baseline, 2)
+    if recon_values is OVERSHOOT:  # the error overflows to inf: the day is refused
+        assert want is got is InvalidParams
+        return
+    assert math.isfinite(got.error_pct) and math.isfinite(want.error_pct)
     assert math.isfinite(got.baseline_error_pct) and math.isfinite(want.baseline_error_pct)
 
 
 def test_overflowing_difference_at_an_excluded_slot_matches_reference():
     """|delta| is inf at slot 1, whose original share is negative: the slot is
-    excluded from the error, so only slot 0 makes it inf, never NaN."""
+    excluded from the error, so only slot 0 makes it inf, never NaN, and the
+    day is refused with ``InvalidParams``."""
     original, recon = np.zeros(SLOTS_PER_DAY), np.zeros(SLOTS_PER_DAY)
     original[:3] = (1e308, -1e308, 1.0)
     recon[:3] = (-1e308, 1e308, 1.0)
     days = [DaySignal(DAY, "s1", v) for v in (original, recon, RAMP)]
     clear_memo()
     with np.errstate(over="ignore", invalid="ignore"):
-        want = reference_evaluate(*days, 2)
+        want = outcome(reference_evaluate, *days, 2)
         for _ in range(2):  # cold, then with this triple's terms cached
             assert_same_outcome(*days, 2)
-        got = evaluate_day(*days, 2)
-    assert math.isinf(want.error_pct) and math.isinf(got.error_pct)
+        got = outcome(evaluate_day, *days, 2)
+    assert want is got is InvalidParams
 
 
 @pytest.mark.parametrize("scenario", (1, 2))

@@ -77,6 +77,22 @@ def test_slot_out_of_range():
     raises(SlotOutOfRange, lambda: DaySignal(DAY, "s1", FLAT, frozenset({SLOTS_PER_DAY})))
 
 
+@pytest.mark.parametrize(
+    "slot", (-1, SLOTS_PER_DAY, 3.5, 2.0, np.float64(2.0), True, np.True_, "7", None, np.nan)
+)
+def test_filled_slots_must_be_slot_indices(slot):
+    """A float, bool or text is no slot index, even one equal to a slot."""
+    raises(SlotOutOfRange, lambda: DaySignal(DAY, "s1", FLAT, frozenset({slot})))
+    raises(SlotOutOfRange, lambda: DaySignal(DAY, "s1", FLAT, frozenset({0, slot, 287})))
+
+
+@pytest.mark.parametrize(
+    "slot", (0, 7, SLOTS_PER_DAY - 1, np.int64(7), np.uint16(287), np.int8(0))
+)
+def test_filled_slots_take_python_and_numpy_ints(slot):
+    assert DaySignal(DAY, "s1", FLAT, frozenset({slot})).filled_slots == {slot}
+
+
 @pytest.mark.parametrize("level", (-1, 0, 6))
 def test_level_out_of_range(level):
     profile, day = MatrixProfile(FLAT, 1, ()), DaySignal(DAY, "s1", FLAT)
@@ -104,6 +120,18 @@ def test_shares_not_normalized():
     flat, reconstructed = DaySignal(DAY, "s1", FLAT), DaySignal(DAY, "s1", values)
     raises(SharesNotNormalized, lambda: share_row(reconstructed.values))
     raises(SharesNotNormalized, lambda: evaluate_day(flat, reconstructed, flat, 1))
+
+
+def test_evaluate_day_refuses_an_error_that_overflows():
+    """A subnormal original share under a share of 9 makes the error inf."""
+    original = np.zeros(SLOTS_PER_DAY)
+    original[1:257] = 2.0
+    original[0] = np.nextafter(np.finfo(float).tiny, 0.0) * 512.0  # a subnormal share
+    overshoot = np.zeros(SLOTS_PER_DAY)
+    overshoot[:3] = (9.0, -8.5, 0.5)
+    days = [DaySignal(DAY, "s1", v) for v in (original, overshoot, np.arange(1.0, 289.0))]
+    with np.errstate(over="ignore"):
+        raises(InvalidParams, lambda: evaluate_day(*days, 2))
 
 
 def test_gap_report_reversed_span():
@@ -148,9 +176,10 @@ def test_day_result_out_of_range():
     raises(InvalidParams, lambda: DayResult(**{**fields, "correlation": 1.5}))
     raises(InvalidParams, lambda: DayResult(**{**fields, "baseline_error_pct": -1.0}))
     for name in ("error_pct", "baseline_error_pct", "share_mad", "baseline_share_mad"):
-        for value in (np.nan, -1e-300, -np.inf):
+        # a subnormal original share gives an inf error: refused, as NaN is
+        for value in (np.nan, -1e-300, -np.inf, np.inf):
             raises(InvalidParams, lambda: DayResult(**{**fields, name: value}))
-        DayResult(**{**fields, name: np.inf})  # a subnormal original share gives an inf error
+        DayResult(**{**fields, name: np.finfo(float).max})
     for excluded in (-3, -1, SLOTS_PER_DAY, SLOTS_PER_DAY + 1):
         raises(InvalidParams, lambda: DayResult(**{**fields, "excluded_slots": excluded}))
     DayResult(**{**fields, "excluded_slots": SLOTS_PER_DAY - 1})

@@ -1,29 +1,32 @@
 """The list-based export writers against the per-slot writers they replaced.
 
 ``reference_rows``, ``reference_csv`` and ``reference_json`` are the
-per-slot ``slot_start`` timestamps, per-cell ``format_number`` CSV writer
-and ``json.dump`` writer, kept here as they were, with the reference
-normaliser of ``tests/metric_reference.py``. Hypothesis rebuilds days
-through ``reconstruct_day`` (levels 1-5, raw and rescaled, 0.3-400
-vehicles per slot, so near-empty days with negative shares too), adds
-all-zero and negated reconstructions, and writes each with and without an
-original day, on dates that include 29 February, 31 December,
-``date.min`` and ``date.max``. Both sides must write the same bytes,
-return the same clamped count and raise the same exception type. Counts
-that are not finite raise ``NonFiniteValues``, and a negative total
-``InvalidParams``, before any file is opened, so the strategies draw
-finite, non-negative totals only.
+per-slot timestamps (the date's midnight plus five minutes a slot),
+per-cell ``format_number`` CSV writer and ``json.dump`` writer, kept here
+as they were, with the reference normaliser of
+``tests/metric_reference.py``. Hypothesis rebuilds days through
+``reconstruct_day`` (levels 1-5, raw and rescaled, 0.3-400 vehicles per
+slot, so near-empty days with negative shares too), adds all-zero and
+negated reconstructions, and writes each with and without an original
+day, on dates that include 29 February, 31 December, ``date.min`` and
+``date.max``. Both sides must write the same bytes, return the same
+clamped count and raise the same exception type. Counts that are not
+finite raise ``NonFiniteValues``, and a negative total ``InvalidParams``,
+before any file is opened, so the strategies draw finite, non-negative
+totals only.
 
 ``reference_records_csv`` and ``reference_gap_report`` are the
 ``csv.writer`` records writer and the per-month-set gap report, kept here
-as they were, except for two things. The records writer hands each flow to
-``csv.writer`` as it is: its ``repr`` spelled ``np.float64(3.0)`` for a
-numpy float, which no parse reads. And both now refuse, with
+as they were, except for three things. The records writer hands each flow
+to ``csv.writer`` as it is: its ``repr`` spelled ``np.float64(3.0)`` for a
+numpy float, which no parse reads. Both now refuse, with
 ``InvalidParams``, a record the parser would reject, by the parser's
 former clause-by-clause rule (``reference_on_grid``, and for the writer a
 flow whose text ``float`` reads as negative, NaN or infinite); the writer
-then leaves no file. The gap report carries its own month calendar, sensor
-check and severity ladder; both sides are compared as
+then leaves no file. And the gap report takes the sensor id it is given
+and refuses a record of any other with ``MixedSensors`` (a drawn ``None``
+is an id no record carries). The gap report carries its own month
+calendar, sensor check and severity ladder; both sides are compared as
 ``(sensor_id, [(year, month, missing_slots, severity), ...])``, or as the
 type of the error raised. Hypothesis draws sensor ids that need quoting,
 naive, tz-aware and second-bearing timestamps, int, float and numpy-scalar
@@ -65,12 +68,11 @@ from flowrecon.ingest import (
     aggregate,
     day_to_records,
     gap_report,
-    slot_start,
     write_records_csv,
 )
 from flowrecon.matrix import build_matrix_scenario1, build_matrix_scenario2
 from flowrecon.reconstruct import reconstruct_day, write_reconstruction_csv, write_reconstruction_json
-from flowrecon.synth import DEFAULT_PARAMS, generate_corpus
+from flowrecon.synth import DEFAULT_PARAMS, DEFAULT_SENSOR_ID, generate_corpus
 
 from metric_reference import normalize_percent
 
@@ -90,7 +92,9 @@ def reference_rows(reconstructed, total_vehicles, original):
     for slot in range(SLOTS_PER_DAY):
         rows.append(
             (
-                slot_start(reconstructed.date, slot).isoformat(timespec="minutes"),
+                (
+                    datetime.combine(reconstructed.date, time()) + timedelta(minutes=5 * slot)
+                ).isoformat(timespec="minutes"),
                 float(shares[slot]),
                 float(counts[slot]),
                 float(original.values[slot]) if original is not None else None,
@@ -291,13 +295,9 @@ def test_records_csv_bytes_match_reference_on_the_grid(records):
 
 
 def reference_single_sensor(records, sensor_id):
-    sensors = {rec.sensor_id for rec in records}
-    if len(sensors) > 1:
-        raise MixedSensors(f"records span sensors {sorted(sensors)}")
-    if sensor_id is None:
-        return sensors.pop() if sensors else "unknown"
-    if sensors and sensor_id not in sensors:
-        raise MixedSensors(f"records from {sensors.pop()!r} labelled {sensor_id!r}")
+    others = {rec.sensor_id for rec in records} - {sensor_id}
+    if others:
+        raise MixedSensors(f"records from {sorted(others)} labelled {sensor_id!r}")
     return sensor_id
 
 
@@ -320,7 +320,7 @@ def reference_severity(missing_slots):
     return ">1 week"
 
 
-def reference_gap_report(records, start, end, sensor_id=None):
+def reference_gap_report(records, start, end, sensor_id):
     """(sensor id, [(year, month, missing slots, severity), ...])."""
     records = list(records)
     sensor_id = reference_single_sensor(records, sensor_id)
@@ -345,7 +345,7 @@ def reference_gap_report(records, start, end, sensor_id=None):
     return sensor_id, months
 
 
-def library_gap_report(records, start, end, sensor_id=None):
+def library_gap_report(records, start, end, sensor_id):
     """:func:`gap_report` in the reference's form."""
     report = gap_report(records, start, end, sensor_id)
     return report.sensor_id, [(m.year, m.month, m.missing_slots, m.severity) for m in report.months]
@@ -439,14 +439,14 @@ def test_sensor_year_records_csv_matches_reference(sensor_year):
 
 
 def test_sensor_year_gap_report_matches_reference(sensor_year):
-    span = (date(YEAR, 1, 1), date(YEAR, 12, 31), None)
+    span = (date(YEAR, 1, 1), date(YEAR, 12, 31), DEFAULT_SENSOR_ID)
     assert library_gap_report(sensor_year, *span) == reference_gap_report(sensor_year, *span)
 
 
 def test_sensor_year_gap_report_memory(sensor_year):
     tracemalloc.start()
     try:
-        gap_report(sensor_year, date(YEAR, 1, 1), date(YEAR, 12, 31))
+        gap_report(sensor_year, date(YEAR, 1, 1), date(YEAR, 12, 31), DEFAULT_SENSOR_ID)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

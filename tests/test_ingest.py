@@ -1,3 +1,4 @@
+import inspect
 import io
 import math
 from collections import Counter, defaultdict
@@ -15,9 +16,9 @@ from flowrecon.errors import (
     LevelOutOfRange,
     MissingColumn,
     MixedSensors,
-    SlotOutOfRange,
 )
 from flowrecon.ingest import (
+    SLOT_TIMES,
     SLOTS_PER_DAY,
     DaySignal,
     MonthGap,
@@ -28,7 +29,6 @@ from flowrecon.ingest import (
     day_to_records,
     gap_report,
     parse_sensor_csv,
-    slot_start,
     write_records_csv,
 )
 
@@ -37,7 +37,7 @@ DAY = date(2012, 3, 13)
 
 def make_records(day=DAY, sensor="s1", skip=()):
     return [
-        SensorRecord(slot_start(day, slot), sensor, float(slot % 17))
+        SensorRecord(datetime.combine(day, SLOT_TIMES[slot]), sensor, float(slot % 17))
         for slot in range(SLOTS_PER_DAY)
         if slot not in skip
     ]
@@ -157,14 +157,14 @@ def test_parse_byte_stream():
 
 
 def test_assemble_full_day_has_no_filled_slots():
-    day = assemble_day(make_records(), DAY)
+    day = assemble_day(make_records(), DAY, "s1")
     assert day.filled_slots == frozenset()
     assert day.values.shape == (SLOTS_PER_DAY,)
     assert day.sensor_id == "s1"
 
 
 def test_assemble_zero_fills_missing_slot():
-    day = assemble_day(make_records(skip={100}), DAY)
+    day = assemble_day(make_records(skip={100}), DAY, "s1")
     assert day.values[100] == 0.0
     assert day.filled_slots == frozenset({100})
 
@@ -177,9 +177,9 @@ def test_assemble_empty_records_gives_dead_day():
 
 
 def test_assemble_rejects_mixed_sensors():
-    records = make_records() + [SensorRecord(slot_start(DAY, 0), "other", 1.0)]
-    with pytest.raises(MixedSensors):
-        assemble_day(records, DAY)
+    records = make_records() + [SensorRecord(datetime.combine(DAY, SLOT_TIMES[0]), "other", 1.0)]
+    with pytest.raises(MixedSensors, match=r"\['other'\] labelled 's1'"):
+        assemble_day(records, DAY, "s1")
 
 
 def test_assemble_rejects_a_contradicting_sensor_label():
@@ -189,24 +189,46 @@ def test_assemble_rejects_a_contradicting_sensor_label():
 
 def test_assemble_ignores_other_dates():
     # same sensor across two dates is fine; only DAY's rows land on the grid
-    day = assemble_day(make_records() + make_records(day=date(2012, 3, 14)), DAY)
+    day = assemble_day(make_records() + make_records(day=date(2012, 3, 14)), DAY, "s1")
     assert day.filled_slots == frozenset()
-    assert np.array_equal(day.values, assemble_day(make_records(), DAY).values)
+    assert np.array_equal(day.values, assemble_day(make_records(), DAY, "s1").values)
 
 
 def test_flatten_roundtrip_is_a_fixpoint():
-    original = assemble_day(make_records(skip={3, 200}), DAY)
+    original = assemble_day(make_records(skip={3, 200}), DAY, "s1")
     again = assemble_day(day_to_records(original), DAY, sensor_id=original.sensor_id)
     assert np.array_equal(again.values, original.values)
     assert again.filled_slots == original.filled_slots
     assert again.date == original.date
 
 
+def test_day_to_records_over_a_leap_year():
+    """Every day of 2012 flattens to its unfilled slots, stamped by minute
+    arithmetic on the date and carrying Python floats."""
+    rng = np.random.default_rng(2012)
+    for i in range(366):
+        y, m, d = (date(2012, 1, 1) + timedelta(days=i)).timetuple()[:3]
+        values = rng.poisson(30, SLOTS_PER_DAY).astype(float)
+        values[rng.integers(0, SLOTS_PER_DAY)] = -0.0
+        dropped = rng.choice(SLOTS_PER_DAY, int(rng.integers(0, 20)), replace=False)
+        filled = frozenset(dropped.tolist())
+        values[list(filled)] = 0.0
+        day = DaySignal(date(y, m, d), "s1", values, filled)
+        want = [
+            (datetime(y, m, d) + timedelta(minutes=5 * slot), "s1", repr(float(values[slot])))
+            for slot in range(SLOTS_PER_DAY)
+            if slot not in filled
+        ]
+        got = day_to_records(day)
+        assert [(ts, sensor, repr(flow)) for ts, sensor, flow in got] == want
+        assert all(type(flow) is float and ts.tzinfo is None for ts, _, flow in got)
+
+
 @pytest.mark.parametrize(
     "level, minutes, windows", [(1, 10, 144), (2, 20, 72), (3, 40, 36), (4, 80, 18), (5, 160, 9)]
 )
 def test_aggregate_window_ladder(level, minutes, windows):
-    agg = aggregate(assemble_day(make_records(), DAY), level)
+    agg = aggregate(assemble_day(make_records(), DAY, "s1"), level)
     assert agg.window_minutes == 5 << level == minutes
     assert agg.values.size == windows
 
@@ -254,7 +276,7 @@ def test_gap_report_full_month():
         for d in range(1, 32)
         for rec in make_records(day=date(2012, 3, d))
     ]
-    report = gap_report(records, date(2012, 3, 1), date(2012, 3, 31))
+    report = gap_report(records, date(2012, 3, 1), date(2012, 3, 31), "s1")
     (march,) = report.months
     assert march.missing_slots == 0
     assert march.severity == "<=1 hour"
@@ -267,7 +289,7 @@ def test_gap_report_one_dead_day():
         if d != 10
         for rec in make_records(day=date(2012, 3, d))
     ]
-    report = gap_report(records, date(2012, 3, 1), date(2012, 3, 31))
+    report = gap_report(records, date(2012, 3, 1), date(2012, 3, 31), "s1")
     (march,) = report.months
     assert march.missing_slots == 288
     assert march.severity == "<=1 day"
@@ -285,10 +307,17 @@ def test_gap_report_rejects_a_contradicting_sensor_label():
         gap_report(make_records(sensor="s2"), DAY, DAY, sensor_id="s1")
 
 
-@pytest.mark.parametrize("slot", (-1, SLOTS_PER_DAY, 10**6))
-def test_slot_start_rejects_a_slot_off_the_day(slot):
-    with pytest.raises(SlotOutOfRange):
-        slot_start(DAY, slot)
+@pytest.mark.parametrize("call", (assemble_day, gap_report))
+def test_the_sensor_id_is_required(call):
+    assert inspect.signature(call).parameters["sensor_id"].default is inspect.Parameter.empty
+
+
+def test_gap_report_rejects_records_of_other_sensors():
+    records = make_records() + make_records(sensor="s2") + make_records(sensor="s3")
+    with pytest.raises(MixedSensors, match=r"\['s2', 's3'\] labelled 's1'"):
+        gap_report(records, DAY, DAY, "s1")
+    with pytest.raises(MixedSensors):  # checked before the reversed span
+        gap_report(make_records(sensor="s2"), DAY, date(2012, 3, 12), "s1")
 
 
 class NoOffset(tzinfo):
@@ -330,9 +359,9 @@ def test_off_grid_records_raise_and_leave_no_file(tmp_path, ts):
     assert parse_sensor_csv(csv_stream(text)).rejected_rows == 1
     records = make_records() + [SensorRecord(ts, "s1", 4.0)]
     with pytest.raises(InvalidParams):
-        assemble_day(records, DAY)
+        assemble_day(records, DAY, "s1")
     with pytest.raises(InvalidParams):
-        gap_report(records, DAY, DAY)
+        gap_report(records, DAY, DAY, "s1")
     path = tmp_path / "records.csv"
     with pytest.raises(InvalidParams):
         write_records_csv(records, path)
@@ -342,7 +371,7 @@ def test_off_grid_records_raise_and_leave_no_file(tmp_path, ts):
 def test_gap_report_rejects_a_second_stamp_in_a_slot():
     records = [SensorRecord(datetime(2012, 3, 13, 8, 15, s), "s1", 1.0) for s in (0, 30)]
     with pytest.raises(InvalidParams):
-        gap_report(records, DAY, DAY)
+        gap_report(records, DAY, DAY, "s1")
 
 
 @pytest.mark.parametrize(
@@ -385,7 +414,7 @@ def test_gap_report_counts_the_slots_assembly_fills(tmp_path):
     start, end, outage = date(2012, 1, 29), date(2012, 4, 2), date(2012, 2, 29)
     days = [start + timedelta(days=i) for i in range((end - start).days + 1)]
     records = [
-        SensorRecord(slot_start(day, slot), "s1", float(rng.poisson(20)))
+        SensorRecord(datetime.combine(day, SLOT_TIMES[slot]), "s1", float(rng.poisson(20)))
         for day in days
         if day != outage
         for slot in range(SLOTS_PER_DAY)
@@ -403,7 +432,7 @@ def test_gap_report_counts_the_slots_assembly_fills(tmp_path):
     filled = Counter()
     for day in days:
         filled[day.year, day.month] += len(assemble_day(by_day[day], day, "s1").filled_slots)
-    report = gap_report(parsed.records, start, end)
+    report = gap_report(parsed.records, start, end, "s1")
     assert [((m.year, m.month), m.missing_slots) for m in report.months] == list(filled.items())
     assert filled[2012, 2] > SLOTS_PER_DAY  # the outage and some dropped slots
 
@@ -486,9 +515,9 @@ def test_parser_writer_assembly_and_gap_report_share_one_grid(tmp_path_factory, 
     on_grid = parsed.records == [rec]
     path = tmp / "records.csv"
     assert accepts(lambda: write_records_csv([rec], path)) == path.exists() == on_grid
-    assert accepts(lambda: assemble_day([rec], day)) == on_grid
-    assert accepts(lambda: gap_report([rec], day, day)) == on_grid
+    assert accepts(lambda: assemble_day([rec], day, "s1")) == on_grid
+    assert accepts(lambda: gap_report([rec], day, day, "s1")) == on_grid
     if on_grid:
         assert parse_sensor_csv(path).records == [rec]
-        assert len(assemble_day([rec], day).filled_slots) == SLOTS_PER_DAY - 1
-        assert gap_report([rec], day, day).months[0].missing_slots == SLOTS_PER_DAY - 1
+        assert len(assemble_day([rec], day, "s1").filled_slots) == SLOTS_PER_DAY - 1
+        assert gap_report([rec], day, day, "s1").months[0].missing_slots == SLOTS_PER_DAY - 1

@@ -92,13 +92,11 @@ def reference_parse(stream):
     return records, rejected, duplicates
 
 
-def reference_assemble(records, day, sensor_id=None):
+def reference_assemble(records, day, sensor_id):
     records = list(records)
-    sensors = {r.sensor_id for r in records}
-    if len(sensors) > 1:
-        raise MixedSensors(f"records span sensors {sorted(sensors)}")
-    if sensor_id is None:
-        sensor_id = sensors.pop() if sensors else "unknown"
+    others = {r.sensor_id for r in records} - {sensor_id}
+    if others:
+        raise MixedSensors(f"records from {sorted(others)} labelled {sensor_id!r}")
     values = np.zeros(SLOTS_PER_DAY)
     covered = set()
     for rec in records:
@@ -247,15 +245,14 @@ def record_lists(draw):
     return records
 
 
-def assemble_under_test(records, day, sensor_id=None):
+def assemble_under_test(records, day, sensor_id):
     result = assemble_day(records, day, sensor_id)
     return result.sensor_id, result.values, result.filled_slots
 
 
 @settings(max_examples=100, deadline=None)
-@given(record_lists(), st.sampled_from(DAYS), st.booleans())
-def test_assemble_matches_slot_loop_reference(records, day, own_label):
-    label = records[0].sensor_id if own_label and records else None
+@given(record_lists(), st.sampled_from(DAYS), st.sampled_from(("s1", "s2")))
+def test_assemble_matches_slot_loop_reference(records, day, label):
     expected = outcome(reference_assemble, records, day, label)
     got = outcome(assemble_under_test, records, day, label)
     if isinstance(expected, type):

@@ -16,7 +16,6 @@ from flowrecon.ingest import (
     AggregatedSignal,
     DaySignal,
     aggregate,
-    slot_start,
 )
 from flowrecon.matrix import build_matrix_scenario1, build_matrix_scenario2
 from flowrecon.metrics import evaluate_day
@@ -337,11 +336,11 @@ def test_reconstruction_export_csv_and_json(tmp_path):
 @pytest.mark.parametrize(
     "day", [date(2012, 2, 29), date(2012, 12, 31), date(2024, 3, 31), date.min, date.max]
 )
-def test_slot_clocks_match_slot_start(day):
+def test_slot_clocks_match_slot_times(day):
     assert len(SLOT_TIMES) == len(SLOT_CLOCKS) == len(SLOT_OF) == SLOTS_PER_DAY
     for slot, (start, clock) in enumerate(zip(SLOT_TIMES, SLOT_CLOCKS)):
         assert SLOT_OF[start] == slot and start.tzinfo is None
-        stamp = slot_start(day, slot)
+        stamp = datetime.combine(day, start)
         assert stamp == datetime.combine(day, time()) + timedelta(minutes=5 * slot)
         assert stamp.time() == start
         text = stamp.isoformat(timespec="minutes")

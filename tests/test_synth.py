@@ -161,6 +161,7 @@ def test_corpus_exports_to_ingest_schema(tmp_path):
     rebuilt = assemble_day(
         [r for r in parsed.records if r.timestamp.date() == corpus[0].date],
         corpus[0].date,
+        corpus[0].sensor_id,
     )
     assert np.array_equal(rebuilt.values, corpus[0].values)
     assert rebuilt.filled_slots == frozenset()
