@@ -14,6 +14,7 @@ own. Its public API, module by module:
     ``day_to_records``, ``write_records_csv``; ``aggregate`` (to an
     ``AggregatedSignal``, whose window follows from its level) and
     ``check_level`` for the dyadic levels 1 to ``MAX_AGGREGATION_LEVEL``;
+    the two field rules ``finite_row`` (signal arrays) and ``is_int``;
     ``gap_report`` (one given sensor's ``GapReport`` of ``MonthGap`` rows,
     each with its severity from ``SEVERITY_LADDER``, and one CSV writer).
     The day grid: ``BASE_WINDOW_MINUTES``, ``SLOTS_PER_DAY``, ``SLOT_TIMES``

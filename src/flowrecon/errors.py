@@ -18,7 +18,7 @@ class NotDyadicallyDivisible(FlowReconError):
 
 
 class LevelOutOfRange(FlowReconError):
-    """Decomposition/aggregation level outside the supported ladder."""
+    """A decomposition/aggregation level that is no int on the supported ladder (2.0, True)."""
 
 
 class LevelMismatch(FlowReconError):
@@ -26,7 +26,7 @@ class LevelMismatch(FlowReconError):
 
 
 class WrongShape(FlowReconError):
-    """A signal does not hold the number of slots or windows its type requires."""
+    """A signal is no float row of the slot or window count its type requires (or no numbers)."""
 
 
 class NonFiniteValues(FlowReconError):
@@ -84,10 +84,12 @@ class EmptyResults(FlowReconError):
 class InvalidParams(FlowReconError):
     """Arguments violate their type's invariants.
 
-    Raised for synthetic profile parameters or jitter, a day-selection month
-    outside 1-12, a date span ending before it starts, a record off the day
-    grid or one with a flow the parser rejects (records writer), a negative
-    export vehicle total and a day result whose correlation, error, share
-    difference or excluded-slot count lies outside its range (an error must
-    be finite and non-negative, so a day whose error overflows is refused).
+    Raised for synthetic profile parameters or jitter (a seed must be an
+    int), a day-selection or gap-report year or month that is no int month,
+    an assembly or gap-report sensor id that is no str, a date span ending
+    before it starts, a record off the day grid or one with a flow the
+    parser rejects (records writer), a negative export vehicle total and a
+    day result whose correlation, error, share difference or excluded-slot
+    count (an int) lies outside its range (an error must be finite and
+    non-negative, so a day whose error overflows is refused).
     """

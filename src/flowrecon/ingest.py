@@ -32,10 +32,12 @@ naive (``ts.utcoffset() is None``; a ``zoneinfo`` stamp is aware) and
 ``ts.time() in SLOT_OF``. The parser rejects a row off the grid, and
 :func:`assemble_day`, :func:`gap_report` and the writer raise ``InvalidParams``.
 
-Each assembled day and gap report is of one sensor, whose id the caller
-gives; a record of another raises ``MixedSensors``. Missing slots are
-zero-filled and tracked per day, and daily signals can be re-windowed onto
-the dyadic aggregation ladder (10, 20, 40, 80, 160 minutes).
+Each assembled day and gap report is of one sensor, whose id (a str) the
+caller gives; a record of another raises ``MixedSensors``. Missing slots
+are zero-filled and tracked per day, and daily signals can be re-windowed
+onto the dyadic aggregation ladder (10, 20, 40, 80, 160 minutes). Two
+rules check the package's fields: :func:`finite_row` every signal array,
+and :func:`is_int` every integer field, each field raising its own error.
 """
 
 from __future__ import annotations
@@ -81,10 +83,29 @@ def _slot(ts: datetime) -> int | None:
     return SLOT_OF.get(ts.time()) if ts.utcoffset() is None else None
 
 
+def is_int(value) -> bool:
+    """True for a Python or numpy integer; a bool or ``np.bool_`` is no int."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def check_level(level: int) -> None:
-    """Raise ``LevelOutOfRange`` unless 1 <= level <= MAX_AGGREGATION_LEVEL."""
-    if not 1 <= level <= MAX_AGGREGATION_LEVEL:
-        raise LevelOutOfRange(f"level {level} outside 1..{MAX_AGGREGATION_LEVEL}")
+    """Raise ``LevelOutOfRange`` unless ``level`` is an int in 1..MAX_AGGREGATION_LEVEL."""
+    if not (is_int(level) and 1 <= level <= MAX_AGGREGATION_LEVEL):
+        raise LevelOutOfRange(f"level {level!r} is no int in 1..{MAX_AGGREGATION_LEVEL}")
+
+
+def finite_row(values, length: int) -> np.ndarray:
+    """``values`` as a float array of shape ``(length,)``; ``WrongShape`` for another shape or
+    no floats (``"abc"``, ragged lists, ints past float range), ``NonFiniteValues`` for NaN, inf."""
+    try:
+        row = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise WrongShape(f"values do not convert to floats: {exc}") from exc
+    if row.shape != (length,):
+        raise WrongShape(f"expected shape ({length},), got {row.shape}")
+    if not np.isfinite(row).all():
+        raise NonFiniteValues("values must be finite")
+    return row
 
 
 RECORD_COLUMNS = ("timestamp", "sensor_id", "flow_total")  # the record layout's header
@@ -119,10 +140,10 @@ class ParseResult:
 class DaySignal:
     """One calendar day of flow on the 288-slot grid.
 
-    ``filled_slots`` lists the slot indices (ints, numpy's too, in 0..287;
-    else ``SlotOutOfRange``) that carried no record and were set to zero.
-    Ingested and synthetic days are non-negative; reconstructed days may
-    carry negative raw values (see :mod:`flowrecon.reconstruct`).
+    ``values`` passes :func:`finite_row`; ``filled_slots`` lists the slot
+    indices (ints by :func:`is_int` in 0..287, else ``SlotOutOfRange``) that
+    carried no record and were set to zero. Ingested and synthetic days are
+    non-negative; reconstructed days may carry negative raw values.
     """
 
     date: date
@@ -131,21 +152,11 @@ class DaySignal:
     filled_slots: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (SLOTS_PER_DAY,):
-            raise WrongShape(
-                f"expected {SLOTS_PER_DAY} slots, got shape {vals.shape}"
-            )
-        if not np.isfinite(vals).all():
-            raise NonFiniteValues("day values must be finite")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", finite_row(self.values, SLOTS_PER_DAY))
         filled = frozenset(self.filled_slots)
         object.__setattr__(self, "filled_slots", filled)
         # True and 2.0 equal slots, so the subset test alone would let them through
-        if filled and not (
-            filled <= _ALL_SLOTS
-            and all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in filled)
-        ):
+        if filled and not (filled <= _ALL_SLOTS and all(map(is_int, filled))):
             raise SlotOutOfRange(f"filled slots must be ints in 0..{SLOTS_PER_DAY - 1}")
 
     @property
@@ -155,26 +166,16 @@ class DaySignal:
 
 @dataclass(frozen=True, eq=False)
 class AggregatedSignal:
-    """Flow counts re-windowed to 5 * 2**level minutes."""
+    """Flow counts re-windowed to 5 * 2**level minutes; ``level`` passes
+    :func:`check_level`, then ``values`` :func:`finite_row`."""
 
     values: np.ndarray
     source_date: date
     level: int
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
         check_level(self.level)
-        if vals.shape != (SLOTS_PER_DAY >> self.level,):
-            raise WrongShape(
-                f"expected {SLOTS_PER_DAY >> self.level} windows, got {vals.shape}"
-            )
-        if not np.isfinite(vals).all():
-            raise NonFiniteValues("aggregated values must be finite")
-
-    @property
-    def window_minutes(self) -> int:
-        return BASE_WINDOW_MINUTES << self.level
+        object.__setattr__(self, "values", finite_row(self.values, SLOTS_PER_DAY >> self.level))
 
 
 def _open_text(source):
@@ -263,7 +264,9 @@ def parse_sensor_csv(source) -> ParseResult:
 
 
 def _check_sensor(records: list[SensorRecord], sensor_id: str) -> None:
-    """Raise ``MixedSensors`` unless every record carries ``sensor_id``."""
+    """Raise ``InvalidParams`` for a non-str id, then ``MixedSensors`` for a record of another."""
+    if not isinstance(sensor_id, str):
+        raise InvalidParams(f"sensor id {sensor_id!r} is not a str")
     if not {sensor_id}.issuperset(map(itemgetter(1), records)):
         others = set(map(itemgetter(1), records)) - {sensor_id}
         raise MixedSensors(f"records from {sorted(others)} labelled {sensor_id!r}")
@@ -274,9 +277,9 @@ def assemble_day(records: Iterable[SensorRecord], day: date, sensor_id: str) -> 
 
     Records dated outside ``day`` are ignored; of records sharing a slot the
     first is placed. Slots without a record are set to zero and reported in
-    ``filled_slots``. Raises ``MixedSensors`` if a record carries another
-    sensor id, then ``InvalidParams`` for a record dated ``day`` whose
-    timestamp is tz-aware or off the grid.
+    ``filled_slots``. Raises ``InvalidParams`` for a non-str ``sensor_id``,
+    ``MixedSensors`` for a record of another sensor, then ``InvalidParams``
+    for a record dated ``day`` whose timestamp is tz-aware or off the grid.
     """
     records = list(records)
     _check_sensor(records, sensor_id)
@@ -319,18 +322,17 @@ def aggregate(day: DaySignal, level: int) -> AggregatedSignal:
 
 @dataclass(frozen=True)
 class MonthGap:
-    """One month's missing-slot count; raises ``InvalidParams`` for a month
-    outside 1-12 or a count that is not a non-negative int."""
+    """One month's missing-slot count; ``InvalidParams`` unless the year, the
+    month (in 1-12) and the count (>= 0) are ints by :func:`is_int`."""
 
     year: int
     month: int
     missing_slots: int
 
     def __post_init__(self):
-        if not 1 <= self.month <= 12:
-            raise InvalidParams(f"month {self.month!r} outside 1..12")
-        n = self.missing_slots
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        if not (is_int(self.year) and is_int(self.month) and 1 <= self.month <= 12):
+            raise InvalidParams(f"year {self.year!r} or month {self.month!r} is no int month")
+        if not (is_int(n := self.missing_slots) and n >= 0):
             raise InvalidParams(f"missing_slots must be a non-negative int, got {n!r}")
 
     @property
@@ -362,10 +364,10 @@ def gap_report(
     A month's missing slots are the sum, over its days in the span, of
     ``SLOTS_PER_DAY`` less the distinct timestamps dated that day (its
     ``bisect`` range of one sorted list); months come in calendar order,
-    each with its ``SEVERITY_LADDER`` label. Raises ``MixedSensors`` as
-    :func:`assemble_day` does, then ``InvalidParams`` if ``end`` precedes
-    ``start`` or any timestamp, in the span or not, is off the day grid, so
-    each distinct timestamp is one present slot, at most 288 a day.
+    each with its ``SEVERITY_LADDER`` label. Checks the sensor id as
+    :func:`assemble_day` does, then raises ``InvalidParams`` if ``end``
+    precedes ``start`` or any timestamp, in the span or not, is off the day
+    grid, so each distinct timestamp is one present slot, at most 288 a day.
     """
     records = list(records)
     _check_sensor(records, sensor_id)

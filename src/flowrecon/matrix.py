@@ -16,16 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyDayList,
-    InvalidParams,
-    NonFiniteValues,
-    NotBlockConstant,
-    NoTypicalDays,
-    UnknownScenario,
-    WrongShape,
-)
-from .ingest import BASE_WINDOW_MINUTES, SLOTS_PER_DAY, DaySignal, check_level
+from .errors import EmptyDayList, InvalidParams, NotBlockConstant, NoTypicalDays, UnknownScenario
+from .ingest import BASE_WINDOW_MINUTES, SLOTS_PER_DAY, DaySignal, check_level, finite_row, is_int
 
 TYPICAL_WEEKDAYS = frozenset({1, 2, 3})  # Tuesday, Wednesday, Thursday (Monday = 0)
 
@@ -36,24 +28,25 @@ RATE_BLOCK_SLOTS = 20 // BASE_WINDOW_MINUTES  # 4 slots per 20-minute block
 
 @dataclass(frozen=True)
 class DaySelectionCriteria:
-    """The month whose typical weekdays donate the profile."""
+    """The month whose typical weekdays donate the profile; ``InvalidParams``
+    unless the year and the month (in 1-12) are ints by ``ingest.is_int``."""
 
     year: int
     month: int
 
     def __post_init__(self):
-        if not 1 <= self.month <= 12:
-            raise InvalidParams(f"month {self.month} out of range")
+        if not (is_int(self.year) and is_int(self.month) and 1 <= self.month <= 12):
+            raise InvalidParams(f"year {self.year!r} or month {self.month!r} is no int month")
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixProfile:
     """Averaged typical-day signal that donates detail coefficients.
 
-    ``values`` is a read-only copy of the array passed in, so later changes
-    to the caller's array do not reach the profile. That makes it safe to
-    cache the level-k detail residual ``r_k`` (:meth:`residual`) once per
-    profile and level.
+    ``values`` passes ``ingest.finite_row`` and is kept as a read-only copy, so later
+    changes to the caller's array do not reach the profile and the level-k detail residual
+    ``r_k`` (:meth:`residual`, which checks its level first) is safe to cache per level.
+    ``scenario`` is an int (``ingest.is_int``) 1 or 2, else ``UnknownScenario``.
     """
 
     values: np.ndarray
@@ -61,14 +54,11 @@ class MatrixProfile:
     member_dates: tuple[date, ...]
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)  # a private copy, frozen below
-        if vals.shape != (SLOTS_PER_DAY,):
-            raise WrongShape(f"expected {SLOTS_PER_DAY} slots, got {vals.shape}")
-        if not np.isfinite(vals).all():
-            raise NonFiniteValues("profile values must be finite")
-        if self.scenario not in (SCENARIO_SLOT_MEAN, SCENARIO_BLOCK_RATE):
-            raise UnknownScenario(f"unknown scenario {self.scenario}")
-        if self.scenario == SCENARIO_BLOCK_RATE:
+        vals = finite_row(self.values, SLOTS_PER_DAY).copy()  # a private copy, frozen below
+        scenario = self.scenario
+        if not (is_int(scenario) and scenario in (SCENARIO_SLOT_MEAN, SCENARIO_BLOCK_RATE)):
+            raise UnknownScenario(f"unknown scenario {scenario!r}")
+        if scenario == SCENARIO_BLOCK_RATE:
             blocks = vals.reshape(-1, RATE_BLOCK_SLOTS)
             if not (blocks == blocks[:, :1]).all():
                 raise NotBlockConstant("scenario-2 profile must be constant per 20-minute block")
@@ -84,9 +74,9 @@ class MatrixProfile:
         ``level``. It is computed once per level and cached read-only, which
         is safe because the profile's values are a frozen private copy.
         """
+        check_level(level)
         cached = self._residuals.get(level)
         if cached is None:
-            check_level(level)
             block = 1 << level
             blocks = self.values.reshape(-1, block)
             cached = blocks - blocks.sum(axis=1, keepdims=True) * (1.0 / block)

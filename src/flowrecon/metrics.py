@@ -33,13 +33,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConstantInput, EmptyResults, InvalidParams
-from .ingest import BASE_WINDOW_MINUTES, SLOTS_PER_DAY, DaySignal, check_level
+from .ingest import BASE_WINDOW_MINUTES, SLOTS_PER_DAY, DaySignal, check_level, is_int
 from .reconstruct import share_row
 
 
 @dataclass(frozen=True)
 class DayResult:
-    """Per-day, per-level fidelity against the original signal."""
+    """Per-day, per-level fidelity against the original; ``check_level`` checks the level, and
+    ``InvalidParams`` refuses a correlation outside [-1, 1], an error not finite and >= 0 or an
+    ``excluded_slots`` that is no int (``ingest.is_int``) in 0..287."""
 
     date: date
     level: int
@@ -60,9 +62,9 @@ class DayResult:
         for error in errors:
             if not 0 <= error < math.inf:  # NaN fails too
                 raise InvalidParams(f"error {error} is not finite and >= 0")
-        if not 0 <= self.excluded_slots < SLOTS_PER_DAY:
+        if not (is_int(self.excluded_slots) and 0 <= self.excluded_slots < SLOTS_PER_DAY):
             raise InvalidParams(
-                f"excluded_slots {self.excluded_slots} outside [0, {SLOTS_PER_DAY})"
+                f"excluded_slots {self.excluded_slots!r} is no int in [0, {SLOTS_PER_DAY})"
             )
 
 

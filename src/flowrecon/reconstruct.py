@@ -39,7 +39,7 @@ from .errors import (
     SharesNotNormalized,
     ZeroDailyTotal,
 )
-from .ingest import SLOT_CLOCKS, AggregatedSignal, DaySignal, check_level
+from .ingest import SLOT_CLOCKS, AggregatedSignal, DaySignal
 from .matrix import MatrixProfile
 
 SHARE_SUM_TOL = 1e-9
@@ -74,11 +74,11 @@ def reconstruct_day(
     rescale_approximation: bool = False,
 ) -> DaySignal:
     """The donor's level-``levels`` Haar detail under the target day's counts."""
-    check_level(levels)
+    residual = matrix.residual(levels)  # LevelOutOfRange first, then LevelMismatch
     if aggregated.level != levels:
         raise LevelMismatch(f"aggregated level {aggregated.level} != levels {levels}")
     scale = 2.0 ** (-levels if rescale_approximation else -levels / 2)
-    values = matrix.residual(levels) + (aggregated.values * scale)[:, None]
+    values = residual + (aggregated.values * scale)[:, None]
     return DaySignal(aggregated.source_date, "", values.ravel(), frozenset())
 
 

@@ -16,7 +16,7 @@ from datetime import date
 import numpy as np
 
 from .errors import InvalidParams
-from .ingest import SLOTS_PER_DAY, DaySignal
+from .ingest import SLOTS_PER_DAY, DaySignal, is_int
 from .matrix import TYPICAL_WEEKDAYS
 
 DEFAULT_SENSOR_ID = "synthetic-01"
@@ -33,6 +33,9 @@ class PeakSpec:
 
 @dataclass(frozen=True)
 class ProfileParams:
+    """A synthetic day's shape; ``InvalidParams`` for a total, noise or peak
+    off its range (below) or a seed that is no int >= 0 by ``is_int``."""
+
     daily_total: float
     peaks: tuple[PeakSpec, ...]
     noise_std: float = 0.0
@@ -45,7 +48,7 @@ class ProfileParams:
             raise InvalidParams(f"daily_total must be positive and finite, got {self.daily_total}")
         if not 0 <= self.noise_std < math.inf:
             raise InvalidParams("noise_std must be non-negative and finite")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not (is_int(self.seed) and self.seed >= 0):
             raise InvalidParams(f"seed must be a non-negative integer, got {self.seed!r}")
         weight_sum = 0.0
         for peak in self.peaks:

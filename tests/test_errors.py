@@ -4,6 +4,7 @@ Code that scores a whole corpus catches ``FlowReconError`` to count a failed
 day and go on; a plain ``ValueError`` would end the run instead.
 """
 
+from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone, tzinfo
 
 import numpy as np
@@ -28,11 +29,13 @@ from flowrecon.ingest import (
     MonthGap,
     SensorRecord,
     aggregate,
+    assemble_day,
     gap_report,
 )
 from flowrecon.matrix import DaySelectionCriteria, MatrixProfile
 from flowrecon.metrics import DayResult, evaluate_day
 from flowrecon.reconstruct import reconstruct_day, share_row
+from flowrecon.synth import DEFAULT_PARAMS
 
 DAY = date(2012, 4, 10)
 FLAT = np.ones(SLOTS_PER_DAY)
@@ -169,19 +172,121 @@ def test_day_selection_criteria_invalid():
     raises(InvalidParams, lambda: DaySelectionCriteria(2012, 13))
 
 
-def test_day_result_out_of_range():
-    fields = dict(date=DAY, level=1, correlation=0.5, error_pct=1.0,
+def day_result(**fields):
+    """A valid ``DayResult`` with ``fields`` replaced."""
+    values = dict(date=DAY, level=1, correlation=0.5, error_pct=1.0,
                   baseline_correlation=0.5, baseline_error_pct=1.0,
                   share_mad=0.0, baseline_share_mad=0.0, excluded_slots=0)
-    raises(InvalidParams, lambda: DayResult(**{**fields, "correlation": 1.5}))
-    raises(InvalidParams, lambda: DayResult(**{**fields, "baseline_error_pct": -1.0}))
+    return DayResult(**{**values, **fields})
+
+
+def test_day_result_out_of_range():
+    raises(InvalidParams, lambda: day_result(correlation=1.5))
+    raises(InvalidParams, lambda: day_result(baseline_error_pct=-1.0))
     for name in ("error_pct", "baseline_error_pct", "share_mad", "baseline_share_mad"):
         # a subnormal original share gives an inf error: refused, as NaN is
         for value in (np.nan, -1e-300, -np.inf, np.inf):
-            raises(InvalidParams, lambda: DayResult(**{**fields, name: value}))
-        DayResult(**{**fields, name: np.finfo(float).max})
+            raises(InvalidParams, lambda: day_result(**{name: value}))
+        day_result(**{name: np.finfo(float).max})
     for excluded in (-3, -1, SLOTS_PER_DAY, SLOTS_PER_DAY + 1):
-        raises(InvalidParams, lambda: DayResult(**{**fields, "excluded_slots": excluded}))
-    DayResult(**{**fields, "excluded_slots": SLOTS_PER_DAY - 1})
+        raises(InvalidParams, lambda: day_result(excluded_slots=excluded))
+    day_result(excluded_slots=SLOTS_PER_DAY - 1)
     # the defect case: NaN errors and a negative excluded-slot count
     raises(InvalidParams, lambda: DayResult(DAY, 1, 0.5, np.nan, 0.5, 1.0, np.nan, 0.1, -3))
+
+
+def warm_residual(level):
+    """``residual`` of a profile whose level-2 residual is already cached."""
+    profile = MatrixProfile(FLAT, 1, ())
+    profile.residual(2)
+    return profile.residual(level)
+
+
+RAMP = DaySignal(DAY, "s1", np.arange(1.0, SLOTS_PER_DAY + 1))
+
+# field -> (its error, a build that puts the value in the field); every
+# build succeeds for the value 2
+INT_FIELDS = {
+    "aggregate level": (LevelOutOfRange, lambda v: aggregate(RAMP, v)),
+    "AggregatedSignal level": (LevelOutOfRange, lambda v: AggregatedSignal(np.ones(72), DAY, v)),
+    "reconstruct_day level": (
+        LevelOutOfRange,
+        lambda v: reconstruct_day(MatrixProfile(FLAT, 1, ()), aggregate(RAMP, 2), v),
+    ),
+    "residual level": (LevelOutOfRange, lambda v: MatrixProfile(FLAT, 1, ()).residual(v)),
+    "cached residual level": (LevelOutOfRange, warm_residual),
+    "DayResult level": (LevelOutOfRange, lambda v: day_result(level=v)),
+    "evaluate_day level": (LevelOutOfRange, lambda v: evaluate_day(RAMP, RAMP, RAMP, v)),
+    "filled slot": (SlotOutOfRange, lambda v: DaySignal(DAY, "s1", FLAT, frozenset({v}))),
+    "MonthGap year": (InvalidParams, lambda v: MonthGap(v, 3, 0)),
+    "MonthGap month": (InvalidParams, lambda v: MonthGap(2012, v, 0)),
+    "MonthGap missing_slots": (InvalidParams, lambda v: MonthGap(2012, 3, v)),
+    "DaySelectionCriteria year": (InvalidParams, lambda v: DaySelectionCriteria(v, 3)),
+    "DaySelectionCriteria month": (InvalidParams, lambda v: DaySelectionCriteria(2012, v)),
+    "DayResult excluded_slots": (InvalidParams, lambda v: day_result(excluded_slots=v)),
+    "ProfileParams seed": (InvalidParams, lambda v: replace(DEFAULT_PARAMS, seed=v)),
+    "MatrixProfile scenario": (UnknownScenario, lambda v: MatrixProfile(FLAT, v, ())),
+}
+
+
+@pytest.mark.parametrize("value", (2.0, 2.5, True, np.True_, "2", None), ids=repr)
+@pytest.mark.parametrize("field", INT_FIELDS)
+def test_integer_fields_refuse_what_is_no_int(field, value):
+    """A float, bool, text or None is no int, even one equal to 2 (or 1)."""
+    error, build = INT_FIELDS[field]
+    raises(error, lambda: build(value))
+
+
+@pytest.mark.parametrize("value", (2, np.int64(2)), ids=repr)
+@pytest.mark.parametrize("field", INT_FIELDS)
+def test_integer_fields_take_python_and_numpy_ints(field, value):
+    INT_FIELDS[field][1](value)
+
+
+# signal type -> (its length, a build from values)
+SIGNALS = {
+    "DaySignal": (SLOTS_PER_DAY, lambda v: DaySignal(DAY, "s1", v)),
+    "AggregatedSignal": (SLOTS_PER_DAY >> 1, lambda v: AggregatedSignal(v, DAY, 1)),
+    "MatrixProfile": (SLOTS_PER_DAY, lambda v: MatrixProfile(v, 1, ())),
+}
+
+# name -> (values of a given length, the error they raise)
+BAD_ROWS = {
+    "short": (lambda n: np.ones(n - 1), WrongShape),
+    "long": (lambda n: np.ones(n + 1), WrongShape),
+    "2-D": (lambda n: np.ones((2, n)), WrongShape),
+    "one-row 2-D": (lambda n: np.ones((1, n)), WrongShape),
+    "scalar": (lambda n: 1.0, WrongShape),
+    "text": (lambda n: "abc", WrongShape),
+    "list of text": (lambda n: ["x"] * n, WrongShape),
+    "ragged list": (lambda n: [1.0] * (n - 1) + [[1.0, 2.0]], WrongShape),
+    "dict": (lambda n: dict.fromkeys(range(n), 1.0), WrongShape),
+    "int beyond float": (lambda n: [10**400] * n, WrongShape),
+    "None": (lambda n: None, WrongShape),
+    "NaN": (with_nan, NonFiniteValues),
+    "inf": (lambda n: np.full(n, np.inf), NonFiniteValues),
+    "-inf in a list": (lambda n: [1.0] * (n - 1) + [-np.inf], NonFiniteValues),
+}
+
+
+@pytest.mark.parametrize("row", BAD_ROWS)
+@pytest.mark.parametrize("signal", SIGNALS)
+def test_signal_arrays_refuse_what_is_no_finite_row(signal, row):
+    (length, build), (values_of, error) = SIGNALS[signal], BAD_ROWS[row]
+    raises(error, lambda: build(values_of(length)))
+
+
+@pytest.mark.parametrize("signal", SIGNALS)
+def test_signal_arrays_take_a_list_of_ints(signal):
+    length, build = SIGNALS[signal]
+    values = build(list(range(length))).values
+    assert values.dtype == np.float64 and values.tolist() == list(range(length))
+
+
+@pytest.mark.parametrize("sensor_id", (None, 7, b"s1"), ids=repr)
+def test_sensor_id_must_be_text(sensor_id):
+    """Checked before the records, so an empty day or span carries no other id."""
+    records = [SensorRecord(datetime(2012, 4, 10, 8, 15), "s1", 1.0)]
+    for given in ([], records):
+        raises(InvalidParams, lambda: assemble_day(given, DAY, sensor_id))
+        raises(InvalidParams, lambda: gap_report(given, DAY, DAY, sensor_id))

@@ -18,6 +18,7 @@ from flowrecon.errors import (
     MixedSensors,
 )
 from flowrecon.ingest import (
+    BASE_WINDOW_MINUTES,
     SLOT_TIMES,
     SLOTS_PER_DAY,
     DaySignal,
@@ -229,8 +230,8 @@ def test_day_to_records_over_a_leap_year():
 )
 def test_aggregate_window_ladder(level, minutes, windows):
     agg = aggregate(assemble_day(make_records(), DAY, "s1"), level)
-    assert agg.window_minutes == 5 << level == minutes
-    assert agg.values.size == windows
+    assert agg.level == level and BASE_WINDOW_MINUTES << level == minutes
+    assert agg.values.size == windows == SLOTS_PER_DAY >> level
 
 
 def test_aggregate_all_ones_level2():
