@@ -14,7 +14,9 @@ own. Its public API, module by module:
     ``day_to_records``, ``write_records_csv``; ``aggregate`` (to an
     ``AggregatedSignal``, whose window follows from its level) and
     ``check_level`` for the dyadic levels 1 to ``MAX_AGGREGATION_LEVEL``;
-    the two field rules ``finite_row`` (signal arrays) and ``is_int``;
+    the field rules ``finite_row`` (signal arrays: no bool, text, date or
+    complex values), ``is_int``, ``check_month`` (an int year and month),
+    ``check_day`` (a date that is no datetime) and ``check_sensor_id`` (a str);
     ``gap_report`` (one given sensor's ``GapReport`` of ``MonthGap`` rows,
     each with its severity from ``SEVERITY_LADDER``, and one CSV writer).
     The day grid: ``BASE_WINDOW_MINUTES``, ``SLOTS_PER_DAY``, ``SLOT_TIMES``
@@ -26,7 +28,7 @@ own. Its public API, module by module:
     ``select_typical_days`` (its fault-free Tuesdays to Thursdays,
     ``TYPICAL_WEEKDAYS``), ``build_matrix_scenario1`` (slot means) and
     ``build_matrix_scenario2`` (20-minute block rates), both giving a
-    ``MatrixProfile``.
+    ``MatrixProfile`` that builds its detail residual of every level once.
 ``flowrecon.reconstruct``
     ``reconstruct_day`` (closed-form detail transplantation),
     ``staircase_baseline``, ``share_row`` (the percent-share rule), and

@@ -26,7 +26,8 @@ class LevelMismatch(FlowReconError):
 
 
 class WrongShape(FlowReconError):
-    """A signal is no float row of the slot or window count its type requires (or no numbers)."""
+    """A signal is no float row of the slot or window count its type requires: another shape,
+    no numbers, or bool, text, bytes, date, time-span or complex values (``ingest.finite_row``)."""
 
 
 class NonFiniteValues(FlowReconError):
@@ -85,8 +86,10 @@ class InvalidParams(FlowReconError):
     """Arguments violate their type's invariants.
 
     Raised for synthetic profile parameters or jitter (a seed must be an
-    int), a day-selection or gap-report year or month that is no int month,
-    an assembly or gap-report sensor id that is no str, a date span ending
+    int), a day-selection, gap-report or synthetic-corpus year and month
+    that is no calendar month (``ingest.check_month``), a day or span end
+    that is no date or is a ``datetime`` (``ingest.check_day``), a day,
+    assembly or gap-report sensor id that is no str, a date span ending
     before it starts, a record off the day grid or one with a flow the
     parser rejects (records writer), a negative export vehicle total and a
     day result whose correlation, error, share difference or excluded-slot

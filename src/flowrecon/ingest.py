@@ -35,9 +35,11 @@ naive (``ts.utcoffset() is None``; a ``zoneinfo`` stamp is aware) and
 Each assembled day and gap report is of one sensor, whose id (a str) the
 caller gives; a record of another raises ``MixedSensors``. Missing slots
 are zero-filled and tracked per day, and daily signals can be re-windowed
-onto the dyadic aggregation ladder (10, 20, 40, 80, 160 minutes). Two
-rules check the package's fields: :func:`finite_row` every signal array,
-and :func:`is_int` every integer field, each field raising its own error.
+onto the dyadic aggregation ladder (10, 20, 40, 80, 160 minutes). A few
+rules check the package's fields, each field raising its own error:
+:func:`finite_row` every signal array, :func:`is_int` every integer field
+(:func:`check_level` a level, :func:`check_month` a year and month),
+:func:`check_day` every day and :func:`check_sensor_id` every sensor id.
 """
 
 from __future__ import annotations
@@ -94,11 +96,42 @@ def check_level(level: int) -> None:
         raise LevelOutOfRange(f"level {level!r} is no int in 1..{MAX_AGGREGATION_LEVEL}")
 
 
+def check_month(year: int, month: int) -> None:
+    """Raise ``InvalidParams`` unless ``year`` is an int in ``date.min.year..date.max.year``
+    and ``month`` an int in 1..12, both by :func:`is_int`."""
+    if not (is_int(year) and date.min.year <= year <= date.max.year
+            and is_int(month) and 1 <= month <= 12):
+        raise InvalidParams(f"year {year!r} or month {month!r} is no int month")
+
+
+def check_day(day: date) -> None:
+    """Raise ``InvalidParams`` unless ``day`` is a ``datetime.date`` that is not a ``datetime``."""
+    if not isinstance(day, date) or isinstance(day, datetime):
+        raise InvalidParams(f"day {day!r} is no date")
+
+
+def check_sensor_id(sensor_id: str) -> None:
+    """Raise ``InvalidParams`` unless ``sensor_id`` is a ``str``."""
+    if not isinstance(sensor_id, str):
+        raise InvalidParams(f"sensor id {sensor_id!r} is not a str")
+
+
+_FLOAT64 = np.dtype(float)
+# dtype kinds whose values are no counts: bool, text, bytes, date, time span and complex
+_NO_COUNT_KINDS = "bUSMmc"
+
+
 def finite_row(values, length: int) -> np.ndarray:
     """``values`` as a float array of shape ``(length,)``; ``WrongShape`` for another shape or
-    no floats (``"abc"``, ragged lists, ints past float range), ``NonFiniteValues`` for NaN, inf."""
+    no numbers (``"abc"``, ragged lists, ints past float range) and for bool, text, bytes,
+    ``datetime64``, ``timedelta64`` or complex values, even ones that would convert (``"1"``,
+    ``True``); ``NonFiniteValues`` for NaN, inf. Int, uint, float and object arrays convert."""
     try:
-        row = np.asarray(values, dtype=float)
+        row = np.asarray(values)
+        if row.dtype is not _FLOAT64:  # a native float64 row needs no conversion
+            if row.dtype.kind in _NO_COUNT_KINDS:
+                raise TypeError(f"{row.dtype} values are refused")
+            row = row.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise WrongShape(f"values do not convert to floats: {exc}") from exc
     if row.shape != (length,):
@@ -140,7 +173,8 @@ class ParseResult:
 class DaySignal:
     """One calendar day of flow on the 288-slot grid.
 
-    ``values`` passes :func:`finite_row`; ``filled_slots`` lists the slot
+    ``date`` passes :func:`check_day`, ``sensor_id`` :func:`check_sensor_id` and
+    ``values`` :func:`finite_row`; ``filled_slots`` lists the slot
     indices (ints by :func:`is_int` in 0..287, else ``SlotOutOfRange``) that
     carried no record and were set to zero. Ingested and synthetic days are
     non-negative; reconstructed days may carry negative raw values.
@@ -152,6 +186,8 @@ class DaySignal:
     filled_slots: frozenset[int] = frozenset()
 
     def __post_init__(self):
+        check_day(self.date)
+        check_sensor_id(self.sensor_id)
         object.__setattr__(self, "values", finite_row(self.values, SLOTS_PER_DAY))
         filled = frozenset(self.filled_slots)
         object.__setattr__(self, "filled_slots", filled)
@@ -166,14 +202,15 @@ class DaySignal:
 
 @dataclass(frozen=True, eq=False)
 class AggregatedSignal:
-    """Flow counts re-windowed to 5 * 2**level minutes; ``level`` passes
-    :func:`check_level`, then ``values`` :func:`finite_row`."""
+    """Flow counts re-windowed to 5 * 2**level minutes; ``source_date`` passes
+    :func:`check_day`, ``level`` :func:`check_level`, then ``values`` :func:`finite_row`."""
 
     values: np.ndarray
     source_date: date
     level: int
 
     def __post_init__(self):
+        check_day(self.source_date)
         check_level(self.level)
         object.__setattr__(self, "values", finite_row(self.values, SLOTS_PER_DAY >> self.level))
 
@@ -264,9 +301,8 @@ def parse_sensor_csv(source) -> ParseResult:
 
 
 def _check_sensor(records: list[SensorRecord], sensor_id: str) -> None:
-    """Raise ``InvalidParams`` for a non-str id, then ``MixedSensors`` for a record of another."""
-    if not isinstance(sensor_id, str):
-        raise InvalidParams(f"sensor id {sensor_id!r} is not a str")
+    """:func:`check_sensor_id`, then ``MixedSensors`` for a record of another sensor."""
+    check_sensor_id(sensor_id)
     if not {sensor_id}.issuperset(map(itemgetter(1), records)):
         others = set(map(itemgetter(1), records)) - {sensor_id}
         raise MixedSensors(f"records from {sorted(others)} labelled {sensor_id!r}")
@@ -277,10 +313,12 @@ def assemble_day(records: Iterable[SensorRecord], day: date, sensor_id: str) -> 
 
     Records dated outside ``day`` are ignored; of records sharing a slot the
     first is placed. Slots without a record are set to zero and reported in
-    ``filled_slots``. Raises ``InvalidParams`` for a non-str ``sensor_id``,
-    ``MixedSensors`` for a record of another sensor, then ``InvalidParams``
-    for a record dated ``day`` whose timestamp is tz-aware or off the grid.
+    ``filled_slots``. Raises ``InvalidParams`` for a ``day`` that is no date
+    (:func:`check_day`) or a non-str ``sensor_id``, ``MixedSensors`` for a
+    record of another sensor, then ``InvalidParams`` for a record dated
+    ``day`` whose timestamp is tz-aware or off the grid.
     """
+    check_day(day)
     records = list(records)
     _check_sensor(records, sensor_id)
     placed: dict[int, float] = {}
@@ -322,16 +360,15 @@ def aggregate(day: DaySignal, level: int) -> AggregatedSignal:
 
 @dataclass(frozen=True)
 class MonthGap:
-    """One month's missing-slot count; ``InvalidParams`` unless the year, the
-    month (in 1-12) and the count (>= 0) are ints by :func:`is_int`."""
+    """One month's missing-slot count; ``InvalidParams`` unless the year and
+    month pass :func:`check_month` and the count is an int (:func:`is_int`) >= 0."""
 
     year: int
     month: int
     missing_slots: int
 
     def __post_init__(self):
-        if not (is_int(self.year) and is_int(self.month) and 1 <= self.month <= 12):
-            raise InvalidParams(f"year {self.year!r} or month {self.month!r} is no int month")
+        check_month(self.year, self.month)
         if not (is_int(n := self.missing_slots) and n >= 0):
             raise InvalidParams(f"missing_slots must be a non-negative int, got {n!r}")
 
@@ -364,11 +401,14 @@ def gap_report(
     A month's missing slots are the sum, over its days in the span, of
     ``SLOTS_PER_DAY`` less the distinct timestamps dated that day (its
     ``bisect`` range of one sorted list); months come in calendar order,
-    each with its ``SEVERITY_LADDER`` label. Checks the sensor id as
-    :func:`assemble_day` does, then raises ``InvalidParams`` if ``end``
-    precedes ``start`` or any timestamp, in the span or not, is off the day
-    grid, so each distinct timestamp is one present slot, at most 288 a day.
+    each with its ``SEVERITY_LADDER`` label. Checks ``start`` and ``end``
+    (:func:`check_day`) and the sensor id as :func:`assemble_day` does, then
+    raises ``InvalidParams`` if ``end`` precedes ``start`` or any timestamp,
+    in the span or not, is off the day grid, so each distinct timestamp is
+    one present slot, at most 288 a day.
     """
+    check_day(start)
+    check_day(end)
     records = list(records)
     _check_sensor(records, sensor_id)
     if end < start:

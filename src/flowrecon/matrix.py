@@ -16,8 +16,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyDayList, InvalidParams, NotBlockConstant, NoTypicalDays, UnknownScenario
-from .ingest import BASE_WINDOW_MINUTES, SLOTS_PER_DAY, DaySignal, check_level, finite_row, is_int
+from .errors import EmptyDayList, NotBlockConstant, NoTypicalDays, UnknownScenario
+from .ingest import (
+    BASE_WINDOW_MINUTES,
+    MAX_AGGREGATION_LEVEL,
+    SLOTS_PER_DAY,
+    DaySignal,
+    check_level,
+    check_month,
+    finite_row,
+    is_int,
+)
 
 TYPICAL_WEEKDAYS = frozenset({1, 2, 3})  # Tuesday, Wednesday, Thursday (Monday = 0)
 
@@ -29,14 +38,26 @@ RATE_BLOCK_SLOTS = 20 // BASE_WINDOW_MINUTES  # 4 slots per 20-minute block
 @dataclass(frozen=True)
 class DaySelectionCriteria:
     """The month whose typical weekdays donate the profile; ``InvalidParams``
-    unless the year and the month (in 1-12) are ints by ``ingest.is_int``."""
+    unless the year and the month pass ``ingest.check_month``."""
 
     year: int
     month: int
 
     def __post_init__(self):
-        if not (is_int(self.year) and is_int(self.month) and 1 <= self.month <= 12):
-            raise InvalidParams(f"year {self.year!r} or month {self.month!r} is no int month")
+        check_month(self.year, self.month)
+
+
+def _detail_residual(row: np.ndarray, level: int) -> np.ndarray:
+    """The detail residual ``r_k`` of ``row`` at ``level``: the row minus its own
+    2**level-block means, as read-only ``(windows, 2**level)`` blocks.
+
+    This is the inverse Haar transform of the row's details up to ``level``.
+    """
+    block = 1 << level
+    blocks = row.reshape(-1, block)
+    residual = blocks - blocks.sum(axis=1, keepdims=True) * (1.0 / block)
+    residual.flags.writeable = False
+    return residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,9 +65,10 @@ class MatrixProfile:
     """Averaged typical-day signal that donates detail coefficients.
 
     ``values`` passes ``ingest.finite_row`` and is kept as a read-only copy, so later
-    changes to the caller's array do not reach the profile and the level-k detail residual
-    ``r_k`` (:meth:`residual`, which checks its level first) is safe to cache per level.
-    ``scenario`` is an int (``ingest.is_int``) 1 or 2, else ``UnknownScenario``.
+    changes to the caller's array do not reach the profile. The detail residual ``r_k`` of
+    every level 1 to ``MAX_AGGREGATION_LEVEL`` is built from that copy once, with the
+    profile, and :meth:`residual` only looks it up. ``scenario`` is an int
+    (``ingest.is_int``) 1 or 2, else ``UnknownScenario``.
     """
 
     values: np.ndarray
@@ -65,24 +87,15 @@ class MatrixProfile:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "member_dates", tuple(self.member_dates))
-        object.__setattr__(self, "_residuals", {})
+        levels = range(1, MAX_AGGREGATION_LEVEL + 1)
+        object.__setattr__(self, "_residuals", tuple(_detail_residual(vals, k) for k in levels))
 
     def residual(self, level: int) -> np.ndarray:
-        """The profile minus its own 2**level-block means, as (windows, 2**level) blocks.
-
-        This is the inverse transform of the profile's Haar details up to
-        ``level``. It is computed once per level and cached read-only, which
-        is safe because the profile's values are a frozen private copy.
-        """
+        """The profile's read-only detail residual ``r_k`` at ``level``, which
+        ``ingest.check_level`` checks first: the profile minus its own
+        2**level-block means, as (windows, 2**level) blocks."""
         check_level(level)
-        cached = self._residuals.get(level)
-        if cached is None:
-            block = 1 << level
-            blocks = self.values.reshape(-1, block)
-            cached = blocks - blocks.sum(axis=1, keepdims=True) * (1.0 / block)
-            cached.flags.writeable = False
-            self._residuals[level] = cached
-        return cached
+        return self._residuals[level - 1]
 
 
 def select_typical_days(

@@ -10,10 +10,10 @@ where ``r_k`` (the inverse of the donor's details alone) is the profile
 minus its own 2**k-block means, ``c = 2**(-k/2)`` for raw counts and
 ``c = 2**(-k)`` with ``rescale_approximation`` (the target's orthonormal
 approximation, which makes the output count-faithful: staircase + r_k).
-``r_k`` depends on the profile alone, so :meth:`MatrixProfile.residual`
-computes it once per profile and level and caches it; a profile's values
-are a read-only private copy, so the cache cannot go stale. Each call
-returns a fresh, writable array.
+``r_k`` depends on the profile alone, so a :class:`MatrixProfile` builds
+it for every level when it is built, and :meth:`MatrixProfile.residual`
+looks it up. :func:`reconstruct_day` returns a fresh, writable array on
+each call.
 
 The paper's "distortion" is the raw mode's ``2**(k/2) * staircase + r_k``:
 after percent normalisation the donor detail is weighted down by

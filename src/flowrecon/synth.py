@@ -16,7 +16,7 @@ from datetime import date
 import numpy as np
 
 from .errors import InvalidParams
-from .ingest import SLOTS_PER_DAY, DaySignal, is_int
+from .ingest import SLOTS_PER_DAY, DaySignal, check_month, is_int
 from .matrix import TYPICAL_WEEKDAYS
 
 DEFAULT_SENSOR_ID = "synthetic-01"
@@ -129,8 +129,10 @@ def generate_corpus(
 
     ``jitter`` perturbs peak centers and the weight mix per day, drawn
     from the same per-date stream as the noise, so a fixed seed yields a
-    byte-identical corpus.
+    byte-identical corpus. ``InvalidParams`` for a year and month that fail
+    ``ingest.check_month`` or a negative or non-finite ``jitter``.
     """
+    check_month(year, month)
     if not 0 <= jitter < math.inf:
         raise InvalidParams("jitter must be non-negative and finite")
     days = []

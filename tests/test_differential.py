@@ -10,11 +10,14 @@ package's ``share_row``. The check also runs with ``evaluate_day``'s
 one-entry memo of the original's and the baseline's terms warm:
 across reconstructions, interleaved pairs, values mutated in place, new
 dates, threads, error cases, the subnormal-share boundary and an
-overflowing difference at an excluded slot.
+overflowing difference at an excluded slot. Each profile's table of detail
+residuals is checked bitwise against the expression a profile once
+evaluated lazily, on the first read of each level.
 """
 
 import dataclasses
 import math
+import pickle
 import sys
 import threading
 from dataclasses import fields
@@ -448,6 +451,42 @@ def test_profile_owns_a_frozen_copy_of_its_values():
     assert np.array_equal(reconstruct_day(matrix, agg, 3).values, before)
     with pytest.raises(ValueError):
         matrix.values[0] = 1.0
+
+
+def lazy_residual(matrix, level):
+    """The residual as a profile once computed it on its first read of a level."""
+    block = 1 << level
+    blocks = matrix.values.reshape(-1, block)
+    return blocks - blocks.sum(axis=1, keepdims=True) * (1.0 / block)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    donor_flows=st.lists(
+        st.one_of(flows, hnp.arrays(float, SLOTS_PER_DAY, elements=st.floats(-1e200, 1e200))),
+        min_size=1,
+        max_size=3,
+    ),
+    scenario=st.sampled_from((1, 2)),
+)
+def test_residual_table_equals_the_lazy_expression_bitwise(donor_flows, scenario):
+    matrix = donor(scenario, donor_flows)
+    for level in range(1, 6):
+        got, want = matrix.residual(level), lazy_residual(matrix, level)
+        assert got.shape == want.shape == (SLOTS_PER_DAY >> level, 1 << level)
+        assert got.tobytes() == want.tobytes()  # bitwise: 0.0 and -0.0 differ here
+        assert not got.flags.writeable
+
+
+def test_reading_a_residual_changes_nothing_in_the_profile():
+    rng = np.random.default_rng(14)
+    matrix = donor(2, [rng.uniform(0, 300, SLOTS_PER_DAY)])
+    before = pickle.dumps(matrix)  # the profile's whole state, residuals included
+    for level in range(1, 6):
+        assert matrix.residual(level) is matrix.residual(level)
+        with pytest.raises(ValueError):
+            matrix.residual(level)[0, 0] = 1.0
+    assert pickle.dumps(matrix) == before
 
 
 def test_reconstruction_does_not_alias_the_cached_residual():

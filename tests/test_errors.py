@@ -30,12 +30,13 @@ from flowrecon.ingest import (
     SensorRecord,
     aggregate,
     assemble_day,
+    day_to_records,
     gap_report,
 )
 from flowrecon.matrix import DaySelectionCriteria, MatrixProfile
 from flowrecon.metrics import DayResult, evaluate_day
 from flowrecon.reconstruct import reconstruct_day, share_row
-from flowrecon.synth import DEFAULT_PARAMS
+from flowrecon.synth import DEFAULT_PARAMS, generate_corpus
 
 DAY = date(2012, 4, 10)
 FLAT = np.ones(SLOTS_PER_DAY)
@@ -172,6 +173,29 @@ def test_day_selection_criteria_invalid():
     raises(InvalidParams, lambda: DaySelectionCriteria(2012, 13))
 
 
+# a build from a year and month, for each type or function that takes one
+MONTH_BUILDS = {
+    "MonthGap": lambda year, month: MonthGap(year, month, 0),
+    "DaySelectionCriteria": DaySelectionCriteria,
+    "generate_corpus": lambda year, month: generate_corpus(DEFAULT_PARAMS, year, month),
+}
+
+
+@pytest.mark.parametrize(
+    "year, month", ((2012, 13), (2012, 0), (2012, -1), (0, 3), (-1, 3), (10000, 3))
+)
+@pytest.mark.parametrize("build", MONTH_BUILDS)
+def test_months_off_the_calendar_are_refused(build, year, month):
+    """generate_corpus returned no days for these, as for a month that has none."""
+    raises(InvalidParams, lambda: MONTH_BUILDS[build](year, month))
+
+
+@pytest.mark.parametrize("year, month", ((1, 1), (9999, 12)))
+@pytest.mark.parametrize("build", MONTH_BUILDS)
+def test_the_first_and_last_calendar_months_are_taken(build, year, month):
+    MONTH_BUILDS[build](year, month)
+
+
 def day_result(**fields):
     """A valid ``DayResult`` with ``fields`` replaced."""
     values = dict(date=DAY, level=1, correlation=0.5, error_pct=1.0,
@@ -195,13 +219,6 @@ def test_day_result_out_of_range():
     raises(InvalidParams, lambda: DayResult(DAY, 1, 0.5, np.nan, 0.5, 1.0, np.nan, 0.1, -3))
 
 
-def warm_residual(level):
-    """``residual`` of a profile whose level-2 residual is already cached."""
-    profile = MatrixProfile(FLAT, 1, ())
-    profile.residual(2)
-    return profile.residual(level)
-
-
 RAMP = DaySignal(DAY, "s1", np.arange(1.0, SLOTS_PER_DAY + 1))
 
 # field -> (its error, a build that puts the value in the field); every
@@ -214,7 +231,6 @@ INT_FIELDS = {
         lambda v: reconstruct_day(MatrixProfile(FLAT, 1, ()), aggregate(RAMP, 2), v),
     ),
     "residual level": (LevelOutOfRange, lambda v: MatrixProfile(FLAT, 1, ()).residual(v)),
-    "cached residual level": (LevelOutOfRange, warm_residual),
     "DayResult level": (LevelOutOfRange, lambda v: day_result(level=v)),
     "evaluate_day level": (LevelOutOfRange, lambda v: evaluate_day(RAMP, RAMP, RAMP, v)),
     "filled slot": (SlotOutOfRange, lambda v: DaySignal(DAY, "s1", FLAT, frozenset({v}))),
@@ -223,6 +239,8 @@ INT_FIELDS = {
     "MonthGap missing_slots": (InvalidParams, lambda v: MonthGap(2012, 3, v)),
     "DaySelectionCriteria year": (InvalidParams, lambda v: DaySelectionCriteria(v, 3)),
     "DaySelectionCriteria month": (InvalidParams, lambda v: DaySelectionCriteria(2012, v)),
+    "generate_corpus year": (InvalidParams, lambda v: generate_corpus(DEFAULT_PARAMS, v, 3)),
+    "generate_corpus month": (InvalidParams, lambda v: generate_corpus(DEFAULT_PARAMS, 2012, v)),
     "DayResult excluded_slots": (InvalidParams, lambda v: day_result(excluded_slots=v)),
     "ProfileParams seed": (InvalidParams, lambda v: replace(DEFAULT_PARAMS, seed=v)),
     "MatrixProfile scenario": (UnknownScenario, lambda v: MatrixProfile(FLAT, v, ())),
@@ -263,6 +281,14 @@ BAD_ROWS = {
     "dict": (lambda n: dict.fromkeys(range(n), 1.0), WrongShape),
     "int beyond float": (lambda n: [10**400] * n, WrongShape),
     "None": (lambda n: None, WrongShape),
+    "list of numeric text": (lambda n: ["1"] * n, WrongShape),
+    "numeric text array": (lambda n: np.array(["1"] * n), WrongShape),
+    "numeric bytes array": (lambda n: np.array([b"1"] * n), WrongShape),
+    "datetime64": (lambda n: np.full(n, np.datetime64("2012-03-06")), WrongShape),
+    "timedelta64": (lambda n: np.arange(n).astype("timedelta64[m]"), WrongShape),
+    "list of bools": (lambda n: [True] * n, WrongShape),
+    "bool array": (lambda n: np.ones(n, dtype=bool), WrongShape),
+    "complex": (lambda n: np.ones(n, dtype=complex), WrongShape),
     "NaN": (with_nan, NonFiniteValues),
     "inf": (lambda n: np.full(n, np.inf), NonFiniteValues),
     "-inf in a list": (lambda n: [1.0] * (n - 1) + [-np.inf], NonFiniteValues),
@@ -276,11 +302,53 @@ def test_signal_arrays_refuse_what_is_no_finite_row(signal, row):
     raises(error, lambda: build(values_of(length)))
 
 
+@pytest.mark.parametrize(
+    "dtype", (list, np.int8, np.uint16, np.int64, np.float32, ">f8", np.longdouble, object)
+)
 @pytest.mark.parametrize("signal", SIGNALS)
-def test_signal_arrays_take_a_list_of_ints(signal):
+def test_signal_arrays_take_ints_floats_and_objects(signal, dtype):
+    """A list of ints, and an int, uint, float or object array, converts to float64."""
     length, build = SIGNALS[signal]
-    values = build(list(range(length))).values
-    assert values.dtype == np.float64 and values.tolist() == list(range(length))
+    counts = np.arange(length) % 100  # fits an int8
+    given = counts.tolist() if dtype is list else counts.astype(dtype)
+    values = build(given).values
+    assert values.dtype == np.float64 and values.tolist() == counts.tolist()
+
+
+FULL_DAY = day_to_records(DaySignal(DAY, "s1", FLAT))
+
+# field -> a build that puts the value in the field; every build succeeds for DAY
+DAY_FIELDS = {
+    "DaySignal date": lambda d: DaySignal(d, "s1", FLAT),
+    "AggregatedSignal source_date": lambda d: AggregatedSignal(np.ones(144), d, 1),
+    "assemble_day day": lambda d: assemble_day(FULL_DAY, d, "s1"),
+    "gap_report start": lambda d: gap_report(FULL_DAY, d, DAY, "s1"),
+    "gap_report end": lambda d: gap_report(FULL_DAY, DAY, d, "s1"),
+}
+
+
+@pytest.mark.parametrize(
+    "value",
+    (
+        datetime(2012, 4, 10),
+        datetime(2012, 4, 10, tzinfo=timezone.utc),
+        "2012-04-10",
+        np.datetime64("2012-04-10"),
+        DAY.toordinal(),
+        None,
+    ),
+    ids=repr,
+)
+@pytest.mark.parametrize("field", DAY_FIELDS)
+def test_day_fields_refuse_what_is_no_date(field, value):
+    """A datetime is a date too, but not a day: assemble_day zero-filled all
+    288 slots of one, and a day's exported stamps read ``...T00:00:00T00:00``."""
+    raises(InvalidParams, lambda: DAY_FIELDS[field](value))
+
+
+@pytest.mark.parametrize("field", DAY_FIELDS)
+def test_day_fields_take_a_date(field):
+    DAY_FIELDS[field](DAY)
 
 
 @pytest.mark.parametrize("sensor_id", (None, 7, b"s1"), ids=repr)
@@ -290,3 +358,4 @@ def test_sensor_id_must_be_text(sensor_id):
     for given in ([], records):
         raises(InvalidParams, lambda: assemble_day(given, DAY, sensor_id))
         raises(InvalidParams, lambda: gap_report(given, DAY, DAY, sensor_id))
+    raises(InvalidParams, lambda: DaySignal(DAY, sensor_id, FLAT))
