@@ -116,7 +116,6 @@ def check_sensor_id(sensor_id: str) -> None:
         raise InvalidParams(f"sensor id {sensor_id!r} is not a str")
 
 
-_FLOAT64 = np.dtype(float)
 # dtype kinds whose values are no counts: bool, text, bytes, date, time span and complex
 _NO_COUNT_KINDS = "bUSMmc"
 
@@ -124,14 +123,14 @@ _NO_COUNT_KINDS = "bUSMmc"
 def finite_row(values, length: int) -> np.ndarray:
     """``values`` as a float array of shape ``(length,)``; ``WrongShape`` for another shape or
     no numbers (``"abc"``, ragged lists, ints past float range) and for bool, text, bytes,
-    ``datetime64``, ``timedelta64`` or complex values, even ones that would convert (``"1"``,
-    ``True``); ``NonFiniteValues`` for NaN, inf. Int, uint, float and object arrays convert."""
+    ``datetime64``, ``timedelta64`` or complex arrays, even ones that would convert (``"1"``,
+    ``True``); ``NonFiniteValues`` for NaN, inf. The refusal goes by the array's dtype: int,
+    uint, float and object arrays convert, with whatever their elements hold."""
     try:
         row = np.asarray(values)
-        if row.dtype is not _FLOAT64:  # a native float64 row needs no conversion
-            if row.dtype.kind in _NO_COUNT_KINDS:
-                raise TypeError(f"{row.dtype} values are refused")
-            row = row.astype(float)
+        if row.dtype.kind in _NO_COUNT_KINDS:
+            raise TypeError(f"{row.dtype} values are refused")
+        row = row.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise WrongShape(f"values do not convert to floats: {exc}") from exc
     if row.shape != (length,):

@@ -219,6 +219,14 @@ def test_day_result_out_of_range():
     raises(InvalidParams, lambda: DayResult(DAY, 1, 0.5, np.nan, 0.5, 1.0, np.nan, 0.1, -3))
 
 
+def warm_residual(level):
+    """``residual`` of a profile that has already answered a level-2 read; no stored
+    level may answer before the level is checked."""
+    profile = MatrixProfile(FLAT, 1, ())
+    profile.residual(2)
+    return profile.residual(level)
+
+
 RAMP = DaySignal(DAY, "s1", np.arange(1.0, SLOTS_PER_DAY + 1))
 
 # field -> (its error, a build that puts the value in the field); every
@@ -231,6 +239,7 @@ INT_FIELDS = {
         lambda v: reconstruct_day(MatrixProfile(FLAT, 1, ()), aggregate(RAMP, 2), v),
     ),
     "residual level": (LevelOutOfRange, lambda v: MatrixProfile(FLAT, 1, ()).residual(v)),
+    "cached residual level": (LevelOutOfRange, warm_residual),
     "DayResult level": (LevelOutOfRange, lambda v: day_result(level=v)),
     "evaluate_day level": (LevelOutOfRange, lambda v: evaluate_day(RAMP, RAMP, RAMP, v)),
     "filled slot": (SlotOutOfRange, lambda v: DaySignal(DAY, "s1", FLAT, frozenset({v}))),
@@ -302,15 +311,22 @@ def test_signal_arrays_refuse_what_is_no_finite_row(signal, row):
     raises(error, lambda: build(values_of(length)))
 
 
+@pytest.mark.parametrize("signal", SIGNALS)
+def test_signal_arrays_take_a_list_of_ints(signal):
+    length, build = SIGNALS[signal]
+    values = build(list(range(length))).values
+    assert values.dtype == np.float64 and values.tolist() == list(range(length))
+
+
 @pytest.mark.parametrize(
-    "dtype", (list, np.int8, np.uint16, np.int64, np.float32, ">f8", np.longdouble, object)
+    "dtype", (np.int8, np.uint16, np.int64, np.float32, ">f8", np.longdouble, object)
 )
 @pytest.mark.parametrize("signal", SIGNALS)
-def test_signal_arrays_take_ints_floats_and_objects(signal, dtype):
-    """A list of ints, and an int, uint, float or object array, converts to float64."""
+def test_signal_arrays_take_int_float_and_object_arrays(signal, dtype):
+    """An int, uint, float or object array converts to float64."""
     length, build = SIGNALS[signal]
     counts = np.arange(length) % 100  # fits an int8
-    given = counts.tolist() if dtype is list else counts.astype(dtype)
+    given = counts.astype(dtype)
     values = build(given).values
     assert values.dtype == np.float64 and values.tolist() == counts.tolist()
 
