@@ -454,7 +454,8 @@ def write_records_csv(records: Sequence[SensorRecord], path) -> None:
     The bytes are what ``csv.writer`` writes: CRLF line ends and minimal
     quoting, which only a sensor id can need. A record the parser would
     reject (tz-aware or off the grid, or a flow whose text is no number in
-    ``[0, inf)``) raises ``InvalidParams`` in the one pass; the file is removed.
+    ``[0, inf)``) raises ``InvalidParams`` in the one pass, as does one whose
+    timestamp is no ``datetime`` or that is no three-field row; the file is removed.
     """
     sensor_cells = _Memo(_csv_cell)
     day_texts = _Memo(date.isoformat)
@@ -466,10 +467,11 @@ def write_records_csv(records: Sequence[SensorRecord], path) -> None:
                 raise ValueError(f"timestamp {ts!r} or flow {flow!r}")
             yield f"{day_texts[ts.date()]}{SLOT_CLOCKS[slot]},{sensor_cells[sensor]},{text}\r\n"
 
+    fh = open(path, "w", encoding="utf-8", newline="")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             fh.write(",".join(RECORD_COLUMNS) + "\r\n")
             fh.writelines(lines())
-    except ValueError as exc:
+    except (ValueError, TypeError, AttributeError) as exc:
         os.remove(path)
         raise InvalidParams(f"a record the parser would reject: {exc!r}") from exc

@@ -14,9 +14,19 @@ module keeps one memo entry: the original's values' bytes and terms, and
 the last baseline's bytes and terms against that original. Keys are the
 exact bytes, compared with ``==``, since values are writable and a key by
 identity could go stale. The entry is one tuple in one module global, so
-a reader in any thread sees matching keys and terms. The relative error
-divides by the original's shares rather than multiplying by their
-reciprocals, which overflow for a subnormal share.
+a reader in any thread sees matching keys and terms.
+
+The relative error divides ``|row - original|`` by the original's divisor
+row: its shares where they are positive and ``inf`` where they are not, so
+a finite difference at an excluded slot divides to exactly ``0.0`` and a
+kept slot's quotient is the plain IEEE one. It divides rather than
+multiplying by reciprocals, which overflow for a subnormal share. A
+quotient over a tiny share can still overflow to ``inf``, and a difference
+that overflowed to ``inf`` in the subtraction (which warns there) divides
+to NaN at an excluded slot; :class:`DayResult` refuses either with
+``InvalidParams``. So that a caller who turns warnings into errors gets that
+refusal and not a numpy ``RuntimeWarning``, the divide runs under
+``np.errstate(over="ignore", invalid="ignore")``.
 
 Every row passes :func:`flowrecon.reconstruct.share_row` first. The tests
 hold :func:`evaluate_day` to the scalar ``pearson``, ``mean_abs_pct_error``
@@ -96,7 +106,7 @@ class _Original(NamedTuple):
     """The terms of an original day that every row scored against it reuses."""
 
     shares: np.ndarray
-    included: np.ndarray  # shares > 0
+    divisor: np.ndarray  # shares, inf where a share is not positive
     kept: int
     centred: np.ndarray
     norm: float  # 0.0 for a constant row
@@ -105,7 +115,7 @@ class _Original(NamedTuple):
 class _Row(NamedTuple):
     """One share row's terms against an original day."""
 
-    error: float  # sum of |row - original| / original over included slots
+    error: float  # sum of |row - original| / original over kept slots
     mad: float  # sum of |row - original|
     cross: float  # centred row . centred original
     norm: float  # 0.0 for a constant row
@@ -133,16 +143,17 @@ _memo: tuple[bytes, _Original, bytes | None, _Row | None] | None = None
 def _original_terms(values: np.ndarray) -> _Original:
     """The terms of an original day's values."""
     shares, centred, norm = _centred_row(values)
-    included = shares > 0
-    return _Original(shares, included, int(np.count_nonzero(included)), centred, norm)
+    kept = shares > 0
+    divisor = np.where(kept, shares, np.inf)
+    return _Original(shares, divisor, int(np.count_nonzero(kept)), centred, norm)
 
 
 def _row_terms(values: np.ndarray, original: _Original) -> _Row:
     """A reconstruction's or baseline's terms against the original's."""
     shares, centred, norm = _centred_row(values)
     diff = np.abs(shares - original.shares)
-    # dividing, not multiplying by 1/share: a subnormal share's reciprocal overflows
-    relative = np.divide(diff, original.shares, out=np.zeros(diff.size), where=original.included)
+    with np.errstate(over="ignore", invalid="ignore"):  # DayResult refuses the inf or NaN
+        relative = diff / original.divisor
     return _Row(float(relative.sum()), float(diff.sum()), float(centred @ original.centred), norm)
 
 
@@ -194,18 +205,8 @@ def evaluate_day(
     )
 
 
-def _lower_median(sorted_values: Sequence[float]) -> float:
-    return float(sorted_values[(len(sorted_values) - 1) // 2])
-
-
-def _stats(values: list[float]) -> tuple[float, float, float, float]:
-    ordered = sorted(values)
-    return (
-        float(np.mean(ordered)),
-        _lower_median(ordered),
-        float(ordered[-1]),
-        float(ordered[0]),
-    )
+# the DayResult fields a LevelSummary row summarizes, in LevelSummary's order
+_SUMMARIZED = ("correlation", "error_pct", "baseline_correlation", "baseline_error_pct")
 
 
 def summarize(results: Sequence[DayResult]) -> list[LevelSummary]:
@@ -222,19 +223,10 @@ def summarize(results: Sequence[DayResult]) -> list[LevelSummary]:
 
     summaries = []
     for level in sorted(by_level):
-        rows = by_level[level]
-        corr = _stats([r.correlation for r in rows])
-        err = _stats([r.error_pct for r in rows])
-        bcorr = _stats([r.baseline_correlation for r in rows])
-        berr = _stats([r.baseline_error_pct for r in rows])
-        summaries.append(
-            LevelSummary(
-                level,
-                BASE_WINDOW_MINUTES << level,
-                *corr,
-                *err,
-                *bcorr,
-                *berr,
-            )
-        )
+        stats = []
+        for name in _SUMMARIZED:
+            ordered = sorted(getattr(r, name) for r in by_level[level])
+            lower_median = ordered[(len(ordered) - 1) // 2]
+            stats += map(float, (np.mean(ordered), lower_median, ordered[-1], ordered[0]))
+        summaries.append(LevelSummary(level, BASE_WINDOW_MINUTES << level, *stats))
     return summaries

@@ -10,7 +10,9 @@ package's ``share_row``. The check also runs with ``evaluate_day``'s
 one-entry memo of the original's and the baseline's terms warm:
 across reconstructions, interleaved pairs, values mutated in place, new
 dates, threads, error cases, the subnormal-share boundary and an
-overflowing difference at an excluded slot. Each profile's table of detail
+overflowing difference at an excluded slot. The relative error term and
+every ``summarize`` row are checked bitwise against the masked divide and
+the per-metric statistics they replaced. Each profile's table of detail
 residuals is checked bitwise against the expression a profile once
 evaluated lazily, on the first read of each level.
 """
@@ -25,17 +27,17 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from flowrecon import metrics
 from flowrecon.errors import FlowReconError, InvalidParams, ZeroDailyTotal
 from flowrecon.haar import WaveletDecomposition, haar_forward, haar_inverse
-from flowrecon.ingest import SLOTS_PER_DAY, DaySignal, aggregate
+from flowrecon.ingest import BASE_WINDOW_MINUTES, SLOTS_PER_DAY, DaySignal, aggregate
 from flowrecon.matrix import MatrixProfile, build_matrix_scenario1, build_matrix_scenario2
-from flowrecon.metrics import DayResult, evaluate_day
-from flowrecon.reconstruct import reconstruct_day, staircase_baseline
+from flowrecon.metrics import DayResult, LevelSummary, evaluate_day, summarize
+from flowrecon.reconstruct import reconstruct_day, share_row, staircase_baseline
 
 from metric_reference import mean_abs_pct_error, normalize_percent, pearson, share_mean_abs_diff
 
@@ -408,9 +410,10 @@ def test_subnormal_share_boundary_matches_reference(share, recon_values):
 
 
 def test_overflowing_difference_at_an_excluded_slot_matches_reference():
-    """|delta| is inf at slot 1, whose original share is negative: the slot is
-    excluded from the error, so only slot 0 makes it inf, never NaN, and the
-    day is refused with ``InvalidParams``."""
+    """|delta| is inf at slot 0 and at slot 1, whose original share is
+    negative: the reference excludes slot 1 from the error, the divisor row
+    makes it NaN, and either way the share MAD is inf, so both refuse the day
+    with ``InvalidParams``."""
     original, recon = np.zeros(SLOTS_PER_DAY), np.zeros(SLOTS_PER_DAY)
     original[:3] = (1e308, -1e308, 1.0)
     recon[:3] = (-1e308, 1e308, 1.0)
@@ -422,6 +425,97 @@ def test_overflowing_difference_at_an_excluded_slot_matches_reference():
             assert_same_outcome(*days, 2)
         got = outcome(evaluate_day, *days, 2)
     assert want is got is InvalidParams
+
+
+def masked_relative_error(diff, shares):
+    """The relative error term as the masked divide before the divisor row wrote it."""
+    return np.divide(diff, shares, out=np.zeros(diff.size), where=shares > 0).sum()
+
+
+# zero, signed-zero, negative and subnormal counts next to ordinary ones
+signed_counts = hnp.arrays(
+    float,
+    SLOTS_PER_DAY,
+    elements=st.one_of(
+        st.floats(-1000.0, 1000.0),
+        st.sampled_from((0.0, -0.0, -1.0, 5e-324, 1e-310, -1e-310)),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(original=signed_counts, row=signed_counts)
+def test_divisor_row_error_equals_the_masked_divide_bitwise(original, row):
+    try:
+        orig_shares, _ = share_row(original)
+        row_shares, _ = share_row(row)
+    except FlowReconError:
+        reject()
+    terms = metrics._original_terms(original)
+    assert terms.kept == np.count_nonzero(orig_shares > 0)
+    with np.errstate(over="ignore"):
+        diff = np.abs(row_shares - orig_shares)
+        want = masked_relative_error(diff, orig_shares)
+    got = metrics._row_terms(row, terms)
+    if math.isnan(got.error):  # inf / inf: |delta| overflowed at an excluded slot
+        assert not np.isfinite(diff[orig_shares <= 0]).all() and got.mad == math.inf
+    else:
+        assert got.error.hex() == float(want).hex()
+
+
+def stats_before(values):
+    """Mean, lower median, max and min as ``summarize`` computed each metric before its loop."""
+    ordered = sorted(values)
+    return (
+        float(np.mean(ordered)),
+        float(ordered[(len(ordered) - 1) // 2]),
+        float(ordered[-1]),
+        float(ordered[0]),
+    )
+
+
+def summarize_before(results):
+    by_level = {}
+    for res in results:
+        by_level.setdefault(res.level, []).append(res)
+    return [
+        LevelSummary(
+            level,
+            BASE_WINDOW_MINUTES << level,
+            *stats_before([r.correlation for r in by_level[level]]),
+            *stats_before([r.error_pct for r in by_level[level]]),
+            *stats_before([r.baseline_correlation for r in by_level[level]]),
+            *stats_before([r.baseline_error_pct for r in by_level[level]]),
+        )
+        for level in sorted(by_level)
+    ]
+
+
+correlations = st.floats(-1.0, 1.0)
+errors = st.floats(0.0, 1e6)
+day_results = st.builds(
+    DayResult,
+    date=st.just(DAY),
+    level=st.integers(1, 5),
+    correlation=correlations,
+    error_pct=errors,
+    baseline_correlation=correlations,
+    baseline_error_pct=errors,
+    share_mad=st.just(0.001),
+    baseline_share_mad=st.just(0.002),
+    excluded_slots=st.integers(0, SLOTS_PER_DAY - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(results=st.lists(day_results, min_size=1, max_size=40), rnd=st.randoms(use_true_random=False))
+def test_summarize_equals_the_per_metric_stats_bitwise(results, rnd):
+    rnd.shuffle(results)
+    got, want = summarize(results), summarize_before(results)
+    assert [s.level for s in got] == [s.level for s in want]
+    for g, w in zip(got, want):
+        for field in fields(LevelSummary):
+            assert float(getattr(g, field.name)).hex() == float(getattr(w, field.name)).hex()
 
 
 @pytest.mark.parametrize("scenario", (1, 2))

@@ -396,6 +396,18 @@ def test_writer_refuses_the_flows_the_parser_drops(tmp_path, flow, kept):
         assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "record",
+    [SensorRecord(date(2012, 3, 6), "s1", 1.0), SensorRecord("2012-03-06T00:05", "s1", 1.0), 5],
+    ids=("date stamp", "text stamp", "no row"),
+)
+def test_writer_refuses_a_record_that_is_no_datetime_row(tmp_path, record):
+    path = tmp_path / "records.csv"
+    with pytest.raises(InvalidParams):
+        write_records_csv(make_records()[:1] + [record], path)
+    assert not path.exists()
+
+
 def test_gap_severity_boundaries():
     def severity(missing_slots):
         return MonthGap(2012, 3, missing_slots).severity

@@ -8,6 +8,7 @@ constant rows) is also checked on ``evaluate_day`` directly.
 """
 
 import math
+import warnings
 from datetime import date
 
 import numpy as np
@@ -20,6 +21,7 @@ from flowrecon.errors import (
     ConstantInput,
     EmptyResults,
     FlowReconError,
+    InvalidParams,
     LengthMismatch,
     ZeroDailyTotal,
 )
@@ -224,6 +226,34 @@ def test_evaluate_day_baseline_self_comparison():
     assert result.correlation == pytest.approx(result.baseline_correlation)
     assert result.error_pct == pytest.approx(result.baseline_error_pct)
     assert result.share_mad == pytest.approx(result.baseline_share_mad)
+
+
+def test_a_subnormal_share_day_is_refused_not_warned_about():
+    """Slot 0's share is subnormal and the reconstruction moves it by about a
+    tenth of the day, so its relative error overflows to inf: a caller that
+    turns warnings into errors gets ``InvalidParams``, not numpy's ``RuntimeWarning``."""
+    values = np.ones(SLOTS_PER_DAY)
+    values[0] = 1e-310
+    moved = np.ones(SLOTS_PER_DAY)
+    moved[0] = 0.1 * SLOTS_PER_DAY
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParams):
+            score(values, moved)
+
+
+def test_an_overflowed_difference_at_an_excluded_slot_gives_no_divide_warning():
+    """|delta| overflows to inf at slot 1, whose original share is negative:
+    the divisor row makes that slot inf / inf, the day is refused, and the
+    divide adds no warning to those the subtraction and products raise."""
+    values, moved = np.zeros(SLOTS_PER_DAY), np.zeros(SLOTS_PER_DAY)
+    values[:3] = (1e308, -1e308, 1.0)
+    moved[:3] = (-1e308, 1e308, 1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidParams):
+            score(values, moved)
+    assert not [w for w in caught if "divide" in str(w.message)]
 
 
 def test_day_result_validates_correlation_range():
