@@ -40,9 +40,9 @@ own. Its public API, module by module:
     ``summarize`` (per-level ``LevelSummary`` rows, lower median).
 ``flowrecon.haar``
     The paper's orthonormal Haar transform (``haar_forward``,
-    ``haar_inverse``, ``WaveletDecomposition``, ``max_levels`` and the
-    single-level steps ``haar_forward_level`` and ``haar_inverse_level``):
-    the reference for the closed-form reconstruction.
+    ``haar_inverse``, ``WaveletDecomposition`` and ``max_levels``): the
+    reference for the closed-form reconstruction, which no other module
+    imports.
 ``flowrecon.synth``
     Seeded synthetic commuter days: ``ProfileParams``, ``PeakSpec``,
     ``DEFAULT_PARAMS``, ``base_profile``, ``generate_day``,

@@ -5,10 +5,6 @@ class FlowReconError(ValueError):
     """Base class for every domain error raised by flowrecon."""
 
 
-class OddLength(FlowReconError):
-    """Signal length must be even for a single transform level; no implicit padding."""
-
-
 class LengthMismatch(FlowReconError):
     """Paired vectors (coefficients or signals) have incompatible lengths."""
 
@@ -27,7 +23,8 @@ class LevelMismatch(FlowReconError):
 
 class WrongShape(FlowReconError):
     """A signal is no float row of the slot or window count its type requires: another shape,
-    no numbers, or bool, text, bytes, date, time-span or complex values (``ingest.finite_row``)."""
+    no numbers, or bool, text, bytes, date, time-span or complex values (``ingest.finite_row``);
+    or a length given to ``haar.max_levels`` is no int >= 1."""
 
 
 class NonFiniteValues(FlowReconError):
@@ -91,7 +88,8 @@ class InvalidParams(FlowReconError):
     that is no date or is a ``datetime`` (``ingest.check_day``), a day,
     assembly or gap-report sensor id that is no str, a date span ending
     before it starts, a record off the day grid or one with a flow the
-    parser rejects (records writer), a negative export vehicle total and a
+    parser rejects (records writer), a gap-report month that is no
+    ``MonthGap`` (gap writer), a negative export vehicle total and a
     day result whose correlation, error, share difference or excluded-slot
     count (an int) lies outside its range (an error must be finite and
     non-negative, so a day whose error overflows is refused).

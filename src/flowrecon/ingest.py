@@ -67,11 +67,10 @@ from .errors import (
     SlotOutOfRange,
     WrongShape,
 )
-from .haar import max_levels
 
 BASE_WINDOW_MINUTES = 5
 SLOTS_PER_DAY = 1440 // BASE_WINDOW_MINUTES  # 288
-MAX_AGGREGATION_LEVEL = max_levels(SLOTS_PER_DAY)  # 5
+MAX_AGGREGATION_LEVEL = 5  # 288 = 2**5 * 9: the deepest level whose windows tile the day
 
 # The day grid: each slot's naive start, its "THH:MM" text and the slot of each start
 SLOT_TIMES = tuple(time(*divmod(slot * BASE_WINDOW_MINUTES, 60)) for slot in range(SLOTS_PER_DAY))
@@ -385,11 +384,18 @@ class GapReport:
     months: tuple[MonthGap, ...]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sensor_id", "year", "month", "missing_slots", "severity"])
-            for m in self.months:
-                writer.writerow([self.sensor_id, m.year, m.month, m.missing_slots, m.severity])
+        """Write one row per month; a month that is no ``MonthGap`` raises
+        ``InvalidParams`` and the file is removed."""
+        fh = open(path, "w", encoding="utf-8", newline="")
+        try:
+            with fh:
+                writer = csv.writer(fh)
+                writer.writerow(["sensor_id", "year", "month", "missing_slots", "severity"])
+                for m in self.months:
+                    writer.writerow([self.sensor_id, m.year, m.month, m.missing_slots, m.severity])
+        except (AttributeError, TypeError, ValueError) as exc:
+            os.remove(path)
+            raise InvalidParams(f"a month that is no MonthGap: {exc!r}") from exc
 
 
 def gap_report(

@@ -27,7 +27,7 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -443,7 +443,9 @@ signed_counts = hnp.arrays(
 )
 
 
-@settings(max_examples=200, deadline=None)
+# both signed rows must pass share_row, which many draws fail, so hypothesis's filter
+# health check failed some runs at random; every kept draw is checked as before
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(original=signed_counts, row=signed_counts)
 def test_divisor_row_error_equals_the_masked_divide_bitwise(original, row):
     try:

@@ -21,7 +21,7 @@ from flowrecon.errors import (
     UnknownScenario,
     WrongShape,
 )
-from flowrecon.haar import haar_forward, max_levels
+from flowrecon.haar import WaveletDecomposition, haar_forward, max_levels
 from flowrecon.ingest import (
     SLOTS_PER_DAY,
     AggregatedSignal,
@@ -253,6 +253,12 @@ INT_FIELDS = {
     "DayResult excluded_slots": (InvalidParams, lambda v: day_result(excluded_slots=v)),
     "ProfileParams seed": (InvalidParams, lambda v: replace(DEFAULT_PARAMS, seed=v)),
     "MatrixProfile scenario": (UnknownScenario, lambda v: MatrixProfile(FLAT, v, ())),
+    "haar_forward levels": (LevelOutOfRange, lambda v: haar_forward(np.arange(8.0), v)),
+    "WaveletDecomposition levels": (
+        LevelOutOfRange,
+        lambda v: WaveletDecomposition(v, [1.0], ([1.0, 2.0], [1.0])),
+    ),
+    "max_levels length": (WrongShape, max_levels),
 }
 
 

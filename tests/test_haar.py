@@ -2,21 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from flowrecon.errors import (
-    LengthMismatch,
-    LevelOutOfRange,
-    NotDyadicallyDivisible,
-    OddLength,
-)
-from flowrecon.haar import (
-    WaveletDecomposition,
-    haar_forward,
-    haar_forward_level,
-    haar_inverse,
-    haar_inverse_level,
-    max_levels,
-)
+from flowrecon.errors import LengthMismatch, LevelOutOfRange, NotDyadicallyDivisible
+from flowrecon.haar import WaveletDecomposition, haar_forward, haar_inverse, max_levels
+
+ROOT2 = math.sqrt(2.0)
+
+
+def forward_level(x):
+    """One analysis step of the orthonormal two-tap filter, the transforms' reference."""
+    x = np.asarray(x, dtype=float)
+    even, odd = x[0::2], x[1::2]
+    return (even + odd) / ROOT2, (even - odd) / ROOT2
+
+
+def inverse_level(a, d):
+    """Exact left-inverse of :func:`forward_level`."""
+    out = np.empty(2 * a.size)
+    out[0::2] = (a + d) / ROOT2
+    out[1::2] = (a - d) / ROOT2
+    return out
 
 
 def pair_filter_oracle(xs):
@@ -32,15 +40,20 @@ def block_sum_oracle(xs, k):
     return [math.fsum(xs[i : i + width]) for i in range(0, len(xs), width)]
 
 
-def test_forward_level_constant_pair():
-    a, d = haar_forward_level([6, 6])
+def level_one(values):
+    dec = haar_forward(values, 1)
+    return dec.approximation, dec.details[0]
+
+
+def test_level_one_forward_constant_pair():
+    a, d = level_one([6, 6])
     np.testing.assert_allclose(a, [8.48528137423857], atol=1e-12)
     np.testing.assert_allclose(d, [0.0], atol=1e-12)
 
 
-def test_forward_level_matches_filter_oracle():
+def test_level_one_forward_matches_filter_oracle():
     signal = [4, 2, 6, 6]
-    a, d = haar_forward_level(signal)
+    a, d = level_one(signal)
     oa, od = pair_filter_oracle(signal)
     np.testing.assert_allclose(a, oa, atol=1e-12)
     np.testing.assert_allclose(d, od, atol=1e-12)
@@ -49,39 +62,52 @@ def test_forward_level_matches_filter_oracle():
     np.testing.assert_allclose(d, [1.414213562373095, 0.0], atol=1e-12)
 
 
-def test_forward_level_zero_signal():
-    a, d = haar_forward_level([0, 0, 0, 0])
+def test_level_one_forward_zero_signal():
+    a, d = level_one([0, 0, 0, 0])
     assert np.array_equal(a, [0, 0])
     assert np.array_equal(d, [0, 0])
 
 
-def test_forward_level_rejects_odd_length():
-    with pytest.raises(OddLength):
-        haar_forward_level([1, 2, 3])
-
-
-def test_forward_level_rejects_non_finite():
+def test_forward_rejects_non_finite():
     with pytest.raises(ValueError):
-        haar_forward_level([1.0, float("nan")])
+        haar_forward([1.0, float("nan")], 1)
 
 
-def test_inverse_level_constant_pair():
-    x = haar_inverse_level([8.48528137423857], [0.0])
+def test_level_one_inverse_constant_pair():
+    x = haar_inverse(WaveletDecomposition(1, [8.48528137423857], ([0.0],)))
     np.testing.assert_allclose(x, [6, 6], atol=1e-12)
 
 
-def test_inverse_level_undoes_forward():
-    x = haar_inverse_level([4.242640687119285, 8.48528137423857], [1.414213562373095, 0.0])
-    np.testing.assert_allclose(x, [4, 2, 6, 6], atol=1e-12)
+def test_level_one_inverse_undoes_forward():
+    dec = WaveletDecomposition(1, [4.242640687119285, 8.48528137423857], ([1.414213562373095, 0.0],))
+    np.testing.assert_allclose(haar_inverse(dec), [4, 2, 6, 6], atol=1e-12)
 
 
-def test_inverse_level_zero():
-    np.testing.assert_array_equal(haar_inverse_level([0], [0]), [0, 0])
+def test_level_one_inverse_zero():
+    np.testing.assert_array_equal(haar_inverse(WaveletDecomposition(1, [0], ([0],))), [0, 0])
 
 
-def test_inverse_level_rejects_mismatched_lengths():
-    with pytest.raises(LengthMismatch):
-        haar_inverse_level([1, 2], [3])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), pairs=st.integers(1, 144))
+def test_transforms_equal_the_single_level_composition_bitwise(data, pairs):
+    """Any finite signal of even length up to 288, at every level 1 to max_levels(n);
+    a coefficient that overflows does so on both sides alike."""
+    n = 2 * pairs
+    level = data.draw(st.integers(1, max_levels(n)), label="level")
+    x = data.draw(hnp.arrays(float, n, elements=st.floats(allow_nan=False, allow_infinity=False)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dec = haar_forward(x, level)
+        approx, details = x, []
+        for _ in range(level):
+            approx, detail = forward_level(approx)
+            details.append(detail)
+        rebuilt = approx
+        for detail in reversed(details):
+            rebuilt = inverse_level(rebuilt, detail)
+        got = haar_inverse(dec)
+    assert dec.approximation.tobytes() == approx.tobytes()
+    assert [d.tobytes() for d in dec.details] == [d.tobytes() for d in details]
+    assert got.tobytes() == rebuilt.tobytes()
 
 
 def test_multilevel_constant_signal():
@@ -103,7 +129,6 @@ def test_multilevel_coefficient_lengths_for_day_grid():
     dec = haar_forward(rng.normal(size=288), 5)
     assert dec.approximation.size == 9
     assert [d.size for d in dec.details] == [144, 72, 36, 18, 9]
-    assert dec.coefficient_count == 288
 
 
 def test_forward_rejects_non_dyadic_lengths():
@@ -135,11 +160,20 @@ def test_single_window_staircase_reconstruction():
     np.testing.assert_allclose(haar_inverse(dec), np.full(8, c), atol=1e-12)
 
 
-def test_malformed_decomposition_rejected():
+@pytest.mark.parametrize(
+    "levels, approximation, details",
+    [
+        (2, [1.0], ([1.0, 2.0, 3.0], [0.5])),
+        (1, [1.0, 2.0], ()),
+        (1, [1.0, 2.0], ([3.0],)),  # details shorter than the approximation
+        (1, [[1.0]], ([1.0],)),  # a 2-D approximation
+        (1, [1.0], ([[1.0]],)),  # a 2-D detail of the right size
+    ],
+)
+def test_malformed_decomposition_rejected(levels, approximation, details):
+    """Refused when built, before any inverse step."""
     with pytest.raises(LengthMismatch):
-        WaveletDecomposition(2, [1.0], ([1.0, 2.0, 3.0], [0.5]))
-    with pytest.raises(LengthMismatch):
-        WaveletDecomposition(1, [1.0, 2.0], ())
+        WaveletDecomposition(levels, approximation, details)
 
 
 def test_max_levels():
@@ -200,7 +234,7 @@ def test_size_preservation_at_every_depth():
     x = rng.normal(size=288)
     for k in range(1, 6):
         dec = haar_forward(x, k)
-        assert dec.coefficient_count == 288
+        assert dec.approximation.size + sum(d.size for d in dec.details) == 288
         assert dec.approximation.size * 2**k == 288
 
 

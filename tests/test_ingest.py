@@ -22,6 +22,7 @@ from flowrecon.ingest import (
     SLOT_TIMES,
     SLOTS_PER_DAY,
     DaySignal,
+    GapReport,
     MonthGap,
     SensorRecord,
     _slot,
@@ -457,6 +458,19 @@ def test_gap_report_serialization(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "sensor_id,year,month,missing_slots,severity"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "months",
+    [(("2019", 1, 5),), (MonthGap(2012, 3, 0), None), 5],
+    ids=("tuple month", "None after a month", "no sequence"),
+)
+def test_gap_writer_refuses_a_month_that_is_no_month_gap(tmp_path, months):
+    """The header, and any month before the bad one, is not left behind."""
+    path = tmp_path / "gaps.csv"
+    with pytest.raises(InvalidParams):
+        GapReport("s1", months).write_csv(path)
+    assert not path.exists()
 
 
 on_grid = st.datetimes().map(

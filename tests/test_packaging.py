@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from flowrecon.haar import max_levels
+from flowrecon.ingest import MAX_AGGREGATION_LEVEL, SLOTS_PER_DAY
+
 tomllib = pytest.importorskip("tomllib")  # Python 3.11+
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,6 +71,38 @@ def test_package_needs_only_numpy_and_the_standard_library():
     assert imports - sys.stdlib_module_names == {"numpy"}
     dependencies = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["dependencies"]
     assert [re.match(r"[\w.-]+", dep).group() for dep in dependencies] == ["numpy"]
+
+
+def imports_haar(source: str) -> bool:
+    """Whether a module imports ``haar``, by any relative or absolute spelling."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return any("haar" in name.split(".") for name in names)
+
+
+def test_no_pipeline_module_imports_the_haar_oracle():
+    """The oracle checks the pipeline and lends it nothing, its level ladder included."""
+    importers = [
+        path.name for path in PACKAGE.glob("*.py")
+        if path.name != "haar.py" and imports_haar(path.read_text(encoding="utf-8"))
+    ]
+    assert importers == []
+    assert MAX_AGGREGATION_LEVEL == max_levels(SLOTS_PER_DAY)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ("from .haar import max_levels", "from . import haar", "import flowrecon.haar",
+     "from flowrecon import haar", "from flowrecon.haar import SQRT2"),
+)
+def test_haar_import_check_finds_each_spelling(source):
+    assert imports_haar(source) and not imports_haar(source.replace("haar", "ingest"))
 
 
 def documented_api() -> dict[str, set[str]]:
