@@ -65,7 +65,8 @@ class WaveletDecomposition:
     ``details`` holds one high-pass vector per level ordered finest first,
     so ``details[0]`` has length N/2 and ``details[levels-1]`` matches the
     approximation length. Every vector is 1-D, so coefficient counts always
-    sum back to N; any other shapes raise :class:`LengthMismatch`.
+    sum back to N; any other shapes raise :class:`LengthMismatch`, and an
+    empty approximation (N = 0) raises :class:`WrongShape`.
     """
 
     levels: int
@@ -80,6 +81,8 @@ class WaveletDecomposition:
             self, "details", tuple(np.asarray(d, dtype=float) for d in self.details)
         )
         _check_levels(self.levels)
+        if not self.approximation.size:  # as haar_forward refuses an empty signal
+            raise WrongShape("approximation must be non-empty")
         m, shapes = self.approximation.size, [d.shape for d in self.details]
         fits = [(m << (self.levels - j),) for j in range(1, len(shapes) + 1)]
         if self.approximation.ndim != 1 or len(shapes) != self.levels or shapes != fits:

@@ -16,15 +16,26 @@ Row rules of :func:`parse_sensor_csv`:
 - A row is rejected and counted when its timestamp is absent, unparseable
   or off the day grid (below), or its flow is absent, unparseable, NaN,
   infinite or negative.
-- The first row of each (sensor, timestamp) key wins; later ones are
-  counted as duplicates.
+- The first row in the file of each (sensor, timestamp) key wins; later
+  ones are counted as duplicates.
+
+Two paths apply these rules. A path or byte stream whose header is exactly
+``RECORD_COLUMNS`` and that holds no quote and no CR outside a CRLF is read
+as one byte buffer, and numpy classifies its lines at fixed offsets. A fast
+row is ``YYYY-MM-DD[ T]HH:MM[:00],<cell>,<flow>``: a date that exists, a
+clock on the grid, the same sensor cell as the file's first fast row, and a
+flow of 1 to 15 plain digits (``12``, not ``12.0``), whose float is exact.
+Its timestamp, flow and record come from columns. Every other line, every
+line of any other file and every line of a text stream is read by ``csv``,
+``datetime.fromisoformat`` and ``float``. Duplicates are found
+once, over the kept rows of both paths in line order: ``np.unique`` of
+(sensor, minute) keys keeps each key's first row. So the records, both
+counts and the shared id strings do not depend on which path read a row.
 
 Kept rows are :class:`SensorRecord` named tuples: immutable, and they unpack
 like, and compare equal to, a plain ``(timestamp, sensor_id, flow_total)``.
-Within one call the kept records share one id string per sensor, and the
-first-wins check hashes each timestamp against its own sensor's set, so a
-row allocates no key of its own; object identity is not part of the
-contract.
+Within one call the kept records share one id string per sensor; object
+identity is not part of the contract.
 
 One table holds the day grid: ``SLOT_OF`` maps each slot start of
 ``SLOT_TIMES`` to its slot. A timestamp is on the grid exactly when it is
@@ -52,6 +63,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -213,22 +225,176 @@ class AggregatedSignal:
         object.__setattr__(self, "values", finite_row(self.values, SLOTS_PER_DAY >> self.level))
 
 
-def _open_text(source):
-    """Return (stream, owns_handle) for a path, text stream or byte stream."""
+_HEADER = ",".join(RECORD_COLUMNS).encode()  # the header line under which the fast path applies
+_SHORTEST_FAST_ROW = 19  # "YYYY-MM-DDTHH:MM,,0"
+_FAST_CELL_BYTES = 64  # a longer sensor cell in the first fast row leaves its rows to the row rules
+_FLOW_DIGITS = 15  # a flow's digits; every int below 10**15 is an exact float
+_CODE_SHIFT = 33  # key (code << 33) + minute: the minutes of years 1..9999 span less than 2**33
+_EPOCH = date(1970, 1, 1).toordinal()
+_NO_FAST_ROWS = (np.zeros(0, np.int32), np.zeros(0, np.int64), np.zeros(0), b"")
+
+
+def _minute(ts: datetime) -> int:
+    """``ts``'s minutes since 1970-01-01 00:00."""
+    return (ts.toordinal() - _EPOCH) * 1440 + ts.hour * 60 + ts.minute
+
+
+def _read(source) -> bytes | None:
+    """The bytes of a path or byte stream, or None for a text stream, which the row
+    rules read as it is. A stream is read to its end and left open. Bytes that are no
+    UTF-8 raise ``UnicodeDecodeError``, as a text read does."""
     if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    if isinstance(source, io.TextIOBase) or hasattr(source, "encoding"):
-        return source, False
-    # byte stream: decode on the fly, caller keeps ownership of the buffer
-    return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
+        with open(source, "rb") as fh:
+            data = fh.read()
+    elif isinstance(source, io.TextIOBase) or hasattr(source, "encoding"):
+        return None
+    else:
+        data = source.read()
+    if not data.isascii():
+        data.decode("utf-8")
+    return data
+
+
+def _body_lines(data: bytes | None):
+    """The buffer of ``data`` and the int32 start and end offsets of its body lines,
+    line ends excluded, when the fast path applies, else None: bytes of fewer than
+    2**31, a ``RECORD_COLUMNS`` header, no quote and no CR outside a CRLF, so that each
+    line is one row to ``csv``."""
+    if data is None or len(data) > np.iinfo(np.int32).max:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    breaks = np.flatnonzero(buf == 10).astype(np.int32)
+    if (not len(breaks) or data[: breaks[0]].removesuffix(b"\r") != _HEADER or b'"' in data
+            or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+        return None
+    starts = breaks + 1
+    ends = np.append(breaks[1:], np.int32(len(buf)))
+    if starts[-1] == len(buf):  # the last LF ends the file
+        starts, ends = starts[:-1], ends[:-1]
+    return buf, starts, ends - (buf[ends - 1] == 13)
+
+
+def _number(buf: np.ndarray, at: np.ndarray, count: int):
+    """The ``count``-digit numbers at offsets ``at`` as int16, and which are all digits."""
+    value = np.zeros(len(at), np.int16)
+    ok = np.ones(len(at), bool)
+    for k in range(count):
+        digit = buf[at + k] - np.uint8(48)  # a byte below "0" wraps past 9
+        ok &= digit < 10
+        value = value * 10 + digit
+    return value, ok
+
+
+def _fast_rows(data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The body lines that hold a fast row, with their minutes since 1970, their flows
+    and the sensor cell they share, classified at fixed offsets by 1-D gathers.
+
+    A fast row is ``YYYY-MM-DD[ T]HH:MM[:00],<cell>,<flow>``: a date of years
+    1..9999 that exists, a time on the 5-minute grid, the sensor cell of the first
+    such row (at most ``_FAST_CELL_BYTES`` bytes) and a flow of 1 to
+    ``_FLOW_DIGITS`` digits.
+    """
+    line = np.flatnonzero(ends - starts >= _SHORTEST_FAST_ROW).astype(np.int32)
+    at, end = starts[line], ends[line]
+    year, ok = _number(buf, at, 4)
+    month, month_ok = _number(buf, at + 5, 2)
+    day, day_ok = _number(buf, at + 8, 2)
+    hour, hour_ok = _number(buf, at + 11, 2)
+    minute, minute_ok = _number(buf, at + 14, 2)
+    sep = buf[at + 10]
+    ok &= month_ok & day_ok & hour_ok & minute_ok & ((sep == 84) | (sep == 32))  # "T", " "
+    ok &= (buf[at + 4] == 45) & (buf[at + 7] == 45) & (buf[at + 13] == 58)  # "-", "-", ":"
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (hour < 24)
+    ok &= (minute < 60) & (minute % BASE_WINDOW_MINUTES == 0)
+    seconds = (buf[at + 16] == 58) & (buf[at + 17] == 48) & (buf[at + 18] == 48)  # ":00"
+    cell_at = at + np.where(seconds, np.int32(20), np.int32(17))
+    ok &= end - cell_at >= 2  # room for an empty cell, a comma and a digit
+    del sep, month_ok, day_ok, hour_ok, minute_ok, seconds, at
+    keep = np.flatnonzero(ok)
+    line, end, cell_at = line[keep], end[keep], cell_at[keep]
+    minute = hour[keep] * np.int16(60) + minute[keep]
+    month_start = year[keep] * np.int32(12) + month[keep] - (1970 * 12 + 1)  # months since 1970
+    month_start = month_start.astype("datetime64[M]")
+    day = day[keep]
+    del year, month, hour, keep
+    days = month_start.astype("datetime64[D]").astype(np.int64)
+    month_days = (month_start + 1).astype("datetime64[D]").astype(np.int64) - days
+    ok = (buf[cell_at - 1] == 44) & (day <= month_days)
+    minutes = (days + day - 1) * 1440 + minute
+    del month_start, month_days, days, day, minute
+    for a, b in zip(cell_at[ok], end[ok]):  # numpy scalars, taken until the first fits
+        cell, comma, flow = data[a:b].partition(b",")
+        if comma and flow.isdigit() and len(flow) <= _FLOW_DIGITS and len(cell) <= _FAST_CELL_BYTES:
+            break
+    else:
+        return _NO_FAST_ROWS
+    flow_at = cell_at + np.int32(len(cell) + 1)
+    ok &= (end - flow_at >= 1) & (end - flow_at <= _FLOW_DIGITS)
+    keep = np.flatnonzero(ok)
+    line, end, cell_at, flow_at = line[keep], end[keep], cell_at[keep], flow_at[keep]
+    minutes = minutes[keep]
+    del keep
+    ok = buf[flow_at - 1] == 44
+    for j, byte in enumerate(cell):
+        ok &= buf[cell_at + j] == byte
+    # the flow's digits, read up to each row's end; an int below 10**15 is an exact float
+    flow = np.zeros(len(line), np.int64)
+    for k in range(int((end - flow_at).max(initial=0))):
+        inside = flow_at + k < end
+        digit = buf[np.where(inside, flow_at + k, flow_at)] - np.uint8(48)
+        ok &= digit < 10
+        flow = np.where(inside, flow * 10 + digit, flow)
+    return line[ok], minutes[ok], flow[ok].astype(float), cell
+
+
+def _row_values(row: list[str], columns: tuple[int, int | None, int, int]):
+    """The row rules: ``(timestamp, sensor, flow)`` of a non-blank ``csv`` row under
+    ``columns`` (timestamp, sensor or None, flow, header width), or None to reject it."""
+    ts_col, sensor_col, flow_col, width = columns
+    if len(row) < width:
+        row += [None] * (width - len(row))  # short row: cells absent
+    text, flow = row[ts_col], row[flow_col]
+    if not text or flow is None:
+        return None
+    try:
+        ts = datetime.fromisoformat(text.strip())
+        flow = float(flow)
+    except ValueError:
+        return None
+    # tz-aware or off the day grid; NaN, negative or infinite flow
+    if _slot(ts) is None or not 0 <= flow < math.inf:
+        return None
+    sensor = (row[sensor_col] or "").strip() if sensor_col is not None else ""
+    return ts, sensor or UNKNOWN_SENSOR, flow
+
+
+def _columns(header: list[str] | None) -> tuple[int, int | None, int, int]:
+    """The row rules' columns of a ``csv`` header; ``EmptyInput`` for none and
+    ``MissingColumn`` for a header without the timestamp or flow column."""
+    if header is None:
+        raise EmptyInput("input CSV has no header row")
+    column = {name: i for i, name in enumerate(header)}  # last repeat wins
+    ts_name, sensor_name, flow_name = RECORD_COLUMNS
+    for required in (ts_name, flow_name):
+        if required not in column:
+            raise MissingColumn(f"required column {required!r} not in header {sorted(column)}")
+    return column[ts_name], column.get(sensor_name), column[flow_name], len(header)
 
 
 def parse_sensor_csv(source) -> ParseResult:
     """Parse a detector CSV in the record layout into validated records.
 
-    ``source`` may be a path, an open text stream or an open byte stream.
-    Returns the kept records together with counts of rejected rows and of
-    duplicate (sensor, timestamp) rows, of which only the first is kept.
+    ``source`` may be a path, an open text stream or an open byte stream; a
+    stream is read to its end and left open. Returns the kept records in file
+    order, with counts of rejected rows and of duplicate (sensor, timestamp)
+    rows, of which the first in the file is kept.
+
+    The source is read once. The fast rows of a path or byte stream (module
+    docstring) are read from its byte buffer at fixed offsets, every other
+    row, and every row of a text stream, by the row rules; the records, both
+    counts and the one id string per sensor are the same whichever path reads
+    a row. Duplicates are found once, over the kept rows
+    of both paths, by their (sensor, minute) keys.
 
     Raises
     ------
@@ -236,66 +402,69 @@ def parse_sensor_csv(source) -> ParseResult:
         If the stream holds no header row.
     MissingColumn
         If a required column is absent from the header.
+    UnicodeDecodeError
+        If the bytes of a path or byte stream are no UTF-8.
     """
-    stream, owns = _open_text(source)
-    try:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyInput("input CSV has no header row")
-        column = {name: i for i, name in enumerate(header)}  # last repeat wins
-        ts_name, sensor_name, flow_name = RECORD_COLUMNS
-        for required in (ts_name, flow_name):
-            if required not in column:
-                raise MissingColumn(
-                    f"required column {required!r} not in header {sorted(column)}"
-                )
-        ts_col, flow_col = column[ts_name], column[flow_name]
-        sensor_col = column.get(sensor_name)
-        width = len(header)
-        fromisoformat = datetime.fromisoformat  # bound once, called per row
-
-        records: list[SensorRecord] = []
-        append = records.append
-        sensors: dict[str, tuple[str, set[datetime]]] = {}  # id -> (shared id, its timestamps)
-        rejected = duplicates = 0
-        for row in reader:
-            if not row:
-                continue  # blank line
-            if len(row) < width:
-                row += [None] * (width - len(row))  # short row: cells absent
-            text, flow = row[ts_col], row[flow_col]
-            if not text or flow is None:
-                rejected += 1
-                continue
-            try:
-                ts = fromisoformat(text.strip())
-                flow = float(flow)
-            except ValueError:
-                rejected += 1
-                continue
-            # tz-aware or off the day grid; NaN, negative or infinite flow
-            if _slot(ts) is None or not 0 <= flow < math.inf:
-                rejected += 1
-                continue
-            sensor = (row[sensor_col] or "").strip() if sensor_col is not None else ""
-            if not sensor:
-                sensor = UNKNOWN_SENSOR
-            entry = sensors.get(sensor)
-            if entry is None:
-                entry = sensors[sensor] = (sensor, set())
-            sensor, seen = entry
-            if ts in seen:
-                duplicates += 1  # erroneously repeated reading: keep the first
-                continue
-            seen.add(ts)
-            append(SensorRecord(ts, sensor, flow))
-        return ParseResult(records, rejected, duplicates)
-    finally:
-        if owns:
-            stream.close()
-        elif isinstance(stream, io.TextIOWrapper) and stream is not source:
-            stream.detach()
+    data = _read(source)
+    body = _body_lines(data)
+    if body is None:
+        reader = csv.reader(source if data is None else io.StringIO(data.decode("utf-8"), newline=""))
+        columns = _columns(next(reader, None))
+        rows = enumerate(reader)
+        lines, minutes, flows, cell = _NO_FAST_ROWS
+    else:
+        columns = _columns(list(RECORD_COLUMNS))
+        buf, starts, ends = body
+        lines, minutes, flows, cell = _fast_rows(data, buf, starts, ends)
+        others = np.ones(len(starts), bool)
+        others[lines] = False
+        others = np.flatnonzero(others)
+        texts = [data[a:b].decode("utf-8")
+                 for a, b in zip(starts[others].tolist(), ends[others].tolist())]
+        rows = zip(others.tolist(), csv.reader(texts))
+        del data, buf, body, starts, ends, others  # before the records are built
+    fast_id = cell.decode("utf-8").strip() or UNKNOWN_SENSOR
+    sensors = {fast_id: (fast_id, 0)}  # id -> (shared id, its code in the dedupe key)
+    row_lines, row_keys, row_records = [], [], []
+    rejected = 0
+    for line, row in rows:
+        if not row:
+            continue  # blank line
+        values = _row_values(row, columns)
+        if values is None:
+            rejected += 1
+            continue
+        ts, sensor, flow = values
+        entry = sensors.get(sensor)
+        if entry is None:
+            entry = sensors[sensor] = (sensor, len(sensors))
+        sensor, code = entry
+        row_lines.append(line)
+        row_keys.append((code << _CODE_SHIFT) + _minute(ts))
+        row_records.append(SensorRecord(ts, sensor, flow))
+    # first wins: of each (sensor, minute) key, the row that comes first in the file
+    row_lines = np.array(row_lines, np.int32)
+    order = np.argsort(np.concatenate((lines, row_lines)))
+    keys = np.concatenate((minutes, np.array(row_keys, np.int64)))[order]
+    _, first = np.unique(keys, return_index=True)
+    kept = np.zeros(len(order), bool)
+    kept[order[first]] = True
+    fast_kept, row_kept = kept[: len(lines)], kept[len(lines):]
+    duplicates = len(order) - len(first)
+    del order, keys, first, kept
+    stamps = (minutes[fast_kept] * 60_000_000).astype("datetime64[us]").tolist()
+    fast_records = list(map(tuple.__new__, repeat(SensorRecord),
+                            zip(stamps, repeat(fast_id), flows[fast_kept].tolist())))
+    del stamps
+    # the kept rows of the row rules go between the fast ones, in line order
+    records, start = [], 0
+    for at, record in zip(np.searchsorted(lines[fast_kept], row_lines[row_kept]).tolist(),
+                          compress(row_records, row_kept.tolist())):
+        records += fast_records[start:at]
+        records.append(record)
+        start = at
+    records += fast_records[start:]
+    return ParseResult(records, rejected, duplicates)
 
 
 def _check_sensor(records: list[SensorRecord], sensor_id: str) -> None:
@@ -378,24 +547,32 @@ class MonthGap:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Per-month missing-slot counts for one sensor over a date span."""
+    """Per-month missing-slot counts for one sensor over a date span.
+
+    ``sensor_id`` passes :func:`check_sensor_id` and ``months`` is kept as a tuple
+    whose every entry is a :class:`MonthGap`; otherwise ``InvalidParams``.
+    """
 
     sensor_id: str
     months: tuple[MonthGap, ...]
 
-    def write_csv(self, path) -> None:
-        """Write one row per month; a month that is no ``MonthGap`` raises
-        ``InvalidParams`` and the file is removed."""
-        fh = open(path, "w", encoding="utf-8", newline="")
+    def __post_init__(self):
+        check_sensor_id(self.sensor_id)
         try:
-            with fh:
-                writer = csv.writer(fh)
-                writer.writerow(["sensor_id", "year", "month", "missing_slots", "severity"])
-                for m in self.months:
-                    writer.writerow([self.sensor_id, m.year, m.month, m.missing_slots, m.severity])
-        except (AttributeError, TypeError, ValueError) as exc:
-            os.remove(path)
-            raise InvalidParams(f"a month that is no MonthGap: {exc!r}") from exc
+            months = tuple(self.months)
+        except TypeError as exc:
+            raise InvalidParams(f"months {self.months!r} are no sequence") from exc
+        if not all(isinstance(m, MonthGap) for m in months):
+            raise InvalidParams(f"months {months!r} hold an entry that is no MonthGap")
+        object.__setattr__(self, "months", months)
+
+    def write_csv(self, path) -> None:
+        """Write one row per month."""
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["sensor_id", "year", "month", "missing_slots", "severity"])
+            for m in self.months:
+                writer.writerow([self.sensor_id, m.year, m.month, m.missing_slots, m.severity])
 
 
 def gap_report(
@@ -445,7 +622,8 @@ class _Memo(dict):
 
 
 def _csv_cell(text: str) -> str:
-    """The cell ``csv.writer`` writes for ``text`` inside a row."""
+    """The cell ``csv.writer`` writes for ``text`` inside a row, after :func:`check_sensor_id`."""
+    check_sensor_id(text)
     buf = io.StringIO()
     csv.writer(buf).writerow(("", text, ""))
     return buf.getvalue()[1:-3]  # drop the empty neighbours and the CRLF
@@ -461,7 +639,8 @@ def write_records_csv(records: Sequence[SensorRecord], path) -> None:
     quoting, which only a sensor id can need. A record the parser would
     reject (tz-aware or off the grid, or a flow whose text is no number in
     ``[0, inf)``) raises ``InvalidParams`` in the one pass, as does one whose
-    timestamp is no ``datetime`` or that is no three-field row; the file is removed.
+    timestamp is no ``datetime``, whose sensor id is no ``str`` (checked once per
+    distinct id) or that is no three-field row; the file is removed.
     """
     sensor_cells = _Memo(_csv_cell)
     day_texts = _Memo(date.isoformat)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from flowrecon.errors import LengthMismatch, LevelOutOfRange, NotDyadicallyDivisible
+from flowrecon.errors import LengthMismatch, LevelOutOfRange, NotDyadicallyDivisible, WrongShape
 from flowrecon.haar import WaveletDecomposition, haar_forward, haar_inverse, max_levels
 
 ROOT2 = math.sqrt(2.0)
@@ -174,6 +174,13 @@ def test_malformed_decomposition_rejected(levels, approximation, details):
     """Refused when built, before any inverse step."""
     with pytest.raises(LengthMismatch):
         WaveletDecomposition(levels, approximation, details)
+
+
+def test_empty_decomposition_rejected_as_forward_rejects_an_empty_signal():
+    with pytest.raises(WrongShape):
+        haar_forward([], 1)
+    with pytest.raises(WrongShape):
+        WaveletDecomposition(1, [], ([],))
 
 
 def test_max_levels():

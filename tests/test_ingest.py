@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowrecon import ingest
 from flowrecon.errors import (
     EmptyInput,
     InvalidParams,
@@ -409,6 +410,23 @@ def test_writer_refuses_a_record_that_is_no_datetime_row(tmp_path, record):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("sensor", [5, None, b"s1", 5.0], ids=("int", "None", "bytes", "float"))
+def test_writer_refuses_a_sensor_id_that_is_no_str(tmp_path, sensor):
+    """An int id would be written as text and parse back as another record (``"5"``)."""
+    path = tmp_path / "records.csv"
+    with pytest.raises(InvalidParams):
+        write_records_csv(make_records()[:1] + [SensorRecord(datetime(2012, 3, 6), sensor, 1.0)], path)
+    assert not path.exists()
+
+
+def test_writer_checks_each_sensor_id_once(tmp_path, monkeypatch):
+    """The id check runs in the writer's per-id cache, not once per record."""
+    calls = []
+    monkeypatch.setattr(ingest, "check_sensor_id", calls.append)
+    write_records_csv(make_records() + make_records(DAY, "s2") + make_records(), tmp_path / "records.csv")
+    assert calls == ["s1", "s2"]
+
+
 def test_gap_severity_boundaries():
     def severity(missing_slots):
         return MonthGap(2012, 3, missing_slots).severity
@@ -466,11 +484,24 @@ def test_gap_report_serialization(tmp_path):
     ids=("tuple month", "None after a month", "no sequence"),
 )
 def test_gap_writer_refuses_a_month_that_is_no_month_gap(tmp_path, months):
-    """The header, and any month before the bad one, is not left behind."""
+    """Refused when the report is built, so no file is written."""
     path = tmp_path / "gaps.csv"
     with pytest.raises(InvalidParams):
-        GapReport("s1", months).write_csv(path)
+        GapReport("s1", months)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("sensor", [5, None, b"s1"], ids=("int", "None", "bytes"))
+def test_gap_report_refuses_a_sensor_id_that_is_no_str(sensor):
+    with pytest.raises(InvalidParams):
+        GapReport(sensor, (MonthGap(2012, 3, 0),))
+
+
+def test_gap_report_keeps_its_months_as_a_tuple():
+    months = [MonthGap(2012, 3, 0), MonthGap(2012, 4, 12)]
+    report = GapReport("s1", iter(months))
+    assert report.months == tuple(months)
+    assert report == GapReport("s1", months) and hash(report) == hash(GapReport("s1", months))
 
 
 on_grid = st.datetimes().map(

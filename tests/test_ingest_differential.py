@@ -12,24 +12,37 @@ negative and unparseable flows, as text or byte streams. Both sides must
 keep the same records, count the same rejected and duplicate rows, and
 raise the same exception type. Flows are compared by ``repr``, so a zero
 must keep its sign (``-0.0 == 0.0`` would hide it).
+
+``record_layout_files`` writes files under the record-layout header whose
+rows are mostly canonical, so the parser's fixed-offset fast path reads
+them, interleaved with rows that only the row rules read: the draws above,
+dates that do not exist, a padded or second sensor, flows past 15 digits or
+with a fraction, duplicates of a fast row written another way, a quoted row
+and a lone CR.
 """
 
 import csv
 import io
+import tracemalloc
 from datetime import date, datetime
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from flowrecon.errors import EmptyInput, FlowReconError, MissingColumn, MixedSensors
 from flowrecon.ingest import (
     BASE_WINDOW_MINUTES,
+    RECORD_COLUMNS,
+    SLOT_TIMES,
     SLOTS_PER_DAY,
     SensorRecord,
+    _body_lines,
+    _fast_rows,
     assemble_day,
     parse_sensor_csv,
+    write_records_csv,
 )
 
 DAYS = (date(2012, 3, 13), date(2012, 3, 14))
@@ -215,6 +228,116 @@ def test_parse_matches_dictreader_reference(case):
     text, as_bytes = case
     expected = outcome(reference_parse, io.StringIO(text, newline=""))
     assert outcome(parse_under_test, stream_of(text, as_bytes)) == expected
+
+
+# canonical dates and clocks, and near-canonical ones the fast path must leave to the row rules
+FAST_DATES = [d.isoformat() for d in DAYS] + ["2012-02-29", "0001-01-01", "9999-12-31"]
+ODD_DATES = ["2011-02-29", "2012-04-31", "0000-01-01", "2012-13-01", "2012-00-10", "2012-03-1a"]
+ODD_CLOCKS = ["24:00", "08:60", "08:03", "8:05", "08:05:01", "08:05:00.000", "08:05+02:00"]
+FAST_FLOWS = st.one_of(
+    st.integers(0, 10**15 - 1).map(str),
+    st.sampled_from(["0", "007", "999999999999999", "000000000000012"]),
+)
+ODD_FLOWS = ["12.0", "0.5", "1.", ".5", "1.2.3", "1234567890123456", "0000000000000012", "1e3", "-0", "0x10"]
+
+
+@st.composite
+def canonical_rows(draw):
+    day = draw(st.sampled_from(FAST_DATES))
+    hour, minute = divmod(draw(st.integers(0, SLOTS_PER_DAY - 1)) * BASE_WINDOW_MINUTES, 60)
+    stamp = f"{day}{draw(st.sampled_from('T '))}{hour:02d}:{minute:02d}{draw(st.sampled_from(['', ':00']))}"
+    return [stamp, draw(st.sampled_from(["s1"] * 6 + ["s2", " s1 "])), draw(FAST_FLOWS)]
+
+
+@st.composite
+def row_rule_rows(draw):
+    kind = draw(st.integers(0, 3))
+    if kind == 0:  # the draws of csv_inputs, without the quote that a writer would add
+        return [draw(timestamps()), draw(st.sampled_from(SENSORS[:6])), draw(st.sampled_from(FLOWS))]
+    stamp, sensor, flow = draw(canonical_rows())
+    if kind == 1:
+        stamp = draw(st.sampled_from(ODD_DATES)) + stamp[10:]
+    elif kind == 2:
+        stamp = stamp[:11] + draw(st.sampled_from(ODD_CLOCKS))
+    else:
+        flow = draw(st.sampled_from(ODD_FLOWS))
+    return [stamp, sensor, flow][: draw(st.sampled_from([3, 3, 3, 2]))]
+
+
+# one key written for each path: the fast layout, and fractional seconds that only fromisoformat reads
+CROSS_PATH_TWINS = ("2012-03-13T08:05,s1,5", "2012-03-13 08:05:00.000,s1,6")
+
+
+@st.composite
+def record_layout_files(draw):
+    rows = [",".join(row) for row in draw(st.lists(
+        st.one_of(canonical_rows(), canonical_rows(), canonical_rows(), row_rule_rows()),
+        min_size=50, max_size=300,
+    ))]
+    twins = CROSS_PATH_TWINS if draw(st.booleans()) else CROSS_PATH_TWINS[::-1]
+    for row in twins * draw(st.integers(0, 2)):
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    if draw(st.integers(0, 4)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), '"2012-03-13T08:10",s1,"7"')
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join([",".join(RECORD_COLUMNS)] + rows)
+    if draw(st.integers(0, 4)) == 0:  # one row ends in a lone CR
+        at = draw(st.integers(0, len(rows) - 1))
+        text = text.replace(end, "\r", at + 1).replace("\r", end, at)
+    return text + (end if draw(st.booleans()) else "")
+
+
+def fast_rows_of(text):
+    data = text.encode("utf-8")
+    body = _body_lines(data)
+    return 0 if body is None else len(_fast_rows(data, *body)[0])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(record_layout_files())
+@example("timestamp,sensor_id,flow_total\n" + "\n".join(CROSS_PATH_TWINS * 2))
+@example("timestamp,sensor_id,flow_total\r\n" + "\r\n".join(CROSS_PATH_TWINS[::-1] * 2) + "\r\n")
+def test_parse_matches_reference_where_the_fast_path_reads(tmp_path, text):
+    """Path, text and byte stream reads all equal the reference, whichever path reads a row."""
+    event("fast rows" if fast_rows_of(text) else "row rules only")
+    path = tmp_path / "records.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = reference_parse(io.StringIO(text, newline=""))
+    for source in (path, stream_of(text, False), stream_of(text, True)):
+        assert parse_under_test(source) == expected
+
+
+def test_canonical_rows_take_the_fast_path():
+    """The strategy above reaches the fast path: its rows written plainly are all fast rows."""
+    text = "timestamp,sensor_id,flow_total\n" + "\n".join(
+        [CROSS_PATH_TWINS[0], "2012-03-13 08:10:00,s1,12", "9999-12-31T23:55,s1,999999999999999"]
+    )
+    assert fast_rows_of(text) == 3
+    assert fast_rows_of(text.replace("\n", "\r\n") + "\r\n") == 3
+    assert fast_rows_of(text.replace("s1,12", "s1,12.0")) == 2  # a fraction: row rules
+    assert fast_rows_of(text.replace("s1,12", 's1,"12"')) == 0  # a quote: row rules only
+
+
+def test_parse_of_a_month_allocates_at_most_2_mb_beyond_its_records(tmp_path):
+    """A 31-day month of records with whole flows as the writer writes them
+    (8,928 fast rows) parses with at most 2 MB of tracemalloc peak beyond what
+    the result keeps: the bound that keeps a sensor-year's parse within the
+    benchmark's peak RSS."""
+    days = [date(2019, 1, d) for d in range(1, 32)]
+    records = [SensorRecord(datetime.combine(day, start), "det-0007", (day.day * 7 + slot) % 300)
+               for day in days for slot, start in enumerate(SLOT_TIMES)]
+    path = tmp_path / "month.csv"
+    write_records_csv(records, path)
+    assert fast_rows_of(path.read_text(encoding="utf-8")) == len(records)
+    parse_sensor_csv(path)  # first-call work out of the measurement
+    tracemalloc.start()
+    try:
+        result = parse_sensor_csv(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.records == records and {type(r.flow_total) for r in result.records} == {float}
+    assert peak - retained <= 2_000_000
 
 
 def test_sensor_record_contract():
