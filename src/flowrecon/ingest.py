@@ -19,23 +19,26 @@ Row rules of :func:`parse_sensor_csv`:
 - The first row in the file of each (sensor, timestamp) key wins; later
   ones are counted as duplicates.
 
-Two paths apply these rules. A path or byte stream whose header is exactly
-``RECORD_COLUMNS`` and that holds no quote and no CR outside a CRLF is read
-as one byte buffer, and numpy classifies its lines at fixed offsets. A fast
-row is ``YYYY-MM-DD[ T]HH:MM[:00],<cell>,<flow>``: a date that exists, a
-clock on the grid, the same sensor cell as the file's first fast row, and a
-flow of 1 to 15 plain digits (``12``, not ``12.0``), whose float is exact.
-Its timestamp, flow and record come from columns. Every other line, every
-line of any other file and every line of a text stream is read by ``csv``,
-``datetime.fromisoformat`` and ``float``. Duplicates are found
-once, over the kept rows of both paths in line order: ``np.unique`` of
-(sensor, minute) keys keeps each key's first row. So the records, both
-counts and the shared id strings do not depend on which path read a row.
+Two paths apply these rules, and both fill one set of columns, one entry
+per row they accept: its line, sensor code, minute since 1970 and flow. A
+path or byte stream whose header is exactly ``RECORD_COLUMNS`` and that
+holds no quote and no CR outside a CRLF is read as one byte buffer, and
+numpy classifies its lines at fixed offsets. A fast row is
+``YYYY-MM-DD[ T]HH:MM[:00],<cell>,<flow>``: a date that exists, a clock on
+the grid, the same sensor cell as the file's first fast row, and a flow of
+1 to 15 plain digits (``12``, not ``12.0``), whose float is exact. Every
+other line, every line of any other file and every line of a text stream is
+read by ``csv``, ``datetime.fromisoformat`` and ``float``. One step then
+takes the columns in line order, dedupes them by ``np.unique`` of (sensor,
+minute) keys, which keeps each key's first row, and builds the kept
+records. So the records, both counts and the shared id strings do not
+depend on which path read a row.
 
-Kept rows are :class:`SensorRecord` named tuples: immutable, and they unpack
-like, and compare equal to, a plain ``(timestamp, sensor_id, flow_total)``.
-Within one call the kept records share one id string per sensor; object
-identity is not part of the contract.
+Kept rows are :class:`SensorRecord` named tuples, each built once from its
+row's columns: immutable, and they unpack like, and compare equal to, a
+plain ``(timestamp, sensor_id, flow_total)``. Within one call the kept
+records share one id string per sensor; object identity is not part of the
+contract.
 
 One table holds the day grid: ``SLOT_OF`` maps each slot start of
 ``SLOT_TIMES`` to its slot. A timestamp is on the grid exactly when it is
@@ -63,7 +66,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
-from itertools import compress, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -382,7 +385,7 @@ def _columns(header: list[str] | None) -> tuple[int, int | None, int, int]:
 
 
 def parse_sensor_csv(source) -> ParseResult:
-    """Parse a detector CSV in the record layout into validated records.
+    r"""Parse a detector CSV in the record layout into validated records.
 
     ``source`` may be a path, an open text stream or an open byte stream; a
     stream is read to its end and left open. Returns the kept records in file
@@ -391,10 +394,17 @@ def parse_sensor_csv(source) -> ParseResult:
 
     The source is read once. The fast rows of a path or byte stream (module
     docstring) are read from its byte buffer at fixed offsets, every other
-    row, and every row of a text stream, by the row rules; the records, both
-    counts and the one id string per sensor are the same whichever path reads
-    a row. Duplicates are found once, over the kept rows
-    of both paths, by their (sensor, minute) keys.
+    row, and every row of a text stream, by the row rules. Both paths fill
+    one set of columns (line, sensor code, minute, flow), which one step
+    dedupes by (sensor, minute) key in line order and turns into records; so
+    the records, both counts and the one id string per sensor are the same
+    whichever path reads a row. Below, the first row is a fast row, its twin
+    with seconds is read by the row rules, and the off-grid row is rejected:
+
+    >>> parsed = parse_sensor_csv(io.BytesIO(b"timestamp,sensor_id,flow_total\n"
+    ...     b"2012-03-13T08:05,s1,5\n2012-03-13 08:05:00.000,s1,6\n2012-03-13T08:07,s1,7\n"))
+    >>> [tuple(rec) for rec in parsed.records], parsed.rejected_rows, parsed.duplicate_rows
+    ([(datetime.datetime(2012, 3, 13, 8, 5), 's1', 5.0)], 1, 1)
 
     Raises
     ------
@@ -424,8 +434,8 @@ def parse_sensor_csv(source) -> ParseResult:
         rows = zip(others.tolist(), csv.reader(texts))
         del data, buf, body, starts, ends, others  # before the records are built
     fast_id = cell.decode("utf-8").strip() or UNKNOWN_SENSOR
-    sensors = {fast_id: (fast_id, 0)}  # id -> (shared id, its code in the dedupe key)
-    row_lines, row_keys, row_records = [], [], []
+    ids = {fast_id: 0}  # id -> its code in the dedupe key; the keys are the shared id strings
+    row_columns = row_lines, row_codes, row_minutes, row_flows = [], [], [], []
     rejected = 0
     for line, row in rows:
         if not row:
@@ -435,35 +445,24 @@ def parse_sensor_csv(source) -> ParseResult:
             rejected += 1
             continue
         ts, sensor, flow = values
-        entry = sensors.get(sensor)
-        if entry is None:
-            entry = sensors[sensor] = (sensor, len(sensors))
-        sensor, code = entry
         row_lines.append(line)
-        row_keys.append((code << _CODE_SHIFT) + _minute(ts))
-        row_records.append(SensorRecord(ts, sensor, flow))
+        row_codes.append(ids.setdefault(sensor, len(ids)))
+        row_minutes.append(_minute(ts))
+        row_flows.append(flow)
+    # one set of columns for the rows of both paths; the fast rows have code 0
+    lines, codes, minutes, flows = (
+        np.concatenate((fast, np.array(rule, fast.dtype)))
+        for fast, rule in zip((lines, np.zeros_like(minutes), minutes, flows), row_columns))
+    order = np.argsort(lines)
     # first wins: of each (sensor, minute) key, the row that comes first in the file
-    row_lines = np.array(row_lines, np.int32)
-    order = np.argsort(np.concatenate((lines, row_lines)))
-    keys = np.concatenate((minutes, np.array(row_keys, np.int64)))[order]
-    _, first = np.unique(keys, return_index=True)
-    kept = np.zeros(len(order), bool)
-    kept[order[first]] = True
-    fast_kept, row_kept = kept[: len(lines)], kept[len(lines):]
-    duplicates = len(order) - len(first)
-    del order, keys, first, kept
-    stamps = (minutes[fast_kept] * 60_000_000).astype("datetime64[us]").tolist()
-    fast_records = list(map(tuple.__new__, repeat(SensorRecord),
-                            zip(stamps, repeat(fast_id), flows[fast_kept].tolist())))
-    del stamps
-    # the kept rows of the row rules go between the fast ones, in line order
-    records, start = [], 0
-    for at, record in zip(np.searchsorted(lines[fast_kept], row_lines[row_kept]).tolist(),
-                          compress(row_records, row_kept.tolist())):
-        records += fast_records[start:at]
-        records.append(record)
-        start = at
-    records += fast_records[start:]
+    _, first = np.unique((codes[order] << _CODE_SHIFT) + minutes[order], return_index=True)
+    kept = order[np.sort(first)]
+    duplicates = len(order) - len(kept)
+    del row_columns, row_lines, row_codes, row_minutes, row_flows, lines, order, first
+    stamps = (minutes[kept] * 60_000_000).astype("datetime64[us]").tolist()
+    records = list(map(tuple.__new__, repeat(SensorRecord),
+                       zip(stamps, map(list(ids).__getitem__, codes[kept].tolist()),
+                           flows[kept].tolist())))
     return ParseResult(records, rejected, duplicates)
 
 

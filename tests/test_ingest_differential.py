@@ -266,6 +266,12 @@ def row_rule_rows(draw):
 
 # one key written for each path: the fast layout, and fractional seconds that only fromisoformat reads
 CROSS_PATH_TWINS = ("2012-03-13T08:05,s1,5", "2012-03-13 08:05:00.000,s1,6")
+# s1 is the fast sensor, so s2 takes the row rules on the same minutes of years 1 and 9999, with a
+# duplicate written both ways: its (sensor, minute) keys before 1970 must not meet s1's
+FIRST_AND_LAST_YEARS = (
+    "0001-01-01T00:05,s1,1", "0001-01-01T00:05,s2,5", "9999-12-31T23:55,s2,2",
+    "9999-12-31T23:55,s1,3", "0001-01-01 00:05:00.000,s2,6", "0001-01-01T00:05,s1,4",
+)
 
 
 @st.composite
@@ -297,6 +303,7 @@ def fast_rows_of(text):
 @given(record_layout_files())
 @example("timestamp,sensor_id,flow_total\n" + "\n".join(CROSS_PATH_TWINS * 2))
 @example("timestamp,sensor_id,flow_total\r\n" + "\r\n".join(CROSS_PATH_TWINS[::-1] * 2) + "\r\n")
+@example("timestamp,sensor_id,flow_total\n" + "\n".join(FIRST_AND_LAST_YEARS))
 def test_parse_matches_reference_where_the_fast_path_reads(tmp_path, text):
     """Path, text and byte stream reads all equal the reference, whichever path reads a row."""
     event("fast rows" if fast_rows_of(text) else "row rules only")
@@ -318,17 +325,23 @@ def test_canonical_rows_take_the_fast_path():
     assert fast_rows_of(text.replace("s1,12", 's1,"12"')) == 0  # a quote: row rules only
 
 
-def test_parse_of_a_month_allocates_at_most_2_mb_beyond_its_records(tmp_path):
+@pytest.mark.parametrize("every", [0, 50], ids=["all fast", "every 50th by the row rules"])
+def test_parse_of_a_month_allocates_at_most_2_mb_beyond_its_records(tmp_path, every):
     """A 31-day month of records with whole flows as the writer writes them
     (8,928 fast rows) parses with at most 2 MB of tracemalloc peak beyond what
     the result keeps: the bound that keeps a sensor-year's parse within the
-    benchmark's peak RSS."""
+    benchmark's peak RSS. With ``every`` = 50, every 50th flow gains 0.5, so
+    179 rows take the row rules and the build of both paths' records is
+    measured too."""
     days = [date(2019, 1, d) for d in range(1, 32)]
     records = [SensorRecord(datetime.combine(day, start), "det-0007", (day.day * 7 + slot) % 300)
                for day in days for slot, start in enumerate(SLOT_TIMES)]
+    fractional = range(0, len(records), every) if every else range(0)
+    for i in fractional:
+        records[i] = records[i]._replace(flow_total=records[i].flow_total + 0.5)
     path = tmp_path / "month.csv"
     write_records_csv(records, path)
-    assert fast_rows_of(path.read_text(encoding="utf-8")) == len(records)
+    assert fast_rows_of(path.read_text(encoding="utf-8")) == len(records) - len(fractional)
     parse_sensor_csv(path)  # first-call work out of the measurement
     tracemalloc.start()
     try:
