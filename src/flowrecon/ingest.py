@@ -54,6 +54,13 @@ rules check the package's fields, each field raising its own error:
 :func:`finite_row` every signal array, :func:`is_int` every integer field
 (:func:`check_level` a level, :func:`check_month` a year and month),
 :func:`check_day` every day and :func:`check_sensor_id` every sensor id.
+Every signal built through the :class:`DaySignal` or :class:`AggregatedSignal`
+constructor, as outside input is, passes all of them. The signals that
+:func:`aggregate`, ``reconstruct.staircase_baseline`` and
+``reconstruct.reconstruct_day`` compute from checked signals inherit their
+date, level, empty sensor id and empty ``filled_slots``, and get their shape
+and float dtype from the arithmetic; so they pass the finiteness check only,
+which an overflow can fail.
 """
 
 from __future__ import annotations
@@ -190,7 +197,9 @@ class DaySignal:
     ``values`` :func:`finite_row`; ``filled_slots`` lists the slot
     indices (ints by :func:`is_int` in 0..287, else ``SlotOutOfRange``) that
     carried no record and were set to zero. Ingested and synthetic days are
-    non-negative; reconstructed days may carry negative raw values.
+    non-negative; reconstructed days may carry negative raw values. The
+    constructor checks every field; a staircase or a reconstruction, whose
+    fields hold by construction, has only its values checked to be finite.
     """
 
     date: date
@@ -216,7 +225,10 @@ class DaySignal:
 @dataclass(frozen=True, eq=False)
 class AggregatedSignal:
     """Flow counts re-windowed to 5 * 2**level minutes; ``source_date`` passes
-    :func:`check_day`, ``level`` :func:`check_level`, then ``values`` :func:`finite_row`."""
+    :func:`check_day`, ``level`` :func:`check_level`, then ``values`` :func:`finite_row`.
+
+    :func:`aggregate` checks only the level it is given and its sums' finiteness: the
+    date and the row's shape and dtype come from a checked :class:`DaySignal`."""
 
     values: np.ndarray
     source_date: date
@@ -226,6 +238,21 @@ class AggregatedSignal:
         check_day(self.source_date)
         check_level(self.level)
         object.__setattr__(self, "values", finite_row(self.values, SLOTS_PER_DAY >> self.level))
+
+
+def _derived(cls, values: np.ndarray, **fields):
+    """A ``cls`` signal that the library computed from signals it has already checked.
+
+    ``values`` is a fresh float row of the class's shape and ``fields`` are its other
+    fields, taken from those signals, so every rule holds by construction except the
+    one that arithmetic can break: ``values`` must be finite, else ``NonFiniteValues``
+    as :func:`finite_row` raises it. Outside input goes through the class itself.
+    """
+    if not np.isfinite(values).all():
+        raise NonFiniteValues("values must be finite")
+    signal = object.__new__(cls)
+    vars(signal).update(fields, values=values)
+    return signal
 
 
 _HEADER = ",".join(RECORD_COLUMNS).encode()  # the header line under which the fast path applies
@@ -521,7 +548,7 @@ def aggregate(day: DaySignal, level: int) -> AggregatedSignal:
     """
     check_level(level)
     sums = day.values.reshape(-1, 1 << level).sum(axis=1)
-    return AggregatedSignal(sums, day.date, level)
+    return _derived(AggregatedSignal, sums, source_date=day.date, level=level)
 
 
 @dataclass(frozen=True)

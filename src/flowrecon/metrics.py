@@ -26,7 +26,11 @@ that overflowed to ``inf`` in the subtraction (which warns there) divides
 to NaN at an excluded slot; :class:`DayResult` refuses either with
 ``InvalidParams``. So that a caller who turns warnings into errors gets that
 refusal and not a numpy ``RuntimeWarning``, the divide runs under
-``np.errstate(over="ignore", invalid="ignore")``.
+``np.errstate(over="ignore", invalid="ignore")`` unless no quotient can
+overflow: when every kept share of the original is at least 1e-150 and the
+centred norms of the original and the row are below 1e150, each ``|delta|``
+is below 2e150 + 2 and each quotient below 1e301, and the divide runs plain,
+without the ``errstate`` and its cost. Either way the quotients are the same.
 
 Every row passes :func:`flowrecon.reconstruct.share_row` first. The tests
 hold :func:`evaluate_day` to the scalar ``pearson``, ``mean_abs_pct_error``
@@ -65,13 +69,13 @@ class DayResult:
 
     def __post_init__(self):
         check_level(self.level)
-        for r in (self.correlation, self.baseline_correlation):
-            if not -1.0 <= r <= 1.0:
-                raise InvalidParams(f"correlation {r} outside [-1, 1]")
-        errors = (self.error_pct, self.baseline_error_pct, self.share_mad, self.baseline_share_mad)
-        for error in errors:
-            if not 0 <= error < math.inf:  # NaN fails too
-                raise InvalidParams(f"error {error} is not finite and >= 0")
+        r, br = self.correlation, self.baseline_correlation
+        if not -1.0 <= r <= 1.0 >= br >= -1.0:  # NaN fails every comparison
+            raise InvalidParams(f"correlation {r} or {br} outside [-1, 1]")
+        e, be = self.error_pct, self.baseline_error_pct
+        mad, bmad = self.share_mad, self.baseline_share_mad
+        if not 0 <= e < math.inf > be >= 0 <= mad < math.inf > bmad >= 0:
+            raise InvalidParams(f"error {e}, {be}, {mad} or {bmad} is not finite and >= 0")
         if not (is_int(self.excluded_slots) and 0 <= self.excluded_slots < SLOTS_PER_DAY):
             raise InvalidParams(
                 f"excluded_slots {self.excluded_slots!r} is no int in [0, {SLOTS_PER_DAY})"
@@ -110,6 +114,7 @@ class _Original(NamedTuple):
     kept: int
     centred: np.ndarray
     norm: float  # 0.0 for a constant row
+    bounded: bool  # every kept share >= _SHARE_FLOOR and norm < _NORM_CEILING
 
 
 class _Row(NamedTuple):
@@ -139,21 +144,31 @@ def _centred_row(values: np.ndarray):
 # (original bytes, its terms, baseline bytes, its terms against the original)
 _memo: tuple[bytes, _Original, bytes | None, _Row | None] | None = None
 
+# Below these bounds no quotient of the relative error can overflow: each |delta| is
+# at most the two centred norms plus the two share means, < 2e150 + 2, and each kept
+# share is >= 1e-150, so every quotient is < 1e301.
+_SHARE_FLOOR = 1e-150
+_NORM_CEILING = 1e150
+
 
 def _original_terms(values: np.ndarray) -> _Original:
     """The terms of an original day's values."""
     shares, centred, norm = _centred_row(values)
     kept = shares > 0
     divisor = np.where(kept, shares, np.inf)
-    return _Original(shares, divisor, int(np.count_nonzero(kept)), centred, norm)
+    bounded = float(divisor.min()) >= _SHARE_FLOOR and norm < _NORM_CEILING
+    return _Original(shares, divisor, int(np.count_nonzero(kept)), centred, norm, bounded)
 
 
 def _row_terms(values: np.ndarray, original: _Original) -> _Row:
     """A reconstruction's or baseline's terms against the original's."""
     shares, centred, norm = _centred_row(values)
     diff = np.abs(shares - original.shares)
-    with np.errstate(over="ignore", invalid="ignore"):  # DayResult refuses the inf or NaN
+    if original.bounded and norm < _NORM_CEILING:  # a NaN norm fails: the quiet path
         relative = diff / original.divisor
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # DayResult refuses the inf or NaN
+            relative = diff / original.divisor
     return _Row(float(relative.sum()), float(diff.sum()), float(centred @ original.centred), norm)
 
 

@@ -39,10 +39,20 @@ from .errors import (
     SharesNotNormalized,
     ZeroDailyTotal,
 )
-from .ingest import SLOT_CLOCKS, AggregatedSignal, DaySignal
+from .ingest import (
+    MAX_AGGREGATION_LEVEL,
+    SLOT_CLOCKS,
+    SLOTS_PER_DAY,
+    AggregatedSignal,
+    DaySignal,
+    _derived,
+)
 from .matrix import MatrixProfile
 
 SHARE_SUM_TOL = 1e-9
+
+# the window of each slot at levels 1..MAX_AGGREGATION_LEVEL: _WINDOW_OF[level - 1] == slot >> level
+_WINDOW_OF = tuple(np.arange(SLOTS_PER_DAY) >> k for k in range(1, MAX_AGGREGATION_LEVEL + 1))
 
 
 def share_row(values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -79,7 +89,8 @@ def reconstruct_day(
         raise LevelMismatch(f"aggregated level {aggregated.level} != levels {levels}")
     scale = 2.0 ** (-levels if rescale_approximation else -levels / 2)
     values = residual + (aggregated.values * scale)[:, None]
-    return DaySignal(aggregated.source_date, "", values.ravel(), frozenset())
+    return _derived(DaySignal, values.ravel(), date=aggregated.source_date, sensor_id="",
+                    filled_slots=frozenset())
 
 
 def staircase_baseline(aggregated: AggregatedSignal) -> DaySignal:
@@ -89,9 +100,10 @@ def staircase_baseline(aggregated: AggregatedSignal) -> DaySignal:
     all-zero details, rescaled to conserve counts. This is the
     comparison floor for any reconstruction.
     """
-    block = 1 << aggregated.level
-    values = np.repeat(aggregated.values / block, block)
-    return DaySignal(aggregated.source_date, "", values, frozenset())
+    level = aggregated.level
+    values = (aggregated.values / (1 << level))[_WINDOW_OF[level - 1]]
+    return _derived(DaySignal, values, date=aggregated.source_date, sensor_id="",
+                    filled_slots=frozenset())
 
 
 def _reconstruction_columns(

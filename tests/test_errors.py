@@ -205,13 +205,18 @@ def day_result(**fields):
 
 
 def test_day_result_out_of_range():
-    raises(InvalidParams, lambda: day_result(correlation=1.5))
+    for name in ("correlation", "baseline_correlation"):
+        for value in (1.5, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), np.nan, np.inf):
+            raises(InvalidParams, lambda: day_result(**{name: value}))
+        for value in (-1.0, 1.0):
+            day_result(**{name: value})
     raises(InvalidParams, lambda: day_result(baseline_error_pct=-1.0))
     for name in ("error_pct", "baseline_error_pct", "share_mad", "baseline_share_mad"):
         # a subnormal original share gives an inf error: refused, as NaN is
-        for value in (np.nan, -1e-300, -np.inf, np.inf):
+        for value in (np.nan, -1e-300, -5e-324, -np.inf, np.inf):
             raises(InvalidParams, lambda: day_result(**{name: value}))
-        day_result(**{name: np.finfo(float).max})
+        for value in (np.finfo(float).max, -0.0):
+            day_result(**{name: value})
     for excluded in (-3, -1, SLOTS_PER_DAY, SLOTS_PER_DAY + 1):
         raises(InvalidParams, lambda: day_result(excluded_slots=excluded))
     day_result(excluded_slots=SLOTS_PER_DAY - 1)
