@@ -19,16 +19,16 @@ Row rules of :func:`parse_sensor_csv`:
 - The first row in the file of each (sensor, timestamp) key wins; later
   ones are counted as duplicates.
 
-Two paths apply these rules, and both fill one set of columns, one entry
-per row they accept: its line, sensor code, minute since 1970 and flow. A
-path or byte stream whose header is exactly ``RECORD_COLUMNS`` and that
-holds no quote and no CR outside a CRLF is read as one byte buffer, and
-numpy classifies its lines at fixed offsets. A fast row is
-``YYYY-MM-DD[ T]HH:MM[:00],<cell>,<flow>``: a date that exists, a clock on
-the grid, the same sensor cell as the file's first fast row, and a flow of
-1 to 15 plain digits (``12``, not ``12.0``), whose float is exact. Every
-other line, every line of any other file and every line of a text stream is
-read by ``csv``, ``datetime.fromisoformat`` and ``float``. One step then
+Every source is read as one byte buffer, a text stream's text as UTF-8, and
+its bytes decide which of two paths reads a row. Both fill one set of
+columns, one entry per row they accept: its line, sensor code, minute since
+1970 and flow. When the header is exactly ``RECORD_COLUMNS`` and the bytes
+hold no quote and no CR outside a CRLF, numpy classifies the lines at fixed
+offsets. A fast row is ``YYYY-MM-DD[ T]HH:MM[:00],<cell>,<flow>``: a date
+that exists, a clock on the grid, the same sensor cell as the file's first
+fast row, and a flow of 1 to 15 plain digits (``12``, not ``12.0``), whose
+float is exact. Every other line, and every line of any other file, is read
+by ``csv``, ``datetime.fromisoformat`` and ``float``. One step then
 takes the columns in line order, dedupes them by ``np.unique`` of (sensor,
 minute) keys, which keeps each key's first row, and builds the kept
 records. So the records, both counts and the shared id strings do not
@@ -261,7 +261,7 @@ _FAST_CELL_BYTES = 64  # a longer sensor cell in the first fast row leaves its r
 _FLOW_DIGITS = 15  # a flow's digits; every int below 10**15 is an exact float
 _CODE_SHIFT = 33  # key (code << 33) + minute: the minutes of years 1..9999 span less than 2**33
 _EPOCH = date(1970, 1, 1).toordinal()
-_NO_FAST_ROWS = (np.zeros(0, np.int32), np.zeros(0, np.int64), np.zeros(0), b"")
+_NO_FAST_ROWS = (np.zeros(0, np.intp), np.zeros(0, np.int64), np.zeros(0), b"")
 
 
 def _minute(ts: datetime) -> int:
@@ -269,36 +269,34 @@ def _minute(ts: datetime) -> int:
     return (ts.toordinal() - _EPOCH) * 1440 + ts.hour * 60 + ts.minute
 
 
-def _read(source) -> bytes | None:
-    """The bytes of a path or byte stream, or None for a text stream, which the row
-    rules read as it is. A stream is read to its end and left open. Bytes that are no
-    UTF-8 raise ``UnicodeDecodeError``, as a text read does."""
+def _read(source) -> bytes:
+    """The one buffer of every source: the bytes of a path or byte stream, or the text
+    of a stream whose ``read()`` returns ``str`` as UTF-8 (``UnicodeEncodeError`` for a
+    lone surrogate). A stream is read to its end and left open. Bytes that are no UTF-8
+    raise ``UnicodeDecodeError``, as a text read does."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             data = fh.read()
-    elif isinstance(source, io.TextIOBase) or hasattr(source, "encoding"):
-        return None
     else:
         data = source.read()
+    if isinstance(data, str):
+        return data.encode("utf-8")
     if not data.isascii():
         data.decode("utf-8")
     return data
 
 
-def _body_lines(data: bytes | None):
-    """The buffer of ``data`` and the int32 start and end offsets of its body lines,
-    line ends excluded, when the fast path applies, else None: bytes of fewer than
-    2**31, a ``RECORD_COLUMNS`` header, no quote and no CR outside a CRLF, so that each
-    line is one row to ``csv``."""
-    if data is None or len(data) > np.iinfo(np.int32).max:
-        return None
+def _body_lines(data: bytes):
+    """The buffer of ``data`` and the start and end offsets of its body lines, line
+    ends excluded, when the fast path applies, else None: a ``RECORD_COLUMNS`` header,
+    no quote and no CR outside a CRLF, so that each line is one row to ``csv``."""
     buf = np.frombuffer(data, np.uint8)
-    breaks = np.flatnonzero(buf == 10).astype(np.int32)
+    breaks = np.flatnonzero(buf == 10)
     if (not len(breaks) or data[: breaks[0]].removesuffix(b"\r") != _HEADER or b'"' in data
             or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None
     starts = breaks + 1
-    ends = np.append(breaks[1:], np.int32(len(buf)))
+    ends = np.append(breaks[1:], len(buf))
     if starts[-1] == len(buf):  # the last LF ends the file
         starts, ends = starts[:-1], ends[:-1]
     return buf, starts, ends - (buf[ends - 1] == 13)
@@ -324,7 +322,7 @@ def _fast_rows(data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarra
     such row (at most ``_FAST_CELL_BYTES`` bytes) and a flow of 1 to
     ``_FLOW_DIGITS`` digits.
     """
-    line = np.flatnonzero(ends - starts >= _SHORTEST_FAST_ROW).astype(np.int32)
+    line = np.flatnonzero(ends - starts >= _SHORTEST_FAST_ROW)
     at, end = starts[line], ends[line]
     year, ok = _number(buf, at, 4)
     month, month_ok = _number(buf, at + 5, 2)
@@ -337,7 +335,7 @@ def _fast_rows(data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarra
     ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (hour < 24)
     ok &= (minute < 60) & (minute % BASE_WINDOW_MINUTES == 0)
     seconds = (buf[at + 16] == 58) & (buf[at + 17] == 48) & (buf[at + 18] == 48)  # ":00"
-    cell_at = at + np.where(seconds, np.int32(20), np.int32(17))
+    cell_at = at + np.where(seconds, 20, 17)
     ok &= end - cell_at >= 2  # room for an empty cell, a comma and a digit
     del sep, month_ok, day_ok, hour_ok, minute_ok, seconds, at
     keep = np.flatnonzero(ok)
@@ -358,7 +356,7 @@ def _fast_rows(data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarra
             break
     else:
         return _NO_FAST_ROWS
-    flow_at = cell_at + np.int32(len(cell) + 1)
+    flow_at = cell_at + (len(cell) + 1)
     ok &= (end - flow_at >= 1) & (end - flow_at <= _FLOW_DIGITS)
     keep = np.flatnonzero(ok)
     line, end, cell_at, flow_at = line[keep], end[keep], cell_at[keep], flow_at[keep]
@@ -419,11 +417,10 @@ def parse_sensor_csv(source) -> ParseResult:
     order, with counts of rejected rows and of duplicate (sensor, timestamp)
     rows, of which the first in the file is kept.
 
-    The source is read once. The fast rows of a path or byte stream (module
-    docstring) are read from its byte buffer at fixed offsets, every other
-    row, and every row of a text stream, by the row rules. Both paths fill
-    one set of columns (line, sensor code, minute, flow), which one step
-    dedupes by (sensor, minute) key in line order and turns into records; so
+    The source is read once, into one byte buffer, a text stream's text as
+    UTF-8; so text parses exactly as its bytes do, and a lone CR ends a row.
+    The fast rows (module docstring) are read from the buffer at fixed
+    offsets, every other row by the row rules, into one set of columns; so
     the records, both counts and the one id string per sensor are the same
     whichever path reads a row. Below, the first row is a fast row, its twin
     with seconds is read by the row rules, and the off-grid row is rejected:
@@ -441,11 +438,13 @@ def parse_sensor_csv(source) -> ParseResult:
         If a required column is absent from the header.
     UnicodeDecodeError
         If the bytes of a path or byte stream are no UTF-8.
+    UnicodeEncodeError
+        If a text stream's text holds a lone surrogate, which UTF-8 cannot encode.
     """
     data = _read(source)
     body = _body_lines(data)
     if body is None:
-        reader = csv.reader(source if data is None else io.StringIO(data.decode("utf-8"), newline=""))
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
         columns = _columns(next(reader, None))
         rows = enumerate(reader)
         lines, minutes, flows, cell = _NO_FAST_ROWS

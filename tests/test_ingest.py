@@ -1,3 +1,4 @@
+import codecs
 import inspect
 import io
 import math
@@ -157,6 +158,63 @@ def test_parse_byte_stream():
         (datetime(2012, 3, 13, 8, 5), "unknown", 110.0),
     ]
     assert (result.rejected_rows, result.duplicate_rows) == (0, 0)
+
+
+CRLF_RECORDS = (
+    "timestamp,sensor_id,flow_total\r\n"
+    "2012-03-13T08:00,s1,120\r\n"
+    "2012-03-13T08:05,s1,131\r\n"
+    "2012-03-13 08:10:00,s1,95\r\n"
+    "2012-03-13T08:10,s1,96\r\n"  # duplicate
+    "2012-03-13T08:12,s1,7\r\n"  # off the grid
+)
+
+
+def test_a_codecs_stream_reader_parses_as_its_bytes():
+    """A stream whose read() returns str, though it is no io.TextIOBase and has no
+    encoding attribute, is read as the text of its bytes."""
+    raw = CRLF_RECORDS.encode("utf-8")
+    result = parse_sensor_csv(codecs.getreader("utf-8")(io.BytesIO(raw)))
+    assert result == parse_sensor_csv(io.BytesIO(raw))
+    assert (len(result.records), result.rejected_rows, result.duplicate_rows) == (3, 1, 1)
+
+
+def test_a_text_stream_of_canonical_rows_takes_the_fast_path(monkeypatch):
+    """Text is parsed from its UTF-8 bytes, so its canonical rows are fast rows."""
+    fast, real = [], ingest._fast_rows
+
+    def spy(*args):
+        rows = real(*args)
+        fast.append(len(rows[0]))
+        return rows
+
+    monkeypatch.setattr(ingest, "_fast_rows", spy)
+    result = parse_sensor_csv(csv_stream(CRLF_RECORDS))
+    assert fast == [4]  # the off-grid row takes the row rules
+    assert result == parse_sensor_csv(io.BytesIO(CRLF_RECORDS.encode("utf-8")))
+
+
+def test_a_text_file_with_universal_newlines_parses_as_its_path(tmp_path):
+    """open() with default newlines turns CRLF into LF; the parse equals the path's."""
+    path = tmp_path / "records.csv"
+    path.write_bytes(CRLF_RECORDS.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        assert parse_sensor_csv(fh) == parse_sensor_csv(path)
+
+
+def test_a_lone_cr_in_a_text_stream_ends_a_row_as_in_its_bytes():
+    """An unquoted lone CR in a text stream ends a row, as it does in the same bytes."""
+    text = CRLF_RECORDS.replace("131\r\n", "131\r")
+    result = parse_sensor_csv(csv_stream(text))
+    assert result == parse_sensor_csv(io.BytesIO(text.encode("utf-8")))
+    assert result == parse_sensor_csv(csv_stream(CRLF_RECORDS))
+
+
+def test_a_lone_surrogate_in_a_text_stream_raises_unicode_encode_error():
+    """Text that UTF-8 cannot encode is refused on reading, not kept as a sensor id
+    that write_records_csv would refuse."""
+    with pytest.raises(UnicodeEncodeError):
+        parse_sensor_csv(csv_stream(CRLF_RECORDS.replace("s1,120", "\udc80,120")))
 
 
 def test_assemble_full_day_has_no_filled_slots():
