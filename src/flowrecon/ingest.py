@@ -26,9 +26,10 @@ columns, one entry per row they accept: its line, sensor code, minute since
 hold no quote and no CR outside a CRLF, numpy classifies the lines at fixed
 offsets. A fast row is ``YYYY-MM-DD[ T]HH:MM[:00],<cell>,<flow>``: a date
 that exists, a clock on the grid, the same sensor cell as the file's first
-fast row, and a flow of 1 to 15 plain digits (``12``, not ``12.0``), whose
-float is exact. Every other line, and every line of any other file, is read
-by ``csv``, ``datetime.fromisoformat`` and ``float``. One step then
+fast row, and a flow of 1 to 15 digits, optionally followed by ``.0`` as the
+writer writes a whole float (``12`` and ``12.0``, not ``12.00`` or ``12.5``),
+whose float is exact. Every other line, and every line of any other file, is
+read by ``csv``, ``datetime.fromisoformat`` and ``float``. One step then
 takes the columns in line order, dedupes them by ``np.unique`` of (sensor,
 minute) keys, which keeps each key's first row, and builds the kept
 records. So the records, both counts and the shared id strings do not
@@ -320,7 +321,9 @@ def _fast_rows(data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarra
     A fast row is ``YYYY-MM-DD[ T]HH:MM[:00],<cell>,<flow>``: a date of years
     1..9999 that exists, a time on the 5-minute grid, the sensor cell of the first
     such row (at most ``_FAST_CELL_BYTES`` bytes) and a flow of 1 to
-    ``_FLOW_DIGITS`` digits.
+    ``_FLOW_DIGITS`` digits, optionally followed by ``.0``: one such tail is dropped
+    before the digit checks, so ``24.0`` is fast and reads as 24; ``.0`` and ``24.00``
+    are not fast.
     """
     line = np.flatnonzero(ends - starts >= _SHORTEST_FAST_ROW)
     at, end = starts[line], ends[line]
@@ -352,11 +355,13 @@ def _fast_rows(data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarra
     del month_start, month_days, days, day, minute
     for a, b in zip(cell_at[ok], end[ok]):  # numpy scalars, taken until the first fits
         cell, comma, flow = data[a:b].partition(b",")
+        flow = flow.removesuffix(b".0")
         if comma and flow.isdigit() and len(flow) <= _FLOW_DIGITS and len(cell) <= _FAST_CELL_BYTES:
             break
     else:
         return _NO_FAST_ROWS
     flow_at = cell_at + (len(cell) + 1)
+    end = end - 2 * ((buf[end - 2] == 46) & (buf[end - 1] == 48))  # drop one ".0" tail
     ok &= (end - flow_at >= 1) & (end - flow_at <= _FLOW_DIGITS)
     keep = np.flatnonzero(ok)
     line, end, cell_at, flow_at = line[keep], end[keep], cell_at[keep], flow_at[keep]
@@ -485,7 +490,7 @@ def parse_sensor_csv(source) -> ParseResult:
     kept = order[np.sort(first)]
     duplicates = len(order) - len(kept)
     del row_columns, row_lines, row_codes, row_minutes, row_flows, lines, order, first
-    stamps = (minutes[kept] * 60_000_000).astype("datetime64[us]").tolist()
+    stamps = minutes[kept].astype("datetime64[m]").tolist()
     records = list(map(tuple.__new__, repeat(SensorRecord),
                        zip(stamps, map(list(ids).__getitem__, codes[kept].tolist()),
                            flows[kept].tolist())))

@@ -117,15 +117,6 @@ class _Original(NamedTuple):
     bounded: bool  # every kept share >= _SHARE_FLOOR and norm < _NORM_CEILING
 
 
-class _Row(NamedTuple):
-    """One share row's terms against an original day."""
-
-    error: float  # sum of |row - original| / original over kept slots
-    mad: float  # sum of |row - original|
-    cross: float  # centred row . centred original
-    norm: float  # 0.0 for a constant row
-
-
 def _centred_row(values: np.ndarray):
     """(shares, centred shares, centred norm) of one row; raises what
     :func:`share_row` raises on it."""
@@ -142,7 +133,7 @@ def _centred_row(values: np.ndarray):
 
 
 # (original bytes, its terms, baseline bytes, its terms against the original)
-_memo: tuple[bytes, _Original, bytes | None, _Row | None] | None = None
+_memo: tuple[bytes, _Original, bytes | None, tuple[float, float, float, float] | None] | None = None
 
 # Below these bounds no quotient of the relative error can overflow: each |delta| is
 # at most the two centred norms plus the two share means, < 2e150 + 2, and each kept
@@ -160,8 +151,11 @@ def _original_terms(values: np.ndarray) -> _Original:
     return _Original(shares, divisor, int(np.count_nonzero(kept)), centred, norm, bounded)
 
 
-def _row_terms(values: np.ndarray, original: _Original) -> _Row:
-    """A reconstruction's or baseline's terms against the original's."""
+def _row_terms(values: np.ndarray, original: _Original) -> tuple[float, float, float, float]:
+    """A reconstruction's or baseline's terms against the original's, as a tuple
+    ``(error, mad, cross, norm)``: the sum of ``|row - original| / original`` over
+    the kept slots, the sum of ``|row - original|``, the centred row's dot product
+    with the centred original, and the row's centred norm (0.0 for a constant row)."""
     shares, centred, norm = _centred_row(values)
     diff = np.abs(shares - original.shares)
     if original.bounded and norm < _NORM_CEILING:  # a NaN norm fails: the quiet path
@@ -169,7 +163,7 @@ def _row_terms(values: np.ndarray, original: _Original) -> _Row:
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # DayResult refuses the inf or NaN
             relative = diff / original.divisor
-    return _Row(float(relative.sum()), float(diff.sum()), float(centred @ original.centred), norm)
+    return float(relative.sum()), float(diff.sum()), float(centred @ original.centred), norm
 
 
 def evaluate_day(
@@ -197,25 +191,26 @@ def evaluate_day(
         # stored before the rows are scored, so a failing row costs no recompute
         memo = _memo = (key, _original_terms(np.frombuffer(key)), None, None)
     orig = memo[1]
-    row = _row_terms(reconstructed.values, orig)
+    error, mad, cross, n1 = _row_terms(reconstructed.values, orig)
     baseline_key = baseline.values.tobytes()
     base = memo[3]
     if memo[2] != baseline_key:
         base = _row_terms(np.frombuffer(baseline_key), orig)
         _memo = (key, orig, baseline_key, base)
-    n0, n1, n2 = orig.norm, row.norm, base.norm
+    base_error, base_mad, base_cross, n2 = base
+    n0 = orig.norm
     if not (n0 > 0 and n1 > 0 and n2 > 0):
         raise ConstantInput("correlation undefined for a constant vector")
     size = orig.shares.size
     return DayResult(
         date=original.date,
         level=level,
-        correlation=max(-1.0, min(1.0, row.cross / (n0 * n1))),
-        error_pct=row.error / orig.kept * 100.0,
-        baseline_correlation=max(-1.0, min(1.0, base.cross / (n0 * n2))),
-        baseline_error_pct=base.error / orig.kept * 100.0,
-        share_mad=row.mad / size,
-        baseline_share_mad=base.mad / size,
+        correlation=max(-1.0, min(1.0, cross / (n0 * n1))),
+        error_pct=error / orig.kept * 100.0,
+        baseline_correlation=max(-1.0, min(1.0, base_cross / (n0 * n2))),
+        baseline_error_pct=base_error / orig.kept * 100.0,
+        share_mad=mad / size,
+        baseline_share_mad=base_mad / size,
         excluded_slots=size - orig.kept,
     )
 

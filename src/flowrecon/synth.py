@@ -10,6 +10,7 @@ independent of generation order.
 from __future__ import annotations
 
 import math
+from calendar import monthrange
 from dataclasses import dataclass, replace
 from datetime import date
 
@@ -136,11 +137,8 @@ def generate_corpus(
     if not 0 <= jitter < math.inf:
         raise InvalidParams("jitter must be non-negative and finite")
     days = []
-    for dom in range(1, 32):
-        try:
-            day = date(year, month, dom)
-        except ValueError:
-            break
+    for dom in range(1, monthrange(year, month)[1] + 1):
+        day = date(year, month, dom)
         if day.weekday() not in weekdays:
             continue
         rng = _rng_for(params.seed, day)

@@ -6,7 +6,10 @@ a day's shares one rule at a time) and the scalar ``pearson``,
 ``mean_abs_pct_error`` and ``share_mean_abs_diff`` on one pair of share
 vectors. They are kept here as they were, and import none of the
 package's share code, so the differential tests compare the package with
-an independent copy of the rule rather than with itself.
+an independent copy of the rule rather than with itself. Each runs under
+``np.errstate(over="ignore", invalid="ignore")``, which silences an
+overflow to ``inf`` or a NaN without changing a value, so a
+``RuntimeWarning`` that a test run prints comes from the package.
 
 ``AllZeroOriginal`` is this reference's own error: ``evaluate_day`` cannot
 meet an all-zero original, whose total ``share_row`` rejects first.
@@ -37,6 +40,7 @@ class AllZeroOriginal(FlowReconError):
     """Relative error is undefined when every original slot is zero."""
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_shares(shares: np.ndarray) -> None:
     """Reject share vectors (along the last axis) that are non-finite or do not sum to 1."""
     sums = shares.sum(axis=-1)
@@ -66,6 +70,7 @@ class PercentSignal:
         object.__setattr__(self, "values", vals)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def normalize_percent(day: DaySignal) -> PercentSignal:
     """Each slot's share of the daily total; invariant under uniform scaling."""
     total = float(day.values.sum())
@@ -74,6 +79,7 @@ def normalize_percent(day: DaySignal) -> PercentSignal:
     return PercentSignal(day.values / total, day.date)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pearson(a, b) -> float:
     """Population product-moment correlation, cov(a, b) / (sigma_a sigma_b)."""
     x = np.asarray(a, dtype=float)
@@ -102,6 +108,7 @@ def _shares(signal) -> np.ndarray:
     return signal.values if isinstance(signal, PercentSignal) else np.asarray(signal, float)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mean_abs_pct_error(original, reconstructed) -> MapeResult:
     """Mean of |orig - recon| / orig over slots with positive original share.
 
@@ -121,6 +128,7 @@ def mean_abs_pct_error(original, reconstructed) -> MapeResult:
     return MapeResult(float(rel.mean() * 100.0), excluded)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def share_mean_abs_diff(original, reconstructed) -> float:
     """Mean absolute difference of shares (transparency metric)."""
     o = _shares(original)

@@ -17,8 +17,8 @@ must keep its sign (``-0.0 == 0.0`` would hide it).
 rows are mostly canonical, so the parser's fixed-offset fast path reads
 them, interleaved with rows that only the row rules read: the draws above,
 dates that do not exist, a padded or second sensor, flows past 15 digits or
-with a fraction, duplicates of a fast row written another way, a quoted row
-and a lone CR.
+with a fraction other than one ``.0`` tail, duplicates of a fast row written
+another way, a quoted row and a lone CR.
 """
 
 import csv
@@ -31,6 +31,7 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+from flowrecon import ingest
 from flowrecon.errors import EmptyInput, FlowReconError, MissingColumn, MixedSensors
 from flowrecon.ingest import (
     BASE_WINDOW_MINUTES,
@@ -236,9 +237,13 @@ ODD_DATES = ["2011-02-29", "2012-04-31", "0000-01-01", "2012-13-01", "2012-00-10
 ODD_CLOCKS = ["24:00", "08:60", "08:03", "8:05", "08:05:01", "08:05:00.000", "08:05+02:00"]
 FAST_FLOWS = st.one_of(
     st.integers(0, 10**15 - 1).map(str),
-    st.sampled_from(["0", "007", "999999999999999", "000000000000012"]),
+    st.integers(0, 10**15 - 1).map("{}.0".format),  # a whole float as the writer writes it
+    st.sampled_from(["0", "007", "999999999999999", "000000000000012", "0.0", "007.0"]),
 )
-ODD_FLOWS = ["12.0", "0.5", "1.", ".5", "1.2.3", "1234567890123456", "0000000000000012", "1e3", "-0", "0x10"]
+ODD_FLOWS = [
+    "0.5", "1.", ".5", ".0", "24.00", "24.0.0", "-0.0", "1.2.3", "1234567890123456",
+    "0000000000000012", "1234567890123456.0", "1e3", "-0", "0x10",
+]
 
 
 @st.composite
@@ -321,8 +326,36 @@ def test_canonical_rows_take_the_fast_path():
     )
     assert fast_rows_of(text) == 3
     assert fast_rows_of(text.replace("\n", "\r\n") + "\r\n") == 3
-    assert fast_rows_of(text.replace("s1,12", "s1,12.0")) == 2  # a fraction: row rules
+    assert fast_rows_of(text.replace("s1,12", "s1,12.0")) == 3  # one ".0" tail: fast
+    assert fast_rows_of(text.replace("s1,12", "s1,12.5")) == 2  # a fraction: row rules
+    for flow in (".0", "12.00", "12.0.0", "-0.0", "1234567890123456.0"):  # row rules too
+        assert fast_rows_of(text.replace("s1,12", f"s1,{flow}")) == 2
+    assert fast_rows_of(text.replace("s1,5", "s1,5.0")) == 3  # the first fast row's tail
     assert fast_rows_of(text.replace("s1,12", 's1,"12"')) == 0  # a quote: row rules only
+
+
+def test_a_month_the_writer_wrote_with_float_flows_is_read_by_the_fast_path(tmp_path, monkeypatch):
+    """The writer writes a whole float flow as ``24.0``; every row of such a month is a
+    fast row, and the records parse back equal, their flows floats."""
+    fast, real = [], ingest._fast_rows
+
+    def spy(*args):
+        rows = real(*args)
+        fast.append(len(rows[0]))
+        return rows
+
+    monkeypatch.setattr(ingest, "_fast_rows", spy)
+    days = [date(2019, 1, d) for d in range(1, 32)]
+    records = [SensorRecord(datetime.combine(day, start), "det-0007", (day.day * 7 + slot) % 300.0)
+               for day in days for slot, start in enumerate(SLOT_TIMES)]
+    records[-1] = records[-1]._replace(flow_total=999999999999999.0)  # 15 digits
+    path = tmp_path / "month.csv"
+    write_records_csv(records, path)
+    assert path.read_bytes().count(b".0\r\n") == len(records)
+    result = parse_sensor_csv(path)
+    assert fast == [len(records)]
+    assert result.records == records and {type(r.flow_total) for r in result.records} == {float}
+    assert (result.rejected_rows, result.duplicate_rows) == (0, 0)
 
 
 @pytest.mark.parametrize("every", [0, 50], ids=["all fast", "every 50th by the row rules"])

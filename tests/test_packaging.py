@@ -2,14 +2,13 @@ import ast
 import importlib
 import re
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
 from flowrecon.haar import max_levels
 from flowrecon.ingest import MAX_AGGREGATION_LEVEL, SLOTS_PER_DAY
-
-tomllib = pytest.importorskip("tomllib")  # Python 3.11+
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"

@@ -1,3 +1,4 @@
+import hashlib
 from datetime import date
 
 import numpy as np
@@ -119,6 +120,22 @@ def test_march_2012_typical_corpus_has_13_days():
     assert len(corpus) == 13
     assert all(d.date.weekday() in {1, 2, 3} for d in corpus)
     assert [d.date for d in corpus] == sorted(d.date for d in corpus)
+
+
+@pytest.mark.parametrize(
+    ("year", "month", "days", "digest"),
+    [
+        (2012, 2, 29, "3766d20e6be79c4310b967b232f696ed3123499e8120fa0d870107fb063efabc"),
+        (2019, 2, 28, "c82f4b84061b83215bf3c653b94b0b9ca656e6474e42c1a823b79fb19a729e0f"),
+        (2019, 4, 30, "e02ae7664187caa6d5a0ebb5b5160f22b1c20c2a6535cd3cebab3e044241b2a1"),
+    ],
+)
+def test_corpus_walks_every_date_of_the_month(year, month, days, digest):
+    """Every date of a leap February, a common February and a 30-day month, in order,
+    with values pinned by the sha256 of their bytes (jitter 0.2, every weekday)."""
+    corpus = generate_corpus(DEFAULT_PARAMS, year, month, frozenset(range(7)), jitter=0.2)
+    assert [d.date for d in corpus] == [date(year, month, dom) for dom in range(1, days + 1)]
+    assert hashlib.sha256(b"".join(d.values.tobytes() for d in corpus)).hexdigest() == digest
 
 
 def test_zero_jitter_zero_noise_days_identical():
