@@ -106,16 +106,22 @@ def haar_forward(values, levels: int) -> WaveletDecomposition:
         If ``levels`` is no int >= 1.
     NotDyadicallyDivisible
         If 2**levels does not divide the signal length.
+    NonFiniteValues
+        If the signal is not finite, or a coefficient overflows (no warning is
+        printed for the overflow).
     """
     approx = _as_signal(values)
     _check_levels(levels)
     if max_levels(approx.size) < levels:
         raise NotDyadicallyDivisible(f"2**{levels} does not divide signal length {approx.size}")
     details = []
-    for _ in range(levels):
-        even, odd = approx[0::2], approx[1::2]
-        approx = (even + odd) / SQRT2
-        details.append((even - odd) / SQRT2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        for _ in range(levels):
+            even, odd = approx[0::2], approx[1::2]
+            approx = (even + odd) / SQRT2
+            details.append((even - odd) / SQRT2)
+    if not all(np.isfinite(v).all() for v in (approx, *details)):
+        raise NonFiniteValues(f"a coefficient of the {levels}-level transform overflows")
     return WaveletDecomposition(levels, approx, tuple(details))
 
 
@@ -124,12 +130,16 @@ def haar_inverse(decomposition: WaveletDecomposition) -> np.ndarray:
     :func:`haar_forward` coarsest first.
 
     An untouched decomposition round-trips to the original signal within
-    float tolerance.
+    float tolerance. A rebuilt value that is not finite, from a coefficient
+    that is not or from an overflow, raises ``NonFiniteValues`` with no warning.
     """
     x = decomposition.approximation
-    for detail in reversed(decomposition.details):
-        out = np.empty(2 * x.size)
-        out[0::2] = (x + detail) / SQRT2
-        out[1::2] = (x - detail) / SQRT2
-        x = out
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        for detail in reversed(decomposition.details):
+            out = np.empty(2 * x.size)
+            out[0::2] = (x + detail) / SQRT2
+            out[1::2] = (x - detail) / SQRT2
+            x = out
+    if not np.isfinite(x).all():
+        raise NonFiniteValues("the rebuilt signal is not finite")
     return x

@@ -544,6 +544,11 @@ def day_to_records(day: DaySignal) -> list[SensorRecord]:
     ]
 
 
+# Each slot's window at levels 1..MAX_AGGREGATION_LEVEL, _WINDOW_OF[level - 1] == slot >> level:
+# the one gather that spreads a per-window value over its 2**level slots.
+_WINDOW_OF = tuple(np.arange(SLOTS_PER_DAY) >> k for k in range(1, MAX_AGGREGATION_LEVEL + 1))
+
+
 def aggregate(day: DaySignal, level: int) -> AggregatedSignal:
     """Sum consecutive blocks of 2**level slots into wider count windows.
 

@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import EmptyDayList, NotBlockConstant, NoTypicalDays, UnknownScenario
 from .ingest import (
-    BASE_WINDOW_MINUTES,
     MAX_AGGREGATION_LEVEL,
     SLOTS_PER_DAY,
+    _WINDOW_OF,
     DaySignal,
     check_level,
     check_month,
@@ -32,7 +32,7 @@ TYPICAL_WEEKDAYS = frozenset({1, 2, 3})  # Tuesday, Wednesday, Thursday (Monday 
 
 SCENARIO_SLOT_MEAN = 1
 SCENARIO_BLOCK_RATE = 2
-RATE_BLOCK_SLOTS = 20 // BASE_WINDOW_MINUTES  # 4 slots per 20-minute block
+RATE_LEVEL = 2  # a 20-minute block is a level-2 window of 4 slots
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,13 @@ class DaySelectionCriteria:
 
 def _detail_residual(row: np.ndarray, level: int) -> np.ndarray:
     """The detail residual ``r_k`` of ``row`` at ``level``: the row minus its own
-    2**level-block means, as read-only ``(windows, 2**level)`` blocks.
+    2**level-block means, spread over their slots by ``ingest._WINDOW_OF``, as one
+    read-only row of 288.
 
     This is the inverse Haar transform of the row's details up to ``level``.
     """
     block = 1 << level
-    blocks = row.reshape(-1, block)
-    residual = blocks - blocks.sum(axis=1, keepdims=True) * (1.0 / block)
+    residual = row - (row.reshape(-1, block).sum(axis=1) * (1.0 / block))[_WINDOW_OF[level - 1]]
     residual.flags.writeable = False
     return residual
 
@@ -67,8 +67,8 @@ class MatrixProfile:
     ``values`` passes ``ingest.finite_row`` and is kept as a read-only copy, so later
     changes to the caller's array do not reach the profile. The detail residual ``r_k`` of
     every level 1 to ``MAX_AGGREGATION_LEVEL`` is built from that copy once, with the
-    profile, and :meth:`residual` only looks it up. ``scenario`` is an int
-    (``ingest.is_int``) 1 or 2, else ``UnknownScenario``.
+    profile, as a flat read-only row of 288, and :meth:`residual` only looks it up.
+    ``scenario`` is an int (``ingest.is_int``) 1 or 2, else ``UnknownScenario``.
     """
 
     values: np.ndarray
@@ -81,8 +81,7 @@ class MatrixProfile:
         if not (is_int(scenario) and scenario in (SCENARIO_SLOT_MEAN, SCENARIO_BLOCK_RATE)):
             raise UnknownScenario(f"unknown scenario {scenario!r}")
         if scenario == SCENARIO_BLOCK_RATE:
-            blocks = vals.reshape(-1, RATE_BLOCK_SLOTS)
-            if not (blocks == blocks[:, :1]).all():
+            if not (vals == vals[:: 1 << RATE_LEVEL][_WINDOW_OF[RATE_LEVEL - 1]]).all():
                 raise NotBlockConstant("scenario-2 profile must be constant per 20-minute block")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -93,7 +92,7 @@ class MatrixProfile:
     def residual(self, level: int) -> np.ndarray:
         """The profile's read-only detail residual ``r_k`` at ``level``, which
         ``ingest.check_level`` checks first: the profile minus its own
-        2**level-block means, as (windows, 2**level) blocks."""
+        2**level-block means, as a flat row of 288, the same array on every call."""
         check_level(level)
         return self._residuals[level - 1]
 
@@ -136,10 +135,10 @@ def build_matrix_scenario1(days: Sequence[DaySignal]) -> MatrixProfile:
 def build_matrix_scenario2(days: Sequence[DaySignal]) -> MatrixProfile:
     """Per-slot mean widened to 20-minute equivalent flow rates.
 
-    Every block of 4 slots is replaced by its block mean, so the profile
-    keeps 288 samples but is piecewise constant on 20-minute windows.
+    Every level-2 window (``RATE_LEVEL``, 4 slots) takes its mean, spread over its
+    slots by ``ingest._WINDOW_OF``, so the profile keeps 288 samples but is
+    piecewise constant on 20-minute windows.
     """
     mean = _slot_mean(days)
-    blocks = mean.reshape(-1, RATE_BLOCK_SLOTS).mean(axis=1)
-    values = np.repeat(blocks, RATE_BLOCK_SLOTS)
+    values = mean.reshape(-1, 1 << RATE_LEVEL).mean(axis=1)[_WINDOW_OF[RATE_LEVEL - 1]]
     return MatrixProfile(values, SCENARIO_BLOCK_RATE, tuple(sorted(d.date for d in days)))

@@ -4,16 +4,19 @@ The paper puts a target day's level-k counts in place of the approximation
 of the donor profile's Haar decomposition and inverts the transform. That
 is linear, so :func:`reconstruct_day` computes it in closed form::
 
-    values = repeat(c * counts, 2**k) + r_k = 2**k * c * staircase + r_k
+    values = r_k + (c * counts)[_WINDOW_OF[k - 1]] = 2**k * c * staircase + r_k
 
 where ``r_k`` (the inverse of the donor's details alone) is the profile
 minus its own 2**k-block means, ``c = 2**(-k/2)`` for raw counts and
 ``c = 2**(-k)`` with ``rescale_approximation`` (the target's orthonormal
 approximation, which makes the output count-faithful: staircase + r_k).
-``r_k`` depends on the profile alone, so a :class:`MatrixProfile` builds
-it for every level when it is built, and :meth:`MatrixProfile.residual`
-looks it up. :func:`reconstruct_day` returns a fresh, writable array on
-each call.
+``ingest._WINDOW_OF`` maps each slot to its level-k window, so one gather
+spreads a per-window value over its slots, here as in
+:func:`staircase_baseline` (``c = 2**(-k)``, no ``r_k``) and the donor
+profiles of :mod:`flowrecon.matrix`. ``r_k`` depends on the profile alone,
+so a :class:`MatrixProfile` builds it for every level when it is built, as
+a flat read-only row of 288, and :meth:`MatrixProfile.residual` looks it
+up. :func:`reconstruct_day` returns a fresh, writable array on each call.
 
 The paper's "distortion" is the raw mode's ``2**(k/2) * staircase + r_k``:
 after percent normalisation the donor detail is weighted down by
@@ -39,20 +42,10 @@ from .errors import (
     SharesNotNormalized,
     ZeroDailyTotal,
 )
-from .ingest import (
-    MAX_AGGREGATION_LEVEL,
-    SLOT_CLOCKS,
-    SLOTS_PER_DAY,
-    AggregatedSignal,
-    DaySignal,
-    _derived,
-)
+from .ingest import SLOT_CLOCKS, _WINDOW_OF, AggregatedSignal, DaySignal, _derived
 from .matrix import MatrixProfile
 
 SHARE_SUM_TOL = 1e-9
-
-# the window of each slot at levels 1..MAX_AGGREGATION_LEVEL: _WINDOW_OF[level - 1] == slot >> level
-_WINDOW_OF = tuple(np.arange(SLOTS_PER_DAY) >> k for k in range(1, MAX_AGGREGATION_LEVEL + 1))
 
 
 def share_row(values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -88,8 +81,8 @@ def reconstruct_day(
     if aggregated.level != levels:
         raise LevelMismatch(f"aggregated level {aggregated.level} != levels {levels}")
     scale = 2.0 ** (-levels if rescale_approximation else -levels / 2)
-    values = residual + (aggregated.values * scale)[:, None]
-    return _derived(DaySignal, values.ravel(), date=aggregated.source_date, sensor_id="",
+    values = residual + (aggregated.values * scale)[_WINDOW_OF[levels - 1]]
+    return _derived(DaySignal, values, date=aggregated.source_date, sensor_id="",
                     filled_slots=frozenset())
 
 

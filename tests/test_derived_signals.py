@@ -72,7 +72,9 @@ def test_outputs_equal_the_checked_constructors_bitwise(level):
             for rescale in (False, True):
                 recon = reconstruct_day(profile, agg, level, rescale)
                 scale = 2.0 ** (-level if rescale else -level / 2)
-                values = (profile.residual(level) + (agg.values * scale)[:, None]).ravel()
+                # the transplant's expression before the window table: the residual as blocks
+                residual = profile.residual(level).reshape(-1, block)
+                values = (residual + (agg.values * scale)[:, None]).ravel()
                 assert_same_signal(recon, DaySignal(DAY, "", values, frozenset()))
 
 

@@ -550,10 +550,11 @@ def test_profile_owns_a_frozen_copy_of_its_values():
 
 
 def lazy_residual(matrix, level):
-    """The residual as a profile once computed it on its first read of a level."""
+    """The residual as a profile once computed it on its first read of a level,
+    as blocks, raveled to the profile's flat row."""
     block = 1 << level
     blocks = matrix.values.reshape(-1, block)
-    return blocks - blocks.sum(axis=1, keepdims=True) * (1.0 / block)
+    return (blocks - blocks.sum(axis=1, keepdims=True) * (1.0 / block)).ravel()
 
 
 @settings(max_examples=100, deadline=None)
@@ -569,9 +570,24 @@ def test_residual_table_equals_the_lazy_expression_bitwise(donor_flows, scenario
     matrix = donor(scenario, donor_flows)
     for level in range(1, 6):
         got, want = matrix.residual(level), lazy_residual(matrix, level)
-        assert got.shape == want.shape == (SLOTS_PER_DAY >> level, 1 << level)
+        assert got.shape == want.shape == (SLOTS_PER_DAY,)
         assert got.tobytes() == want.tobytes()  # bitwise: 0.0 and -0.0 differ here
-        assert not got.flags.writeable
+        assert not got.flags.writeable and matrix.residual(level) is got
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    donor_flows=st.lists(
+        st.one_of(flows, hnp.arrays(float, SLOTS_PER_DAY, elements=st.floats(-1e200, 1e200))),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_scenario2_profile_equals_the_repeated_block_means_bitwise(donor_flows):
+    """The builder's expression before the window table: ``np.repeat`` of the block means."""
+    mean = np.mean(donor_flows, axis=0)
+    want = np.repeat(mean.reshape(-1, 4).mean(axis=1), 4)
+    assert donor(2, donor_flows).values.tobytes() == want.tobytes()
 
 
 def test_reading_a_residual_changes_nothing_in_the_profile():
@@ -580,8 +596,9 @@ def test_reading_a_residual_changes_nothing_in_the_profile():
     before = pickle.dumps(matrix)  # the profile's whole state, residuals included
     for level in range(1, 6):
         assert matrix.residual(level) is matrix.residual(level)
+        assert matrix.residual(level).shape == (SLOTS_PER_DAY,)
         with pytest.raises(ValueError):
-            matrix.residual(level)[0, 0] = 1.0
+            matrix.residual(level)[0] = 1.0
     assert pickle.dumps(matrix) == before
 
 

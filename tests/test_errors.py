@@ -113,8 +113,17 @@ def test_unknown_scenario():
     raises(UnknownScenario, lambda: MatrixProfile(FLAT, 3, ()))
 
 
-def test_not_block_constant():
-    raises(NotBlockConstant, lambda: MatrixProfile(np.arange(SLOTS_PER_DAY, dtype=float), 2, ()))
+@pytest.mark.parametrize(
+    "values",
+    (
+        np.arange(SLOTS_PER_DAY, dtype=float),
+        np.repeat(np.arange(SLOTS_PER_DAY // 2, dtype=float), 2),  # constant per 10 minutes only
+        np.r_[np.zeros(SLOTS_PER_DAY - 1), 1.0],  # off in the day's last slot only
+    ),
+    ids=("ramp", "pairs", "last slot"),
+)
+def test_not_block_constant(values):
+    raises(NotBlockConstant, lambda: MatrixProfile(values, 2, ()))
 
 
 def test_shares_not_normalized():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from flowrecon.errors import LengthMismatch, LevelOutOfRange, NotDyadicallyDivisible, WrongShape
+from flowrecon.errors import (
+    LengthMismatch,
+    LevelOutOfRange,
+    NonFiniteValues,
+    NotDyadicallyDivisible,
+    WrongShape,
+)
 from flowrecon.haar import WaveletDecomposition, haar_forward, haar_inverse, max_levels
 
 ROOT2 = math.sqrt(2.0)
@@ -91,12 +98,12 @@ def test_level_one_inverse_zero():
 @given(data=st.data(), pairs=st.integers(1, 144))
 def test_transforms_equal_the_single_level_composition_bitwise(data, pairs):
     """Any finite signal of even length up to 288, at every level 1 to max_levels(n);
-    a coefficient that overflows does so on both sides alike."""
+    where a coefficient or a rebuilt value of the composition overflows, the
+    transform raises ``NonFiniteValues`` instead."""
     n = 2 * pairs
     level = data.draw(st.integers(1, max_levels(n)), label="level")
     x = data.draw(hnp.arrays(float, n, elements=st.floats(allow_nan=False, allow_infinity=False)))
     with np.errstate(over="ignore", invalid="ignore"):
-        dec = haar_forward(x, level)
         approx, details = x, []
         for _ in range(level):
             approx, detail = forward_level(approx)
@@ -104,10 +111,36 @@ def test_transforms_equal_the_single_level_composition_bitwise(data, pairs):
         rebuilt = approx
         for detail in reversed(details):
             rebuilt = inverse_level(rebuilt, detail)
-        got = haar_inverse(dec)
+    if not all(np.isfinite(v).all() for v in (approx, *details)):
+        with pytest.raises(NonFiniteValues):
+            haar_forward(x, level)
+        return
+    dec = haar_forward(x, level)
+    if not np.isfinite(rebuilt).all():
+        with pytest.raises(NonFiniteValues):
+            haar_inverse(dec)
+        return
+    got = haar_inverse(dec)
     assert dec.approximation.tobytes() == approx.tobytes()
     assert [d.tobytes() for d in dec.details] == [d.tobytes() for d in details]
     assert got.tobytes() == rebuilt.tobytes()
+
+
+def test_forward_refuses_an_overflowing_pair_sum_without_a_warning():
+    """The pair sums of 1e308 overflow at level 1, which would give the
+    approximation ``[inf]`` and the details ``[0, 0]``, ``[nan]``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValues):
+            haar_forward(np.full(4, 1e308), 2)
+
+
+def test_inverse_refuses_an_overflowing_rebuild_without_a_warning():
+    """Finite coefficients whose sum overflows, which would rebuild ``[inf, 0.]``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValues):
+            haar_inverse(WaveletDecomposition(1, [1.5e308], ([1.5e308],)))
 
 
 def test_multilevel_constant_signal():

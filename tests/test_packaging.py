@@ -104,6 +104,48 @@ def test_haar_import_check_finds_each_spelling(source):
     assert imports_haar(source) and not imports_haar(source.replace("haar", "ingest"))
 
 
+def private_imports(source: str) -> set[tuple[str, str]]:
+    """(module, name) of each private name a module imports from a flowrecon
+    module, by a relative or an absolute ``from`` import."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.split(".")[0] == "flowrecon":
+                module = module.removeprefix("flowrecon").lstrip(".")
+                found.update((module, alias.name) for alias in node.names if alias.name[0] == "_")
+    return found
+
+
+def test_only_ingest_lends_private_names():
+    """The window table and the derived-signal constructor are ingest's; no other
+    private name crosses from one package module into another."""
+    lent = {
+        (path.stem, module, name)
+        for path in PACKAGE.glob("*.py")
+        for module, name in private_imports(path.read_text(encoding="utf-8"))
+    }
+    assert lent == {
+        ("matrix", "ingest", "_WINDOW_OF"),
+        ("reconstruct", "ingest", "_WINDOW_OF"),
+        ("reconstruct", "ingest", "_derived"),
+    }
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    (
+        ("from .ingest import _WINDOW_OF", {("ingest", "_WINDOW_OF")}),
+        ("from flowrecon.ingest import A, _x as y", {("ingest", "_x")}),
+        ("from . import _x", {("", "_x")}),
+        ("from .ingest import SLOTS_PER_DAY", set()),
+        ("from numpy import _x\nfrom __future__ import annotations", set()),
+    ),
+)
+def test_private_import_check_finds_each_spelling(source, found):
+    assert private_imports(source) == found
+
+
 def documented_api() -> dict[str, set[str]]:
     """Module name -> the double-backticked names under its ``flowrecon.<module>``
     heading in the package docstring."""
