@@ -512,18 +512,22 @@ def assemble_day(records: Iterable[SensorRecord], day: date, sensor_id: str) -> 
     first is placed. Slots without a record are set to zero and reported in
     ``filled_slots``. Raises ``InvalidParams`` for a ``day`` that is no date
     (:func:`check_day`) or a non-str ``sensor_id``, ``MixedSensors`` for a
-    record of another sensor, then ``InvalidParams`` for a record dated
-    ``day`` whose timestamp is tz-aware or off the grid.
+    record of another sensor, then ``InvalidParams`` for a record whose
+    timestamp is no ``datetime``, or one dated ``day`` whose timestamp is
+    tz-aware or off the grid.
     """
     check_day(day)
     records = list(records)
     _check_sensor(records, sensor_id)
     placed: dict[int, float] = {}
-    for ts, _, flow in records:
-        if ts.date() == day:
-            if (slot := _slot(ts)) is None:
-                raise InvalidParams(f"timestamp {ts!r} is tz-aware or off the day grid")
-            placed.setdefault(slot, flow)
+    try:
+        for ts, _, flow in records:
+            if ts.date() == day:
+                if (slot := _slot(ts)) is None:
+                    raise InvalidParams(f"timestamp {ts!r} is tz-aware or off the day grid")
+                placed.setdefault(slot, flow)
+    except (AttributeError, TypeError) as exc:
+        raise InvalidParams(f"a record's timestamp is no datetime: {exc!r}") from exc
     values = np.zeros(SLOTS_PER_DAY)
     values[list(placed)] = list(placed.values())
     return DaySignal(day, sensor_id, values, _ALL_SLOTS.difference(placed))
@@ -621,8 +625,8 @@ def gap_report(
     each with its ``SEVERITY_LADDER`` label. Checks ``start`` and ``end``
     (:func:`check_day`) and the sensor id as :func:`assemble_day` does, then
     raises ``InvalidParams`` if ``end`` precedes ``start`` or any timestamp,
-    in the span or not, is off the day grid, so each distinct timestamp is
-    one present slot, at most 288 a day.
+    in the span or not, is no ``datetime`` or off the day grid, so each
+    distinct timestamp is one present slot, at most 288 a day.
     """
     check_day(start)
     check_day(end)
@@ -631,8 +635,11 @@ def gap_report(
     if end < start:
         raise InvalidParams("span end precedes start")
     stamps = [rec.timestamp for rec in records]
-    if None in map(_slot, stamps):
-        raise InvalidParams("tz-aware or off-grid timestamps cannot be placed on the day grid")
+    try:
+        if None in map(_slot, stamps):
+            raise InvalidParams("tz-aware or off-grid timestamps cannot be placed on the day grid")
+    except (AttributeError, TypeError) as exc:
+        raise InvalidParams(f"a record's timestamp is no datetime: {exc!r}") from exc
     stamps.sort()
     day_of = datetime.date
     missing = Counter()  # (year, month) -> missing slots, months in calendar order

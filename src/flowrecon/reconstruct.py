@@ -29,6 +29,14 @@ paper's transform as the reference and test oracle for the closed form.
 finite shares, shares summing to one); the export writers and
 :func:`flowrecon.metrics.evaluate_day` both apply it.
 The tests hold it to the separate normaliser of ``tests/metric_reference.py``.
+
+Each export file is one whole-day template per format, built once at import
+from ``ingest.SLOT_CLOCKS``: ``_CSV_DAY`` and ``_JSON_DAY`` hold the header
+or head and all 288 rows or slot objects, each slot's clock text in place.
+So a call of :func:`write_reconstruction_csv` or
+:func:`write_reconstruction_json` does three things: the share rule, the
+float formats (``%.6g`` in the CSV, ``repr`` in the JSON) in one ``%`` over
+one interleaved cell list, and one write.
 """
 
 from __future__ import annotations
@@ -99,20 +107,16 @@ def staircase_baseline(aggregated: AggregatedSignal) -> DaySignal:
                     filled_slots=frozenset())
 
 
-def _reconstruction_columns(
-    reconstructed: DaySignal,
-    total_vehicles: float,
-    original: DaySignal | None,
-):
-    """One day's timestamps, shares, clamped counts and original counts (None
-    without an original day) as lists, and the number of negative shares.
+def _reconstruction_columns(reconstructed: DaySignal, total_vehicles: float):
+    """One day's shares and clamped counts as lists, and the number of
+    negative shares.
 
     Raises ``NonFiniteValues`` when a count is not finite: a non-finite
     ``total_vehicles``, or a finite one whose product with a share overflows;
     then ``InvalidParams`` for a negative ``total_vehicles``.
     """
     shares = share_row(reconstructed.values)[0]
-    clamped = int(np.sum(shares < 0))
+    clamped = int(np.count_nonzero(shares < 0))
     with np.errstate(over="ignore", invalid="ignore"):
         # + 0.0 turns a -0.0 total into 0.0, so no count is written as -0
         counts = np.clip(shares, 0.0, None) * (total_vehicles + 0.0)
@@ -120,15 +124,15 @@ def _reconstruction_columns(
         raise NonFiniteValues(f"counts for total_vehicles {total_vehicles!r} are not finite")
     if total_vehicles < 0:
         raise InvalidParams(f"total_vehicles {total_vehicles!r} is negative")
-    day = reconstructed.date.isoformat()
-    stamps = [day + clock for clock in SLOT_CLOCKS]
-    originals = None if original is None else original.values.tolist()
-    return stamps, shares.tolist(), counts.tolist(), originals, clamped
+    return shares.tolist(), counts.tolist(), clamped
 
 
-# One row of the CSV export: timestamp, share, count and original count.
-_CSV_ROW = "%s,%.6g,%.6g,%.6g\r\n"
-_CSV_ROW_NO_ORIGINAL = "%s,%.6g,%.6g,\r\n"
+# The whole CSV export of a day: the header, then per slot the date, the slot's
+# clock, share, count and the original count's cell ("%.6g" text, or "" without
+# an original day).
+_CSV_DAY = "timestamp,share,count,original_count\r\n" + "".join(
+    "%s" + clock + ",%.6g,%.6g,%s\r\n" for clock in SLOT_CLOCKS
+)
 
 
 def write_reconstruction_csv(
@@ -146,22 +150,30 @@ def write_reconstruction_csv(
     count column only; the number of clamped slots is returned so reports
     can disclose it. Non-finite counts raise ``NonFiniteValues``, a negative
     total ``InvalidParams``, before the file is opened.
+
+    The file is one whole-day template with every slot's clock text in it,
+    so a call applies :func:`share_row`, fills the template's date, share,
+    count and original cells with one ``%`` and writes it at once.
     """
-    stamps, shares, counts, originals, clamped = _reconstruction_columns(
-        reconstructed, total_vehicles, original
-    )
-    if originals is None:
-        row, rows = _CSV_ROW_NO_ORIGINAL, zip(stamps, shares, counts)
-    else:
-        row, rows = _CSV_ROW, zip(stamps, shares, counts, originals)
+    shares, counts, clamped = _reconstruction_columns(reconstructed, total_vehicles)
+    cells = [reconstructed.date.isoformat(), None, None, ""] * len(shares)
+    cells[1::4] = shares
+    cells[2::4] = counts
+    if original is not None:
+        cells[3::4] = map("%.6g".__mod__, original.values.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("timestamp,share,count,original_count\r\n" + "".join(map(row.__mod__, rows)))
+        fh.write(_CSV_DAY % tuple(cells))
     return clamped
 
 
-# One slot of the JSON export, keys in sorted order; %r of a finite float is its JSON form.
-_JSON_SLOT = '{"count": %r, "original_count": %r, "share": %r, "timestamp": "%s"}'
-_JSON_SLOT_NO_ORIGINAL = '{"count": %r, "original_count": null, "share": %r, "timestamp": "%s"}'
+# The whole JSON export of a day, keys in sorted order: the head, then per slot
+# the count, the original count's cell (its repr, or null without an original
+# day), the share and the date before the slot's clock. %r of a finite float is
+# its JSON form.
+_JSON_DAY = '{"clamped_slots": %d, "date": "%s", "slots": [' + ", ".join(
+    '{"count": %r, "original_count": %s, "share": %r, "timestamp": "%s' + clock + '"}'
+    for clock in SLOT_CLOCKS
+) + "]}\n"
 
 
 def write_reconstruction_json(
@@ -178,17 +190,18 @@ def write_reconstruction_json(
     slot (``original_count`` null without an original day). Non-finite
     counts raise ``NonFiniteValues`` (so no ``Infinity`` or ``NaN`` token is
     written), a negative total ``InvalidParams``, before the file is opened.
+
+    As for the CSV twin, the file is one whole-day template: a call applies
+    :func:`share_row`, fills the date, count, original and share cells with
+    one ``%`` (each float as its ``repr``) and writes it at once.
     """
-    stamps, shares, counts, originals, clamped = _reconstruction_columns(
-        reconstructed, total_vehicles, original
-    )
-    if originals is None:
-        slots = map(_JSON_SLOT_NO_ORIGINAL.__mod__, zip(counts, shares, stamps))
-    else:
-        slots = map(_JSON_SLOT.__mod__, zip(counts, originals, shares, stamps))
+    shares, counts, clamped = _reconstruction_columns(reconstructed, total_vehicles)
+    day = reconstructed.date.isoformat()
+    cells = [clamped, day] + [None, "null", None, day] * len(shares)
+    cells[2::4] = counts
+    cells[4::4] = shares
+    if original is not None:
+        cells[3::4] = map(repr, original.values.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            '{"clamped_slots": %d, "date": "%s", "slots": [%s]}\n'
-            % (clamped, reconstructed.date.isoformat(), ", ".join(slots))
-        )
+        fh.write(_JSON_DAY % tuple(cells))
     return clamped

@@ -169,6 +169,20 @@ def test_gap_report_tz_aware_timestamps():
         raises(InvalidParams, lambda: gap_report(records, date(2012, 4, 1), date(2012, 4, 30), "s1"))
 
 
+@pytest.mark.parametrize("stamp", (DAY, "2012-04-10T08:15", 1334045700))
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda records: assemble_day(records, DAY, "s1"),
+        lambda records: gap_report(records, date(2012, 4, 1), date(2012, 4, 30), "s1"),
+    ),
+    ids=("assemble_day", "gap_report"),
+)
+def test_timestamps_that_are_no_datetime_are_refused(call, stamp):
+    records = [SensorRecord(datetime(2012, 4, 10, 8, 10), "s1", 1.0), SensorRecord(stamp, "s1", 1.0)]
+    raises(InvalidParams, lambda: call(records))
+
+
 def test_month_gap_invalid():
     for month in (0, 13, -1, np.nan):
         raises(InvalidParams, lambda: MonthGap(2012, month, 0))

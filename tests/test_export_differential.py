@@ -13,7 +13,11 @@ day, on dates that include 29 February, 31 December, ``date.min`` and
 clamped count and raise the same exception type. Counts that are not
 finite raise ``NonFiniteValues``, and a negative total ``InvalidParams``,
 before any file is opened, so the strategies draw finite, non-negative
-totals only.
+totals only. ``GOLDEN_EXPORTS`` pins the sha256 of both files and the
+clamped count for four fixed days (a seeded synthetic day with and without
+its original, a near-empty day with clamped slots and a day dated
+``date.max``), so a change to both a writer and its reference cannot move
+the bytes unseen.
 
 ``reference_records_csv`` and ``reference_gap_report`` are the
 ``csv.writer`` records writer and the per-month-set gap report, kept here
@@ -42,6 +46,7 @@ to a bound that a set of the year's timestamps alone exceeds.
 """
 
 import csv
+import hashlib
 import json
 import tempfile
 import tracemalloc
@@ -72,7 +77,7 @@ from flowrecon.ingest import (
 )
 from flowrecon.matrix import build_matrix_scenario1, build_matrix_scenario2
 from flowrecon.reconstruct import reconstruct_day, write_reconstruction_csv, write_reconstruction_json
-from flowrecon.synth import DEFAULT_PARAMS, DEFAULT_SENSOR_ID, generate_corpus
+from flowrecon.synth import DEFAULT_PARAMS, DEFAULT_SENSOR_ID, generate_corpus, generate_day
 
 from metric_reference import normalize_percent
 
@@ -225,6 +230,61 @@ def test_zero_totals_stay_valid(write, reference, total):
     # a -0.0 total writes what 0.0 writes: counts of 0, never -0
     assert written == outcome(reference, recon, 0.0, None)
     assert written[1] == 1
+
+
+GOLDEN_DONORS = generate_corpus(DEFAULT_PARAMS, 2012, 4)[:5]
+GOLDEN_TARGET = generate_day(DEFAULT_PARAMS, date(2012, 3, 6))
+GOLDEN_SPARSE = DaySignal(date(2012, 3, 7), "s1", np.bincount([40, 41, 200], minlength=SLOTS_PER_DAY))
+
+
+def golden_case(name):
+    """(reconstructed day, total vehicles, original day or None) of one pinned case."""
+    matrix = build_matrix_scenario1(GOLDEN_DONORS)
+    recon = reconstruct_day(matrix, aggregate(GOLDEN_TARGET, 3), 3)
+    if name == "synth":
+        return recon, GOLDEN_TARGET.daily_total, GOLDEN_TARGET
+    if name == "synth-no-original":
+        return recon, GOLDEN_TARGET.daily_total, None
+    if name == "near-empty":
+        return reconstruct_day(matrix, aggregate(GOLDEN_SPARSE, 5), 5), 3.0, GOLDEN_SPARSE
+    return DaySignal(date.max, "", recon.values), 1234.5, None  # "date-max"
+
+
+# sha256 of the CSV and JSON bytes and the clamped count of each golden case;
+# neither the writers nor the references above decide them
+GOLDEN_EXPORTS = {
+    "synth": (
+        "eb8e454e86bbf0b3e90e7666ec2a160991f14f22c7a365d08c1c4b4a626a351e",
+        "2d2b166abf3098374d46451de2228fd0deef3f4f18cd5e8f9c7a246169b64ce7",
+        0,
+    ),
+    "synth-no-original": (
+        "cf20343e6b57f9ee80b6524c4007b17c0dc0b0f828e61c595cda1a1b5ac0ff8e",
+        "9f7fc434b354c6ddcba2e928ff9027e5778d3ca7417a2d61b859bc48af29e802",
+        0,
+    ),
+    "near-empty": (
+        "fd4e725c539641945a963fd49d5340f30f0e90f714060ce75f5db4729814328b",
+        "83287b98c07a7fdcfce3d3e99af795ef44e3aef57321170064b4234a9b055856",
+        156,
+    ),
+    "date-max": (
+        "fafda1fae0136857a51d1644f1dfc5d5bbd9c6e33a6e90ad2732b5ce15e6abf4",
+        "7074ccade63b8b781721bf5ed4e561a0070e85c779783bc9a9769c172b38d82a",
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXPORTS))
+def test_export_bytes_match_the_golden_hashes(name):
+    case = golden_case(name)
+    csv_bytes, csv_clamped = outcome(write_reconstruction_csv, *case)
+    json_bytes, json_clamped = outcome(write_reconstruction_json, *case)
+    hashes = hashlib.sha256(csv_bytes).hexdigest(), hashlib.sha256(json_bytes).hexdigest()
+    assert (*hashes, csv_clamped) == GOLDEN_EXPORTS[name]
+    assert json_clamped == csv_clamped
+    assert type(csv_clamped) is type(json_clamped) is int  # so a report can json.dumps it
 
 
 def reference_on_grid(ts):
