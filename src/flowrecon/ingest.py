@@ -220,7 +220,7 @@ class DaySignal:
 
     @property
     def daily_total(self) -> float:
-        return float(self.values.sum())
+        return float(np.add.reduce(self.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,9 +247,12 @@ def _derived(cls, values: np.ndarray, **fields):
     ``values`` is a fresh float row of the class's shape and ``fields`` are its other
     fields, taken from those signals, so every rule holds by construction except the
     one that arithmetic can break: ``values`` must be finite, else ``NonFiniteValues``
-    as :func:`finite_row` raises it. Outside input goes through the class itself.
+    as :func:`finite_row` raises it. The test is ``np.logical_and.reduce`` of
+    ``np.isfinite``, the reduction that ``ndarray.all`` wraps, called directly; a sum
+    of the values would test finiteness too, but a finite row whose sum overflows would
+    warn. Outside input goes through the class itself.
     """
-    if not np.isfinite(values).all():
+    if not np.logical_and.reduce(np.isfinite(values)):
         raise NonFiniteValues("values must be finite")
     signal = object.__new__(cls)
     vars(signal).update(fields, values=values)
@@ -560,7 +563,7 @@ def aggregate(day: DaySignal, level: int) -> AggregatedSignal:
     preserves the daily total exactly for integer-valued inputs.
     """
     check_level(level)
-    sums = day.values.reshape(-1, 1 << level).sum(axis=1)
+    sums = np.add.reduce(day.values.reshape(-1, 1 << level), axis=1)
     return _derived(AggregatedSignal, sums, source_date=day.date, level=level)
 
 

@@ -23,7 +23,7 @@ kept slot's quotient is the plain IEEE one. It divides rather than
 multiplying by reciprocals, which overflow for a subnormal share. A
 quotient over a tiny share can still overflow to ``inf``, and a difference
 that overflowed to ``inf`` in the subtraction (which warns there) divides
-to NaN at an excluded slot; :class:`DayResult` refuses either with
+to NaN at an excluded slot; the result refuses either with
 ``InvalidParams``. So that a caller who turns warnings into errors gets that
 refusal and not a numpy ``RuntimeWarning``, the divide runs under
 ``np.errstate(over="ignore", invalid="ignore")`` unless no quotient can
@@ -31,6 +31,20 @@ overflow: when every kept share of the original is at least 1e-150 and the
 centred norms of the original and the row are below 1e150, each ``|delta|``
 is below 2e150 + 2 and each quotient below 1e301, and the divide runs plain,
 without the ``errstate`` and its cost. Either way the quotients are the same.
+
+:func:`evaluate_day` builds its :class:`DayResult` through ``_result``, which
+sets the nine fields as the dataclass ``__init__`` does and keeps only the
+refusals that its caller or its arithmetic can break, in the constructor's
+order: ``check_level`` of the caller's level, ``InvalidParams`` for a NaN
+correlation, and ``InvalidParams`` for an error that is not finite. A
+correlation is clamped to [-1, 1] so that a NaN passes through, and it is
+NaN when the product of two centred norms overflows (as ``cross / inf`` it
+would read 0.0). Every other rule holds by construction: errors and MADs are
+sums of magnitudes; finite centred norms keep every share below 1.4e154, so
+the MADs are finite; and shares that sum to one keep a slot, so
+``excluded_slots`` is an int in 0..287. The public constructor keeps every
+check. Each sum is ``np.add.reduce``, the reduction that ``ndarray.sum``
+wraps in Python.
 
 Every row passes :func:`flowrecon.reconstruct.share_row` first. The tests
 hold :func:`evaluate_day` to the scalar ``pearson``, ``mean_abs_pct_error``
@@ -147,7 +161,7 @@ def _original_terms(values: np.ndarray) -> _Original:
     shares, centred, norm = _centred_row(values)
     kept = shares > 0
     divisor = np.where(kept, shares, np.inf)
-    bounded = float(divisor.min()) >= _SHARE_FLOOR and norm < _NORM_CEILING
+    bounded = float(np.minimum.reduce(divisor)) >= _SHARE_FLOOR and norm < _NORM_CEILING
     return _Original(shares, divisor, int(np.count_nonzero(kept)), centred, norm, bounded)
 
 
@@ -155,15 +169,19 @@ def _row_terms(values: np.ndarray, original: _Original) -> tuple[float, float, f
     """A reconstruction's or baseline's terms against the original's, as a tuple
     ``(error, mad, cross, norm)``: the sum of ``|row - original| / original`` over
     the kept slots, the sum of ``|row - original|``, the centred row's dot product
-    with the centred original, and the row's centred norm (0.0 for a constant row)."""
+    with the centred original, and the row's centred norm (0.0 for a constant row).
+    The row's shares are its own fresh array, so they become ``|row - original|``
+    and then its quotient in place."""
     shares, centred, norm = _centred_row(values)
-    diff = np.abs(shares - original.shares)
+    diff = np.subtract(shares, original.shares, out=shares)
+    np.abs(diff, out=diff)
+    mad = float(np.add.reduce(diff))
     if original.bounded and norm < _NORM_CEILING:  # a NaN norm fails: the quiet path
-        relative = diff / original.divisor
+        np.divide(diff, original.divisor, out=diff)
     else:
-        with np.errstate(over="ignore", invalid="ignore"):  # DayResult refuses the inf or NaN
-            relative = diff / original.divisor
-    return float(relative.sum()), float(diff.sum()), float(centred @ original.centred), norm
+        with np.errstate(over="ignore", invalid="ignore"):  # the result refuses the inf or NaN
+            np.divide(diff, original.divisor, out=diff)
+    return float(np.add.reduce(diff)), mad, float(centred @ original.centred), norm
 
 
 def evaluate_day(
@@ -179,10 +197,11 @@ def evaluate_day(
     share rows (``tests/metric_reference.py``). The original is checked
     first, then the reconstruction, then the baseline, each raising what
     ``share_row`` raises on it; then ``ConstantInput``, and last the
-    result's ``LevelOutOfRange``, or its ``InvalidParams`` for an error that
-    overflows to inf (a subnormal original share). Shares that sum to one
-    hold a positive share, so the original always keeps a slot for the
-    relative error and no all-zero original can reach it.
+    result's ``LevelOutOfRange``, or its ``InvalidParams`` for a correlation
+    whose centred norms overflow or for an error that overflows to inf (a
+    subnormal original share). Shares that sum to one hold a positive share,
+    so the original always keeps a slot for the relative error and no
+    all-zero original can reach it.
     """
     global _memo
     memo = _memo
@@ -201,18 +220,46 @@ def evaluate_day(
     n0 = orig.norm
     if not (n0 > 0 and n1 > 0 and n2 > 0):
         raise ConstantInput("correlation undefined for a constant vector")
+    d1, d2 = n0 * n1, n0 * n2
     size = orig.shares.size
-    return DayResult(
-        date=original.date,
-        level=level,
-        correlation=max(-1.0, min(1.0, cross / (n0 * n1))),
-        error_pct=error / orig.kept * 100.0,
-        baseline_correlation=max(-1.0, min(1.0, base_cross / (n0 * n2))),
-        baseline_error_pct=base_error / orig.kept * 100.0,
-        share_mad=mad / size,
-        baseline_share_mad=base_mad / size,
-        excluded_slots=size - orig.kept,
+    return _result(
+        original.date,
+        level,
+        # NaN for overflowed norms; max and min pass on a NaN first argument
+        min(max(cross / d1, -1.0), 1.0) if d1 < math.inf else math.nan,
+        error / orig.kept * 100.0,
+        min(max(base_cross / d2, -1.0), 1.0) if d2 < math.inf else math.nan,
+        base_error / orig.kept * 100.0,
+        mad / size,
+        base_mad / size,
+        size - orig.kept,
     )
+
+
+_set = object.__setattr__
+
+
+def _result(day, level, correlation, error_pct, baseline_correlation, baseline_error_pct,
+            share_mad, baseline_share_mad, excluded_slots) -> DayResult:
+    """The :class:`DayResult` of fields that :func:`evaluate_day` computed, set in field
+    order as the dataclass ``__init__`` sets them, with only the refusals that a caller
+    or the arithmetic can break (see the module docstring)."""
+    check_level(level)
+    if not -1.0 <= correlation <= 1.0 >= baseline_correlation >= -1.0:
+        raise InvalidParams(f"correlation {correlation} or {baseline_correlation} is undefined")
+    if not error_pct < math.inf > baseline_error_pct:
+        raise InvalidParams(f"error {error_pct} or {baseline_error_pct} is not finite")
+    result = object.__new__(DayResult)
+    _set(result, "date", day)
+    _set(result, "level", level)
+    _set(result, "correlation", correlation)
+    _set(result, "error_pct", error_pct)
+    _set(result, "baseline_correlation", baseline_correlation)
+    _set(result, "baseline_error_pct", baseline_error_pct)
+    _set(result, "share_mad", share_mad)
+    _set(result, "baseline_share_mad", baseline_share_mad)
+    _set(result, "excluded_slots", excluded_slots)
+    return result
 
 
 # the DayResult fields a LevelSummary row summarizes, in LevelSummary's order

@@ -66,11 +66,11 @@ def share_row(values: np.ndarray) -> tuple[np.ndarray, float]:
     within ``SHARE_SUM_TOL`` (heavy cancellation in the total). The checks
     cost one sum per row unless the row fails.
     """
-    total = values.sum()
+    total = np.add.reduce(values)
     if total <= 0:  # a NaN total passes here and makes every share NaN
         raise ZeroDailyTotal(f"daily total {float(total)!r} is not positive")
     shares = values / total
-    share_sum = shares.sum()
+    share_sum = np.add.reduce(shares)
     if not abs(share_sum - 1.0) <= SHARE_SUM_TOL:
         if not np.isfinite(shares).all():
             raise NonFiniteValues("shares must be finite")
@@ -88,8 +88,9 @@ def reconstruct_day(
     residual = matrix.residual(levels)  # LevelOutOfRange first, then LevelMismatch
     if aggregated.level != levels:
         raise LevelMismatch(f"aggregated level {aggregated.level} != levels {levels}")
-    scale = 2.0 ** (-levels if rescale_approximation else -levels / 2)
-    values = residual + (aggregated.values * scale)[_WINDOW_OF[levels - 1]]
+    values = aggregated.values[_WINDOW_OF[levels - 1]]
+    values *= 2.0 ** (-levels if rescale_approximation else -levels / 2)
+    values += residual
     return _derived(DaySignal, values, date=aggregated.source_date, sensor_id="",
                     filled_slots=frozenset())
 
@@ -102,7 +103,8 @@ def staircase_baseline(aggregated: AggregatedSignal) -> DaySignal:
     comparison floor for any reconstruction.
     """
     level = aggregated.level
-    values = (aggregated.values / (1 << level))[_WINDOW_OF[level - 1]]
+    values = aggregated.values[_WINDOW_OF[level - 1]]
+    values /= 1 << level
     return _derived(DaySignal, values, date=aggregated.source_date, sensor_id="",
                     filled_slots=frozenset())
 

@@ -81,7 +81,9 @@ def normalize_percent(day: DaySignal) -> PercentSignal:
 
 @np.errstate(over="ignore", invalid="ignore")
 def pearson(a, b) -> float:
-    """Population product-moment correlation, cov(a, b) / (sigma_a sigma_b)."""
+    """Population product-moment correlation, cov(a, b) / (sigma_a sigma_b), clamped to
+    [-1, 1]. It is NaN, which ``DayResult`` refuses, when it is NaN before the clamp or
+    when the product of the centred norms overflows."""
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
     if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
@@ -95,8 +97,10 @@ def pearson(a, b) -> float:
     # a constant vector's float mean can differ from its value: test ptp too
     if nx == 0.0 or ny == 0.0 or np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise ConstantInput("correlation undefined for a constant vector")
+    if not nx * ny < np.inf:
+        return np.nan
     r = float(np.sum(dx * dy) / (nx * ny))
-    return max(-1.0, min(1.0, r))
+    return min(max(r, -1.0), 1.0)
 
 
 class MapeResult(NamedTuple):

@@ -98,6 +98,8 @@ def assert_same_outcome(original, reconstructed, baseline, level):
         assert got is want
         return
     assert isinstance(got, DayResult)
+    # evaluate_day builds its result without the constructor's checks: each must pass them
+    assert got == DayResult(**{f.name: getattr(got, f.name) for f in fields(DayResult)})
     for field in fields(DayResult):
         assert getattr(got, field.name) == pytest.approx(
             getattr(want, field.name), rel=1e-12, abs=1e-12
@@ -165,6 +167,9 @@ NAN_TOTAL = np.resize([1.7e308, -1.7e308], SLOTS_PER_DAY)
 # heavy cancellation: the total rounds to 848 while the shares sum to 0.984375
 CANCELLING = np.zeros(SLOTS_PER_DAY)
 CANCELLING[[145, 185, 231, 261]] = [632.0, -1e17, 1e17, 201.28]
+# the total is 286 and the shares sum to one, but the centred norm overflows to inf
+NORM_OVERFLOWING = np.ones(SLOTS_PER_DAY)
+NORM_OVERFLOWING[:2] = (1e200, -1e200)
 
 
 def clear_memo():
@@ -205,7 +210,8 @@ def in_each_position(bad):
     + in_each_position(np.full(SLOTS_PER_DAY, 13.0))
     + in_each_position(OVERFLOWING)
     + in_each_position(NAN_TOTAL)
-    + in_each_position(CANCELLING),
+    + in_each_position(CANCELLING)
+    + in_each_position(NORM_OVERFLOWING),
 )
 @pytest.mark.parametrize("cache", ("cold", "valid pair", "same original"))
 def test_evaluate_day_raises_like_reference(original, reconstructed, baseline, cache):

@@ -147,6 +147,18 @@ def test_evaluate_day_refuses_an_error_that_overflows():
         raises(InvalidParams, lambda: evaluate_day(*days, 2))
 
 
+def test_evaluate_day_refuses_a_correlation_whose_norms_overflow():
+    """Slots of 1e200 and -1e200 cancel in the total, so the shares pass ``share_row``,
+    but the centred norms overflow to inf: the pair once scored a correlation of 1.0
+    (``min(1.0, nan)``), and a finite row against it 0.0 (``cross / inf``)."""
+    values = np.ones(SLOTS_PER_DAY)
+    values[:2] = (1e200, -1e200)
+    day, ramp = DaySignal(DAY, "s1", values), DaySignal(DAY, "s1", np.arange(1.0, 289.0))
+    with np.errstate(over="ignore"):  # the norms' matmul overflows
+        for days in ((day, day, ramp), (ramp, day, ramp), (ramp, ramp, day)):
+            raises(InvalidParams, lambda: evaluate_day(*days, 3))
+
+
 def test_gap_report_reversed_span():
     raises(InvalidParams, lambda: gap_report([], date(2012, 4, 30), date(2012, 4, 1), "s1"))
 

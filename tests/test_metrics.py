@@ -8,7 +8,9 @@ constant rows) is also checked on ``evaluate_day`` directly.
 """
 
 import math
+import tracemalloc
 import warnings
+from dataclasses import fields
 from datetime import date
 
 import numpy as np
@@ -259,6 +261,38 @@ def test_an_overflowed_difference_at_an_excluded_slot_gives_no_divide_warning():
 def test_day_result_validates_correlation_range():
     with pytest.raises(ValueError):
         result_for(1, 1.5, 3.0)
+
+
+def retained_bytes(build):
+    """The bytes that the list ``build()`` returns still holds, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return retained
+
+
+def test_evaluate_day_results_retain_no_more_than_constructed_ones():
+    """A result that ``evaluate_day`` builds without its constructor holds no more memory
+    than one the constructor builds from fresh floats of the same values."""
+    rng = np.random.default_rng(3)
+    original, reconstructed = (day_of(rng.uniform(1.0, 300.0, SLOTS_PER_DAY)) for _ in range(2))
+    baseline = staircase_baseline(aggregate(original, 2))
+    evaluate_day(original, reconstructed, baseline, 2)  # the memo holds these terms from here on
+    scored = retained_bytes(lambda: [evaluate_day(original, reconstructed, baseline, 2)
+                                     for _ in range(10_000)])
+    result = evaluate_day(original, reconstructed, baseline, 2)
+    values = {f.name: getattr(result, f.name) for f in fields(DayResult)}
+
+    def constructed():
+        # v * 1.0 is a new float of the same value, as each scored result holds its own
+        return DayResult(**{name: v * 1.0 if type(v) is float else v for name, v in values.items()})
+
+    built = retained_bytes(lambda: [constructed() for _ in range(10_000)])
+    assert scored <= built * 1.02, f"{scored} against {built} bytes"
 
 
 def test_summarize_single_day():
