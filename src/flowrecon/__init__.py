@@ -48,6 +48,9 @@ own. Its public API, module by module:
     ``DEFAULT_PARAMS``, ``base_profile``, ``generate_day``,
     ``generate_corpus``.
 ``flowrecon.errors``
-    ``FlowReconError`` (a ValueError) and one subclass per validation
-    failure.
+    ``FlowReconError`` (a ValueError), the one exception every module raises
+    for input it refuses. Its reason is one of the closed tuple ``REASONS``
+    (``"shape"``, ``"non-finite"``, ``"bad-params"``, ...), by which a caller
+    can count what it drops. A docstring that names a reason, such as
+    ``"level"``, means a ``FlowReconError`` with that reason.
 """

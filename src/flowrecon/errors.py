@@ -1,96 +1,33 @@
-"""Exception types shared across the package."""
+"""The one exception the package raises for input it refuses, and why it refuses it."""
+
+# The closed set of reasons a FlowReconError carries:
+REASONS = (
+    "shape",  # a row of another shape or of no numbers, a slot off the grid, misfit coefficients
+    "non-finite",  # a NaN or infinite value, given or from an overflow
+    "zero-total",  # a daily total that is not positive, so a day has no shares
+    "not-normalized",  # shares that do not sum to one (heavy cancellation in the total)
+    "constant",  # a constant row, whose correlation is undefined
+    "level",  # a level that is no int on its ladder, or an aggregate of another level
+    "no-header",  # a CSV that holds no header row at all
+    "missing-column",  # a CSV header without a required column
+    "mixed-sensors",  # a record of another sensor than the one given
+    "empty",  # nothing to work on: no typical day, no donor day or no result
+    "bad-params",  # any other argument off its rules: a month, day, id, seed, scenario or range
+)
 
 
 class FlowReconError(ValueError):
-    """Base class for every domain error raised by flowrecon."""
+    """Every domain error of flowrecon: ``reason`` is one of ``REASONS``, and
+    ``str(exc)`` is the message.
 
-
-class LengthMismatch(FlowReconError):
-    """Paired vectors (coefficients or signals) have incompatible lengths."""
-
-
-class NotDyadicallyDivisible(FlowReconError):
-    """2**levels does not divide the signal length."""
-
-
-class LevelOutOfRange(FlowReconError):
-    """A decomposition/aggregation level that is no int on the supported ladder (2.0, True)."""
-
-
-class LevelMismatch(FlowReconError):
-    """An aggregated signal's level differs from the level asked for."""
-
-
-class WrongShape(FlowReconError):
-    """A signal is no float row of the slot or window count its type requires: another shape,
-    no numbers, or bool, text, bytes, date, time-span or complex values (``ingest.finite_row``);
-    or a length given to ``haar.max_levels`` is no int >= 1."""
-
-
-class NonFiniteValues(FlowReconError):
-    """A signal holds NaN or infinite values."""
-
-
-class SlotOutOfRange(FlowReconError):
-    """A slot index lies outside the 288-slot day grid."""
-
-
-class UnknownScenario(FlowReconError):
-    """A donor profile names a scenario other than 1 or 2."""
-
-
-class NotBlockConstant(FlowReconError):
-    """A Scenario-2 profile is not constant on each 20-minute block."""
-
-
-class SharesNotNormalized(FlowReconError):
-    """Percent-of-daily-total shares do not sum to one."""
-
-
-class MissingColumn(FlowReconError):
-    """A required CSV column is absent from the header."""
-
-
-class EmptyInput(FlowReconError):
-    """The input stream holds no CSV header at all."""
-
-
-class MixedSensors(FlowReconError):
-    """Records from more than one sensor where a single sensor is required."""
-
-
-class NoTypicalDays(FlowReconError):
-    """No fault-free day matched the selection criteria."""
-
-
-class EmptyDayList(FlowReconError):
-    """A profile cannot be built from zero days."""
-
-
-class ZeroDailyTotal(FlowReconError):
-    """Percent normalization needs a positive daily total."""
-
-
-class ConstantInput(FlowReconError):
-    """Correlation is undefined for a constant vector."""
-
-
-class EmptyResults(FlowReconError):
-    """No day results to summarize."""
-
-
-class InvalidParams(FlowReconError):
-    """Arguments violate their type's invariants.
-
-    Raised for synthetic profile parameters or jitter (a seed must be an
-    int), a day-selection, gap-report or synthetic-corpus year and month
-    that is no calendar month (``ingest.check_month``), a day or span end
-    that is no date or is a ``datetime`` (``ingest.check_day``), a day,
-    assembly or gap-report sensor id that is no str, a date span ending
-    before it starts, a record off the day grid or one with a flow the
-    parser rejects (records writer), a gap-report month that is no
-    ``MonthGap`` (gap writer), a negative export vehicle total and a
-    day result whose correlation, error, share difference or excluded-slot
-    count (an int) lies outside its range (an error must be finite and
-    non-negative, so a day whose error overflows is refused).
+    >>> exc = FlowReconError("empty", "no day results to summarize")
+    >>> exc.reason, str(exc)
+    ('empty', 'no day results to summarize')
     """
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(reason, message)  # both args, so a pickle round-trips both
+        self.reason = reason
+
+    def __str__(self) -> str:
+        return self.args[1]

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    LengthMismatch,
-    LevelOutOfRange,
-    NonFiniteValues,
-    NotDyadicallyDivisible,
-    WrongShape,
-)
+from .errors import FlowReconError
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -33,15 +27,15 @@ def _is_int(value) -> bool:
 
 def _check_levels(levels) -> None:
     if not (_is_int(levels) and levels >= 1):
-        raise LevelOutOfRange(f"levels must be an int >= 1, got {levels!r}")
+        raise FlowReconError("level", f"levels must be an int >= 1, got {levels!r}")
 
 
 def _as_signal(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
-        raise WrongShape("signal must be a non-empty 1-D sequence of reals")
+        raise FlowReconError("shape", "signal must be a non-empty 1-D sequence of reals")
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteValues("signal values must be finite")
+        raise FlowReconError("non-finite", "signal values must be finite")
     return arr
 
 
@@ -52,7 +46,7 @@ def max_levels(length: int) -> int:
     5
     """
     if not (_is_int(length) and length >= 1):
-        raise WrongShape(f"length must be an int >= 1, got {length!r}")
+        raise FlowReconError("shape", f"length must be an int >= 1, got {length!r}")
     n = int(length)  # a numpy int has no bit_length
     return (n & -n).bit_length() - 1  # count of trailing zero bits
 
@@ -65,8 +59,8 @@ class WaveletDecomposition:
     ``details`` holds one high-pass vector per level ordered finest first,
     so ``details[0]`` has length N/2 and ``details[levels-1]`` matches the
     approximation length. Every vector is 1-D, so coefficient counts always
-    sum back to N; any other shapes raise :class:`LengthMismatch`, and an
-    empty approximation (N = 0) raises :class:`WrongShape`.
+    sum back to N; any other shapes, and an empty approximation (N = 0),
+    raise ``"shape"``.
     """
 
     levels: int
@@ -82,11 +76,12 @@ class WaveletDecomposition:
         )
         _check_levels(self.levels)
         if not self.approximation.size:  # as haar_forward refuses an empty signal
-            raise WrongShape("approximation must be non-empty")
+            raise FlowReconError("shape", "approximation must be non-empty")
         m, shapes = self.approximation.size, [d.shape for d in self.details]
         fits = [(m << (self.levels - j),) for j in range(1, len(shapes) + 1)]
         if self.approximation.ndim != 1 or len(shapes) != self.levels or shapes != fits:
-            raise LengthMismatch(
+            raise FlowReconError(
+                "shape",
                 f"approximation of shape {self.approximation.shape} and details of"
                 f" shapes {shapes} are no {self.levels}-level decomposition"
             )
@@ -102,18 +97,16 @@ def haar_forward(values, levels: int) -> WaveletDecomposition:
 
     Raises
     ------
-    LevelOutOfRange
-        If ``levels`` is no int >= 1.
-    NotDyadicallyDivisible
-        If 2**levels does not divide the signal length.
-    NonFiniteValues
-        If the signal is not finite, or a coefficient overflows (no warning is
-        printed for the overflow).
+    FlowReconError
+        ``"level"`` if ``levels`` is no int >= 1; ``"shape"`` if 2**levels does
+        not divide the signal length; ``"non-finite"`` if the signal is not
+        finite, or a coefficient overflows (no warning is printed for the
+        overflow).
     """
     approx = _as_signal(values)
     _check_levels(levels)
     if max_levels(approx.size) < levels:
-        raise NotDyadicallyDivisible(f"2**{levels} does not divide signal length {approx.size}")
+        raise FlowReconError("shape", f"2**{levels} does not divide signal length {approx.size}")
     details = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         for _ in range(levels):
@@ -121,7 +114,9 @@ def haar_forward(values, levels: int) -> WaveletDecomposition:
             approx = (even + odd) / SQRT2
             details.append((even - odd) / SQRT2)
     if not all(np.isfinite(v).all() for v in (approx, *details)):
-        raise NonFiniteValues(f"a coefficient of the {levels}-level transform overflows")
+        raise FlowReconError(
+            "non-finite", f"a coefficient of the {levels}-level transform overflows"
+        )
     return WaveletDecomposition(levels, approx, tuple(details))
 
 
@@ -131,7 +126,7 @@ def haar_inverse(decomposition: WaveletDecomposition) -> np.ndarray:
 
     An untouched decomposition round-trips to the original signal within
     float tolerance. A rebuilt value that is not finite, from a coefficient
-    that is not or from an overflow, raises ``NonFiniteValues`` with no warning.
+    that is not or from an overflow, raises ``"non-finite"`` with no warning.
     """
     x = decomposition.approximation
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
@@ -141,5 +136,5 @@ def haar_inverse(decomposition: WaveletDecomposition) -> np.ndarray:
             out[1::2] = (x - detail) / SQRT2
             x = out
     if not np.isfinite(x).all():
-        raise NonFiniteValues("the rebuilt signal is not finite")
+        raise FlowReconError("non-finite", "the rebuilt signal is not finite")
     return x

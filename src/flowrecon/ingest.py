@@ -45,10 +45,10 @@ One table holds the day grid: ``SLOT_OF`` maps each slot start of
 ``SLOT_TIMES`` to its slot. A timestamp is on the grid exactly when it is
 naive (``ts.utcoffset() is None``; a ``zoneinfo`` stamp is aware) and
 ``ts.time() in SLOT_OF``. The parser rejects a row off the grid, and
-:func:`assemble_day`, :func:`gap_report` and the writer raise ``InvalidParams``.
+:func:`assemble_day`, :func:`gap_report` and the writer raise ``"bad-params"``.
 
 Each assembled day and gap report is of one sensor, whose id (a str) the
-caller gives; a record of another raises ``MixedSensors``. Missing slots
+caller gives; a record of another raises ``"mixed-sensors"``. Missing slots
 are zero-filled and tracked per day, and daily signals can be re-windowed
 onto the dyadic aggregation ladder (10, 20, 40, 80, 160 minutes). A few
 rules check the package's fields, each field raising its own error:
@@ -80,16 +80,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    InvalidParams,
-    LevelOutOfRange,
-    MissingColumn,
-    MixedSensors,
-    NonFiniteValues,
-    SlotOutOfRange,
-    WrongShape,
-)
+from .errors import FlowReconError
 
 BASE_WINDOW_MINUTES = 5
 SLOTS_PER_DAY = 1440 // BASE_WINDOW_MINUTES  # 288
@@ -113,29 +104,29 @@ def is_int(value) -> bool:
 
 
 def check_level(level: int) -> None:
-    """Raise ``LevelOutOfRange`` unless ``level`` is an int in 1..MAX_AGGREGATION_LEVEL."""
+    """Raise ``"level"`` unless ``level`` is an int in 1..MAX_AGGREGATION_LEVEL."""
     if not (is_int(level) and 1 <= level <= MAX_AGGREGATION_LEVEL):
-        raise LevelOutOfRange(f"level {level!r} is no int in 1..{MAX_AGGREGATION_LEVEL}")
+        raise FlowReconError("level", f"level {level!r} is no int in 1..{MAX_AGGREGATION_LEVEL}")
 
 
 def check_month(year: int, month: int) -> None:
-    """Raise ``InvalidParams`` unless ``year`` is an int in ``date.min.year..date.max.year``
+    """Raise ``"bad-params"`` unless ``year`` is an int in ``date.min.year..date.max.year``
     and ``month`` an int in 1..12, both by :func:`is_int`."""
     if not (is_int(year) and date.min.year <= year <= date.max.year
             and is_int(month) and 1 <= month <= 12):
-        raise InvalidParams(f"year {year!r} or month {month!r} is no int month")
+        raise FlowReconError("bad-params", f"year {year!r} or month {month!r} is no int month")
 
 
 def check_day(day: date) -> None:
-    """Raise ``InvalidParams`` unless ``day`` is a ``datetime.date`` that is not a ``datetime``."""
+    """Raise ``"bad-params"`` unless ``day`` is a ``datetime.date`` that is not a ``datetime``."""
     if not isinstance(day, date) or isinstance(day, datetime):
-        raise InvalidParams(f"day {day!r} is no date")
+        raise FlowReconError("bad-params", f"day {day!r} is no date")
 
 
 def check_sensor_id(sensor_id: str) -> None:
-    """Raise ``InvalidParams`` unless ``sensor_id`` is a ``str``."""
+    """Raise ``"bad-params"`` unless ``sensor_id`` is a ``str``."""
     if not isinstance(sensor_id, str):
-        raise InvalidParams(f"sensor id {sensor_id!r} is not a str")
+        raise FlowReconError("bad-params", f"sensor id {sensor_id!r} is not a str")
 
 
 # dtype kinds whose values are no counts: bool, text, bytes, date, time span and complex
@@ -143,10 +134,10 @@ _NO_COUNT_KINDS = "bUSMmc"
 
 
 def finite_row(values, length: int) -> np.ndarray:
-    """``values`` as a float array of shape ``(length,)``; ``WrongShape`` for another shape or
+    """``values`` as a float array of shape ``(length,)``; ``"shape"`` for another shape or
     no numbers (``"abc"``, ragged lists, ints past float range) and for bool, text, bytes,
     ``datetime64``, ``timedelta64`` or complex arrays, even ones that would convert (``"1"``,
-    ``True``); ``NonFiniteValues`` for NaN, inf. The refusal goes by the array's dtype: int,
+    ``True``); ``"non-finite"`` for NaN, inf. The refusal goes by the array's dtype: int,
     uint, float and object arrays convert, with whatever their elements hold."""
     try:
         row = np.asarray(values)
@@ -154,11 +145,11 @@ def finite_row(values, length: int) -> np.ndarray:
             raise TypeError(f"{row.dtype} values are refused")
         row = row.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise WrongShape(f"values do not convert to floats: {exc}") from exc
+        raise FlowReconError("shape", f"values do not convert to floats: {exc}") from exc
     if row.shape != (length,):
-        raise WrongShape(f"expected shape ({length},), got {row.shape}")
+        raise FlowReconError("shape", f"expected shape ({length},), got {row.shape}")
     if not np.isfinite(row).all():
-        raise NonFiniteValues("values must be finite")
+        raise FlowReconError("non-finite", "values must be finite")
     return row
 
 
@@ -196,7 +187,7 @@ class DaySignal:
 
     ``date`` passes :func:`check_day`, ``sensor_id`` :func:`check_sensor_id` and
     ``values`` :func:`finite_row`; ``filled_slots`` lists the slot
-    indices (ints by :func:`is_int` in 0..287, else ``SlotOutOfRange``) that
+    indices (ints by :func:`is_int` in 0..287, else ``"shape"``) that
     carried no record and were set to zero. Ingested and synthetic days are
     non-negative; reconstructed days may carry negative raw values. The
     constructor checks every field; a staircase or a reconstruction, whose
@@ -216,7 +207,7 @@ class DaySignal:
         object.__setattr__(self, "filled_slots", filled)
         # True and 2.0 equal slots, so the subset test alone would let them through
         if filled and not (filled <= _ALL_SLOTS and all(map(is_int, filled))):
-            raise SlotOutOfRange(f"filled slots must be ints in 0..{SLOTS_PER_DAY - 1}")
+            raise FlowReconError("shape", f"filled slots must be ints in 0..{SLOTS_PER_DAY - 1}")
 
     @property
     def daily_total(self) -> float:
@@ -246,14 +237,14 @@ def _derived(cls, values: np.ndarray, **fields):
 
     ``values`` is a fresh float row of the class's shape and ``fields`` are its other
     fields, taken from those signals, so every rule holds by construction except the
-    one that arithmetic can break: ``values`` must be finite, else ``NonFiniteValues``
+    one that arithmetic can break: ``values`` must be finite, else ``"non-finite"``
     as :func:`finite_row` raises it. The test is ``np.logical_and.reduce`` of
     ``np.isfinite``, the reduction that ``ndarray.all`` wraps, called directly; a sum
     of the values would test finiteness too, but a finite row whose sum overflows would
     warn. Outside input goes through the class itself.
     """
     if not np.logical_and.reduce(np.isfinite(values)):
-        raise NonFiniteValues("values must be finite")
+        raise FlowReconError("non-finite", "values must be finite")
     signal = object.__new__(cls)
     vars(signal).update(fields, values=values)
     return signal
@@ -405,15 +396,17 @@ def _row_values(row: list[str], columns: tuple[int, int | None, int, int]):
 
 
 def _columns(header: list[str] | None) -> tuple[int, int | None, int, int]:
-    """The row rules' columns of a ``csv`` header; ``EmptyInput`` for none and
-    ``MissingColumn`` for a header without the timestamp or flow column."""
+    """The row rules' columns of a ``csv`` header; ``"no-header"`` for none and
+    ``"missing-column"`` for a header without the timestamp or flow column."""
     if header is None:
-        raise EmptyInput("input CSV has no header row")
+        raise FlowReconError("no-header", "input CSV has no header row")
     column = {name: i for i, name in enumerate(header)}  # last repeat wins
     ts_name, sensor_name, flow_name = RECORD_COLUMNS
     for required in (ts_name, flow_name):
         if required not in column:
-            raise MissingColumn(f"required column {required!r} not in header {sorted(column)}")
+            raise FlowReconError(
+                "missing-column", f"required column {required!r} not in header {sorted(column)}"
+            )
     return column[ts_name], column.get(sensor_name), column[flow_name], len(header)
 
 
@@ -440,10 +433,9 @@ def parse_sensor_csv(source) -> ParseResult:
 
     Raises
     ------
-    EmptyInput
-        If the stream holds no header row.
-    MissingColumn
-        If a required column is absent from the header.
+    FlowReconError
+        ``"no-header"`` if the stream holds no header row, ``"missing-column"``
+        if a required column is absent from the header.
     UnicodeDecodeError
         If the bytes of a path or byte stream are no UTF-8.
     UnicodeEncodeError
@@ -501,11 +493,13 @@ def parse_sensor_csv(source) -> ParseResult:
 
 
 def _check_sensor(records: list[SensorRecord], sensor_id: str) -> None:
-    """:func:`check_sensor_id`, then ``MixedSensors`` for a record of another sensor."""
+    """:func:`check_sensor_id`, then ``"mixed-sensors"`` for a record of another sensor."""
     check_sensor_id(sensor_id)
     if not {sensor_id}.issuperset(map(itemgetter(1), records)):
         others = set(map(itemgetter(1), records)) - {sensor_id}
-        raise MixedSensors(f"records from {sorted(others)} labelled {sensor_id!r}")
+        raise FlowReconError(
+            "mixed-sensors", f"records from {sorted(others)} labelled {sensor_id!r}"
+        )
 
 
 def assemble_day(records: Iterable[SensorRecord], day: date, sensor_id: str) -> DaySignal:
@@ -513,9 +507,9 @@ def assemble_day(records: Iterable[SensorRecord], day: date, sensor_id: str) -> 
 
     Records dated outside ``day`` are ignored; of records sharing a slot the
     first is placed. Slots without a record are set to zero and reported in
-    ``filled_slots``. Raises ``InvalidParams`` for a ``day`` that is no date
-    (:func:`check_day`) or a non-str ``sensor_id``, ``MixedSensors`` for a
-    record of another sensor, then ``InvalidParams`` for a record whose
+    ``filled_slots``. Raises ``"bad-params"`` for a ``day`` that is no date
+    (:func:`check_day`) or a non-str ``sensor_id``, ``"mixed-sensors"`` for a
+    record of another sensor, then ``"bad-params"`` for a record whose
     timestamp is no ``datetime``, or one dated ``day`` whose timestamp is
     tz-aware or off the grid.
     """
@@ -527,10 +521,12 @@ def assemble_day(records: Iterable[SensorRecord], day: date, sensor_id: str) -> 
         for ts, _, flow in records:
             if ts.date() == day:
                 if (slot := _slot(ts)) is None:
-                    raise InvalidParams(f"timestamp {ts!r} is tz-aware or off the day grid")
+                    raise FlowReconError(
+                        "bad-params", f"timestamp {ts!r} is tz-aware or off the day grid"
+                    )
                 placed.setdefault(slot, flow)
     except (AttributeError, TypeError) as exc:
-        raise InvalidParams(f"a record's timestamp is no datetime: {exc!r}") from exc
+        raise FlowReconError("bad-params", f"a record's timestamp is no datetime: {exc!r}") from exc
     values = np.zeros(SLOTS_PER_DAY)
     values[list(placed)] = list(placed.values())
     return DaySignal(day, sensor_id, values, _ALL_SLOTS.difference(placed))
@@ -569,7 +565,7 @@ def aggregate(day: DaySignal, level: int) -> AggregatedSignal:
 
 @dataclass(frozen=True)
 class MonthGap:
-    """One month's missing-slot count; ``InvalidParams`` unless the year and
+    """One month's missing-slot count; ``"bad-params"`` unless the year and
     month pass :func:`check_month` and the count is an int (:func:`is_int`) >= 0."""
 
     year: int
@@ -579,7 +575,9 @@ class MonthGap:
     def __post_init__(self):
         check_month(self.year, self.month)
         if not (is_int(n := self.missing_slots) and n >= 0):
-            raise InvalidParams(f"missing_slots must be a non-negative int, got {n!r}")
+            raise FlowReconError(
+                "bad-params", f"missing_slots must be a non-negative int, got {n!r}"
+            )
 
     @property
     def severity(self) -> str:
@@ -592,7 +590,7 @@ class GapReport:
     """Per-month missing-slot counts for one sensor over a date span.
 
     ``sensor_id`` passes :func:`check_sensor_id` and ``months`` is kept as a tuple
-    whose every entry is a :class:`MonthGap`; otherwise ``InvalidParams``.
+    whose every entry is a :class:`MonthGap`; otherwise ``"bad-params"``.
     """
 
     sensor_id: str
@@ -603,9 +601,11 @@ class GapReport:
         try:
             months = tuple(self.months)
         except TypeError as exc:
-            raise InvalidParams(f"months {self.months!r} are no sequence") from exc
+            raise FlowReconError("bad-params", f"months {self.months!r} are no sequence") from exc
         if not all(isinstance(m, MonthGap) for m in months):
-            raise InvalidParams(f"months {months!r} hold an entry that is no MonthGap")
+            raise FlowReconError(
+                "bad-params", f"months {months!r} hold an entry that is no MonthGap"
+            )
         object.__setattr__(self, "months", months)
 
     def write_csv(self, path) -> None:
@@ -627,7 +627,7 @@ def gap_report(
     ``bisect`` range of one sorted list); months come in calendar order,
     each with its ``SEVERITY_LADDER`` label. Checks ``start`` and ``end``
     (:func:`check_day`) and the sensor id as :func:`assemble_day` does, then
-    raises ``InvalidParams`` if ``end`` precedes ``start`` or any timestamp,
+    raises ``"bad-params"`` if ``end`` precedes ``start`` or any timestamp,
     in the span or not, is no ``datetime`` or off the day grid, so each
     distinct timestamp is one present slot, at most 288 a day.
     """
@@ -636,13 +636,15 @@ def gap_report(
     records = list(records)
     _check_sensor(records, sensor_id)
     if end < start:
-        raise InvalidParams("span end precedes start")
+        raise FlowReconError("bad-params", "span end precedes start")
     stamps = [rec.timestamp for rec in records]
     try:
         if None in map(_slot, stamps):
-            raise InvalidParams("tz-aware or off-grid timestamps cannot be placed on the day grid")
+            raise FlowReconError(
+                "bad-params", "tz-aware or off-grid timestamps cannot be placed on the day grid"
+            )
     except (AttributeError, TypeError) as exc:
-        raise InvalidParams(f"a record's timestamp is no datetime: {exc!r}") from exc
+        raise FlowReconError("bad-params", f"a record's timestamp is no datetime: {exc!r}") from exc
     stamps.sort()
     day_of = datetime.date
     missing = Counter()  # (year, month) -> missing slots, months in calendar order
@@ -683,7 +685,7 @@ def write_records_csv(records: Sequence[SensorRecord], path) -> None:
     The bytes are what ``csv.writer`` writes: CRLF line ends and minimal
     quoting, which only a sensor id can need. A record the parser would
     reject (tz-aware or off the grid, or a flow whose text is no number in
-    ``[0, inf)``) raises ``InvalidParams`` in the one pass, as does one whose
+    ``[0, inf)``) raises ``"bad-params"`` in the one pass, as does one whose
     timestamp is no ``datetime``, whose sensor id is no ``str`` (checked once per
     distinct id) or that is no three-field row; the file is removed.
     """
@@ -704,4 +706,4 @@ def write_records_csv(records: Sequence[SensorRecord], path) -> None:
             fh.writelines(lines())
     except (ValueError, TypeError, AttributeError) as exc:
         os.remove(path)
-        raise InvalidParams(f"a record the parser would reject: {exc!r}") from exc
+        raise FlowReconError("bad-params", f"a record the parser would reject: {exc!r}") from exc

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyDayList, NotBlockConstant, NoTypicalDays, UnknownScenario
+from .errors import FlowReconError
 from .ingest import (
     MAX_AGGREGATION_LEVEL,
     SLOTS_PER_DAY,
@@ -37,7 +37,7 @@ RATE_LEVEL = 2  # a 20-minute block is a level-2 window of 4 slots
 
 @dataclass(frozen=True)
 class DaySelectionCriteria:
-    """The month whose typical weekdays donate the profile; ``InvalidParams``
+    """The month whose typical weekdays donate the profile; ``"bad-params"``
     unless the year and the month pass ``ingest.check_month``."""
 
     year: int
@@ -68,7 +68,7 @@ class MatrixProfile:
     changes to the caller's array do not reach the profile. The detail residual ``r_k`` of
     every level 1 to ``MAX_AGGREGATION_LEVEL`` is built from that copy once, with the
     profile, as a flat read-only row of 288, and :meth:`residual` only looks it up.
-    ``scenario`` is an int (``ingest.is_int``) 1 or 2, else ``UnknownScenario``.
+    ``scenario`` is an int (``ingest.is_int``) 1 or 2, else ``"bad-params"``.
     """
 
     values: np.ndarray
@@ -79,10 +79,12 @@ class MatrixProfile:
         vals = finite_row(self.values, SLOTS_PER_DAY).copy()  # a private copy, frozen below
         scenario = self.scenario
         if not (is_int(scenario) and scenario in (SCENARIO_SLOT_MEAN, SCENARIO_BLOCK_RATE)):
-            raise UnknownScenario(f"unknown scenario {scenario!r}")
+            raise FlowReconError("bad-params", f"unknown scenario {scenario!r}")
         if scenario == SCENARIO_BLOCK_RATE:
             if not (vals == vals[:: 1 << RATE_LEVEL][_WINDOW_OF[RATE_LEVEL - 1]]).all():
-                raise NotBlockConstant("scenario-2 profile must be constant per 20-minute block")
+                raise FlowReconError(
+                    "bad-params", "scenario-2 profile must be constant per 20-minute block"
+                )
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "member_dates", tuple(self.member_dates))
@@ -114,15 +116,15 @@ def select_typical_days(
         and not day.filled_slots
     }
     if not chosen:
-        raise NoTypicalDays(
-            f"no fault-free typical day in {criteria.year}-{criteria.month:02d}"
+        raise FlowReconError(
+            "empty", f"no fault-free typical day in {criteria.year}-{criteria.month:02d}"
         )
     return sorted(chosen)
 
 
 def _slot_mean(days: Sequence[DaySignal]) -> np.ndarray:
     if not days:
-        raise EmptyDayList("at least one day is required")
+        raise FlowReconError("empty", "at least one day is required")
     return np.mean([d.values for d in days], axis=0)
 
 

@@ -21,22 +21,24 @@ row: its shares where they are positive and ``inf`` where they are not, so
 a finite difference at an excluded slot divides to exactly ``0.0`` and a
 kept slot's quotient is the plain IEEE one. It divides rather than
 multiplying by reciprocals, which overflow for a subnormal share. A
-quotient over a tiny share can still overflow to ``inf``, and a difference
-that overflowed to ``inf`` in the subtraction (which warns there) divides
-to NaN at an excluded slot; the result refuses either with
-``InvalidParams``. So that a caller who turns warnings into errors gets that
-refusal and not a numpy ``RuntimeWarning``, the divide runs under
-``np.errstate(over="ignore", invalid="ignore")`` unless no quotient can
-overflow: when every kept share of the original is at least 1e-150 and the
-centred norms of the original and the row are below 1e150, each ``|delta|``
-is below 2e150 + 2 and each quotient below 1e301, and the divide runs plain,
-without the ``errstate`` and its cost. Either way the quotients are the same.
+quotient over a tiny share can still overflow to ``inf``, and so can the
+sum of finite quotients; a difference that overflows to ``inf`` in the
+subtraction divides to NaN at an excluded slot; the result refuses each
+with ``"bad-params"``. So that a caller who turns warnings into errors gets
+that refusal and not a numpy ``RuntimeWarning``, the difference, the divide
+and both sums run under ``np.errstate(over="ignore", invalid="ignore")``
+unless none can overflow: when every kept share of the original is at least
+1e-150 and the centred norms of the original and the row are below 1e150,
+each ``|delta|`` is below 2e150 + 2 and each quotient below 1e301, and they
+run plain, without the ``errstate`` and its cost. Either way the values are
+the same. The dot products are ``np.vdot``, which overflows to ``inf``
+without the warning that ``@`` prints.
 
 :func:`evaluate_day` builds its :class:`DayResult` through ``_result``, which
 sets the nine fields as the dataclass ``__init__`` does and keeps only the
 refusals that its caller or its arithmetic can break, in the constructor's
-order: ``check_level`` of the caller's level, ``InvalidParams`` for a NaN
-correlation, and ``InvalidParams`` for an error that is not finite. A
+order: ``check_level`` of the caller's level, ``"bad-params"`` for a NaN
+correlation, and ``"bad-params"`` for an error that is not finite. A
 correlation is clamped to [-1, 1] so that a NaN passes through, and it is
 NaN when the product of two centred norms overflows (as ``cross / inf`` it
 would read 0.0). Every other rule holds by construction: errors and MADs are
@@ -60,7 +62,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConstantInput, EmptyResults, InvalidParams
+from .errors import FlowReconError
 from .ingest import BASE_WINDOW_MINUTES, SLOTS_PER_DAY, DaySignal, check_level, is_int
 from .reconstruct import share_row
 
@@ -68,7 +70,7 @@ from .reconstruct import share_row
 @dataclass(frozen=True)
 class DayResult:
     """Per-day, per-level fidelity against the original; ``check_level`` checks the level, and
-    ``InvalidParams`` refuses a correlation outside [-1, 1], an error not finite and >= 0 or an
+    ``"bad-params"`` refuses a correlation outside [-1, 1], an error not finite and >= 0 or an
     ``excluded_slots`` that is no int (``ingest.is_int``) in 0..287."""
 
     date: date
@@ -85,13 +87,16 @@ class DayResult:
         check_level(self.level)
         r, br = self.correlation, self.baseline_correlation
         if not -1.0 <= r <= 1.0 >= br >= -1.0:  # NaN fails every comparison
-            raise InvalidParams(f"correlation {r} or {br} outside [-1, 1]")
+            raise FlowReconError("bad-params", f"correlation {r} or {br} outside [-1, 1]")
         e, be = self.error_pct, self.baseline_error_pct
         mad, bmad = self.share_mad, self.baseline_share_mad
         if not 0 <= e < math.inf > be >= 0 <= mad < math.inf > bmad >= 0:
-            raise InvalidParams(f"error {e}, {be}, {mad} or {bmad} is not finite and >= 0")
+            raise FlowReconError(
+                "bad-params", f"error {e}, {be}, {mad} or {bmad} is not finite and >= 0"
+            )
         if not (is_int(self.excluded_slots) and 0 <= self.excluded_slots < SLOTS_PER_DAY):
-            raise InvalidParams(
+            raise FlowReconError(
+                "bad-params",
                 f"excluded_slots {self.excluded_slots!r} is no int in [0, {SLOTS_PER_DAY})"
             )
 
@@ -136,7 +141,7 @@ def _centred_row(values: np.ndarray):
     :func:`share_row` raises on it."""
     shares, share_sum = share_row(values)
     centred = shares - share_sum / shares.size
-    norm = math.sqrt(centred @ centred)
+    norm = math.sqrt(np.vdot(centred, centred))
     # a constant row's float mean can differ from its value, so its norm need
     # not be 0; but its shares are all ~1/288, which bounds that norm below
     # 1e-15. Only a smaller norm needs the range test (max > min is ptp > 0
@@ -165,23 +170,30 @@ def _original_terms(values: np.ndarray) -> _Original:
     return _Original(shares, divisor, int(np.count_nonzero(kept)), centred, norm, bounded)
 
 
-def _row_terms(values: np.ndarray, original: _Original) -> tuple[float, float, float, float]:
-    """A reconstruction's or baseline's terms against the original's, as a tuple
-    ``(error, mad, cross, norm)``: the sum of ``|row - original| / original`` over
-    the kept slots, the sum of ``|row - original|``, the centred row's dot product
-    with the centred original, and the row's centred norm (0.0 for a constant row).
-    The row's shares are its own fresh array, so they become ``|row - original|``
-    and then its quotient in place."""
-    shares, centred, norm = _centred_row(values)
+def _error_terms(shares: np.ndarray, original: _Original) -> tuple[float, float]:
+    """``(error, mad)`` of a row's shares against the original's: the sum of
+    ``|row - original| / original`` over the kept slots and the sum of
+    ``|row - original|``. The shares are the row's own fresh array, so they become
+    ``|row - original|`` and then its quotient in place."""
     diff = np.subtract(shares, original.shares, out=shares)
     np.abs(diff, out=diff)
     mad = float(np.add.reduce(diff))
+    np.divide(diff, original.divisor, out=diff)
+    return float(np.add.reduce(diff)), mad
+
+
+def _row_terms(values: np.ndarray, original: _Original) -> tuple[float, float, float, float]:
+    """A reconstruction's or baseline's terms against the original's, as a tuple
+    ``(error, mad, cross, norm)``: the :func:`_error_terms`, the centred row's dot
+    product with the centred original, and the row's centred norm (0.0 for a
+    constant row)."""
+    shares, centred, norm = _centred_row(values)
     if original.bounded and norm < _NORM_CEILING:  # a NaN norm fails: the quiet path
-        np.divide(diff, original.divisor, out=diff)
+        error, mad = _error_terms(shares, original)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # the result refuses the inf or NaN
-            np.divide(diff, original.divisor, out=diff)
-    return float(np.add.reduce(diff)), mad, float(centred @ original.centred), norm
+            error, mad = _error_terms(shares, original)
+    return error, mad, float(np.vdot(centred, original.centred)), norm
 
 
 def evaluate_day(
@@ -196,8 +208,8 @@ def evaluate_day(
     equals, up to float rounding, the scalar reference metrics of the three
     share rows (``tests/metric_reference.py``). The original is checked
     first, then the reconstruction, then the baseline, each raising what
-    ``share_row`` raises on it; then ``ConstantInput``, and last the
-    result's ``LevelOutOfRange``, or its ``InvalidParams`` for a correlation
+    ``share_row`` raises on it; then ``"constant"``, and last the
+    result's ``"level"``, or its ``"bad-params"`` for a correlation
     whose centred norms overflow or for an error that overflows to inf (a
     subnormal original share). Shares that sum to one hold a positive share,
     so the original always keeps a slot for the relative error and no
@@ -219,7 +231,7 @@ def evaluate_day(
     base_error, base_mad, base_cross, n2 = base
     n0 = orig.norm
     if not (n0 > 0 and n1 > 0 and n2 > 0):
-        raise ConstantInput("correlation undefined for a constant vector")
+        raise FlowReconError("constant", "correlation undefined for a constant vector")
     d1, d2 = n0 * n1, n0 * n2
     size = orig.shares.size
     return _result(
@@ -246,9 +258,13 @@ def _result(day, level, correlation, error_pct, baseline_correlation, baseline_e
     or the arithmetic can break (see the module docstring)."""
     check_level(level)
     if not -1.0 <= correlation <= 1.0 >= baseline_correlation >= -1.0:
-        raise InvalidParams(f"correlation {correlation} or {baseline_correlation} is undefined")
+        raise FlowReconError(
+            "bad-params", f"correlation {correlation} or {baseline_correlation} is undefined"
+        )
     if not error_pct < math.inf > baseline_error_pct:
-        raise InvalidParams(f"error {error_pct} or {baseline_error_pct} is not finite")
+        raise FlowReconError(
+            "bad-params", f"error {error_pct} or {baseline_error_pct} is not finite"
+        )
     result = object.__new__(DayResult)
     _set(result, "date", day)
     _set(result, "level", level)
@@ -273,7 +289,7 @@ def summarize(results: Sequence[DayResult]) -> list[LevelSummary]:
     in ascending order regardless of input order.
     """
     if not results:
-        raise EmptyResults("no day results to summarize")
+        raise FlowReconError("empty", "no day results to summarize")
     by_level: dict[int, list[DayResult]] = {}
     for res in results:
         by_level.setdefault(res.level, []).append(res)

@@ -43,13 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    InvalidParams,
-    LevelMismatch,
-    NonFiniteValues,
-    SharesNotNormalized,
-    ZeroDailyTotal,
-)
+from .errors import FlowReconError
 from .ingest import SLOT_CLOCKS, _WINDOW_OF, AggregatedSignal, DaySignal, _derived
 from .matrix import MatrixProfile
 
@@ -60,21 +54,21 @@ def share_row(values: np.ndarray) -> tuple[np.ndarray, float]:
     """Each slot's share of the row's total, and the sum of those shares.
 
     This is the one percent-share rule a day passes before it is scored or
-    exported. It raises ``ZeroDailyTotal`` when the total is not positive,
-    ``NonFiniteValues`` when a share is not finite (so also for a NaN
-    total), and ``SharesNotNormalized`` when the shares do not sum to 1
+    exported. It raises ``"zero-total"`` when the total is not positive,
+    ``"non-finite"`` when a share is not finite (so also for a NaN
+    total), and ``"not-normalized"`` when the shares do not sum to 1
     within ``SHARE_SUM_TOL`` (heavy cancellation in the total). The checks
     cost one sum per row unless the row fails.
     """
     total = np.add.reduce(values)
     if total <= 0:  # a NaN total passes here and makes every share NaN
-        raise ZeroDailyTotal(f"daily total {float(total)!r} is not positive")
+        raise FlowReconError("zero-total", f"daily total {float(total)!r} is not positive")
     shares = values / total
     share_sum = np.add.reduce(shares)
     if not abs(share_sum - 1.0) <= SHARE_SUM_TOL:
         if not np.isfinite(shares).all():
-            raise NonFiniteValues("shares must be finite")
-        raise SharesNotNormalized(f"shares sum to {float(share_sum)!r}, expected 1")
+            raise FlowReconError("non-finite", "shares must be finite")
+        raise FlowReconError("not-normalized", f"shares sum to {float(share_sum)!r}, expected 1")
     return shares, share_sum
 
 
@@ -85,9 +79,9 @@ def reconstruct_day(
     rescale_approximation: bool = False,
 ) -> DaySignal:
     """The donor's level-``levels`` Haar detail under the target day's counts."""
-    residual = matrix.residual(levels)  # LevelOutOfRange first, then LevelMismatch
+    residual = matrix.residual(levels)  # "level" for a bad level first, then for a mismatch
     if aggregated.level != levels:
-        raise LevelMismatch(f"aggregated level {aggregated.level} != levels {levels}")
+        raise FlowReconError("level", f"aggregated level {aggregated.level} != levels {levels}")
     values = aggregated.values[_WINDOW_OF[levels - 1]]
     values *= 2.0 ** (-levels if rescale_approximation else -levels / 2)
     values += residual
@@ -113,9 +107,9 @@ def _reconstruction_columns(reconstructed: DaySignal, total_vehicles: float):
     """One day's shares and clamped counts as lists, and the number of
     negative shares.
 
-    Raises ``NonFiniteValues`` when a count is not finite: a non-finite
+    Raises ``"non-finite"`` when a count is not finite: a non-finite
     ``total_vehicles``, or a finite one whose product with a share overflows;
-    then ``InvalidParams`` for a negative ``total_vehicles``.
+    then ``"bad-params"`` for a negative ``total_vehicles``.
     """
     shares = share_row(reconstructed.values)[0]
     clamped = int(np.count_nonzero(shares < 0))
@@ -123,9 +117,11 @@ def _reconstruction_columns(reconstructed: DaySignal, total_vehicles: float):
         # + 0.0 turns a -0.0 total into 0.0, so no count is written as -0
         counts = np.clip(shares, 0.0, None) * (total_vehicles + 0.0)
     if not np.isfinite(counts).all():
-        raise NonFiniteValues(f"counts for total_vehicles {total_vehicles!r} are not finite")
+        raise FlowReconError(
+            "non-finite", f"counts for total_vehicles {total_vehicles!r} are not finite"
+        )
     if total_vehicles < 0:
-        raise InvalidParams(f"total_vehicles {total_vehicles!r} is negative")
+        raise FlowReconError("bad-params", f"total_vehicles {total_vehicles!r} is negative")
     return shares.tolist(), counts.tolist(), clamped
 
 
@@ -150,8 +146,8 @@ def write_reconstruction_csv(
     The bytes are what ``csv.writer`` writes: CRLF line ends and minimal
     quoting, which no cell needs. Negative shares are clamped to zero in the
     count column only; the number of clamped slots is returned so reports
-    can disclose it. Non-finite counts raise ``NonFiniteValues``, a negative
-    total ``InvalidParams``, before the file is opened.
+    can disclose it. Non-finite counts raise ``"non-finite"``, a negative
+    total ``"bad-params"``, before the file is opened.
 
     The file is one whole-day template with every slot's clock text in it,
     so a call applies :func:`share_row`, fills the template's date, share,
@@ -190,8 +186,8 @@ def write_reconstruction_json(
     separators, plus a newline, where ``payload`` holds ``clamped_slots``,
     ``date`` and one ``{count, original_count, share, timestamp}`` object per
     slot (``original_count`` null without an original day). Non-finite
-    counts raise ``NonFiniteValues`` (so no ``Infinity`` or ``NaN`` token is
-    written), a negative total ``InvalidParams``, before the file is opened.
+    counts raise ``"non-finite"`` (so no ``Infinity`` or ``NaN`` token is
+    written), a negative total ``"bad-params"``, before the file is opened.
 
     As for the CSV twin, the file is one whole-day template: a call applies
     :func:`share_row`, fills the date, count, original and share cells with

@@ -16,7 +16,7 @@ from datetime import date
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import FlowReconError
 from .ingest import SLOTS_PER_DAY, DaySignal, check_month, is_int
 from .matrix import TYPICAL_WEEKDAYS
 
@@ -34,7 +34,7 @@ class PeakSpec:
 
 @dataclass(frozen=True)
 class ProfileParams:
-    """A synthetic day's shape; ``InvalidParams`` for a total, noise or peak
+    """A synthetic day's shape; ``"bad-params"`` for a total, noise or peak
     off its range (below) or a seed that is no int >= 0 by ``is_int``."""
 
     daily_total: float
@@ -46,22 +46,28 @@ class ProfileParams:
         object.__setattr__(self, "peaks", tuple(self.peaks))
         # chained bounds: a NaN fails every comparison, so it is rejected too
         if not 0 < self.daily_total < math.inf:
-            raise InvalidParams(f"daily_total must be positive and finite, got {self.daily_total}")
+            raise FlowReconError(
+                "bad-params", f"daily_total must be positive and finite, got {self.daily_total}"
+            )
         if not 0 <= self.noise_std < math.inf:
-            raise InvalidParams("noise_std must be non-negative and finite")
+            raise FlowReconError("bad-params", "noise_std must be non-negative and finite")
         if not (is_int(self.seed) and self.seed >= 0):
-            raise InvalidParams(f"seed must be a non-negative integer, got {self.seed!r}")
+            raise FlowReconError(
+                "bad-params", f"seed must be a non-negative integer, got {self.seed!r}"
+            )
         weight_sum = 0.0
         for peak in self.peaks:
             if not 0 <= peak.center < SLOTS_PER_DAY:
-                raise InvalidParams(f"peak center {peak.center} outside the day grid")
+                raise FlowReconError(
+                    "bad-params", f"peak center {peak.center} outside the day grid"
+                )
             if not 0 < peak.width < math.inf:
-                raise InvalidParams("peak width must be positive and finite")
+                raise FlowReconError("bad-params", "peak width must be positive and finite")
             if not 0 <= peak.weight < math.inf:
-                raise InvalidParams("peak weight must be non-negative and finite")
+                raise FlowReconError("bad-params", "peak weight must be non-negative and finite")
             weight_sum += peak.weight
         if weight_sum > 1.0 + 1e-12:
-            raise InvalidParams(f"peak weights sum to {weight_sum}, must be <= 1")
+            raise FlowReconError("bad-params", f"peak weights sum to {weight_sum}, must be <= 1")
 
 
 # morning / evening commuter pattern: peaks near 07:45 and 17:40
@@ -130,12 +136,12 @@ def generate_corpus(
 
     ``jitter`` perturbs peak centers and the weight mix per day, drawn
     from the same per-date stream as the noise, so a fixed seed yields a
-    byte-identical corpus. ``InvalidParams`` for a year and month that fail
+    byte-identical corpus. ``"bad-params"`` for a year and month that fail
     ``ingest.check_month`` or a negative or non-finite ``jitter``.
     """
     check_month(year, month)
     if not 0 <= jitter < math.inf:
-        raise InvalidParams("jitter must be non-negative and finite")
+        raise FlowReconError("bad-params", "jitter must be non-negative and finite")
     days = []
     for dom in range(1, monthrange(year, month)[1] + 1):
         day = date(year, month, dom)

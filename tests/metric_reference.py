@@ -11,8 +11,9 @@ an independent copy of the rule rather than with itself. Each runs under
 overflow to ``inf`` or a NaN without changing a value, so a
 ``RuntimeWarning`` that a test run prints comes from the package.
 
-``AllZeroOriginal`` is this reference's own error: ``evaluate_day`` cannot
-meet an all-zero original, whose total ``share_row`` rejects first.
+Its MAPE refuses an all-zero original with ``"zero-total"``, as ``share_row``
+refuses a day with no positive total; ``evaluate_day`` cannot meet one, whose
+total ``share_row`` rejects first.
 """
 
 from __future__ import annotations
@@ -23,21 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from flowrecon.errors import (
-    ConstantInput,
-    FlowReconError,
-    LengthMismatch,
-    NonFiniteValues,
-    SharesNotNormalized,
-    WrongShape,
-    ZeroDailyTotal,
-)
+from flowrecon.errors import FlowReconError
 from flowrecon.ingest import SLOTS_PER_DAY, DaySignal
 from flowrecon.reconstruct import SHARE_SUM_TOL
-
-
-class AllZeroOriginal(FlowReconError):
-    """Relative error is undefined when every original slot is zero."""
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -47,8 +36,8 @@ def check_shares(shares: np.ndarray) -> None:
     if (abs(sums - 1.0) <= SHARE_SUM_TOL).all():
         return
     if not np.isfinite(shares).all():
-        raise NonFiniteValues("shares must be finite")
-    raise SharesNotNormalized(f"shares sum to {sums!r}, expected 1")
+        raise FlowReconError("non-finite", "shares must be finite")
+    raise FlowReconError("not-normalized", f"shares sum to {sums!r}, expected 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +54,7 @@ class PercentSignal:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (SLOTS_PER_DAY,):
-            raise WrongShape(f"expected {SLOTS_PER_DAY} slots, got {vals.shape}")
+            raise FlowReconError("shape", f"expected {SLOTS_PER_DAY} slots, got {vals.shape}")
         check_shares(vals)
         object.__setattr__(self, "values", vals)
 
@@ -75,7 +64,7 @@ def normalize_percent(day: DaySignal) -> PercentSignal:
     """Each slot's share of the daily total; invariant under uniform scaling."""
     total = float(day.values.sum())
     if total <= 0:
-        raise ZeroDailyTotal(f"daily total {total!r} is not positive")
+        raise FlowReconError("zero-total", f"daily total {total!r} is not positive")
     return PercentSignal(day.values / total, day.date)
 
 
@@ -87,16 +76,16 @@ def pearson(a, b) -> float:
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
     if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
-        raise LengthMismatch(f"vector lengths {x.size} != {y.size}")
+        raise FlowReconError("shape", f"vector lengths {x.size} != {y.size}")
     if x.size < 2:
-        raise ConstantInput("correlation needs at least 2 samples")
+        raise FlowReconError("constant", "correlation needs at least 2 samples")
     dx = x - x.mean()
     dy = y - y.mean()
     nx = np.sqrt(np.sum(dx * dx))
     ny = np.sqrt(np.sum(dy * dy))
     # a constant vector's float mean can differ from its value: test ptp too
     if nx == 0.0 or ny == 0.0 or np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        raise ConstantInput("correlation undefined for a constant vector")
+        raise FlowReconError("constant", "correlation undefined for a constant vector")
     if not nx * ny < np.inf:
         return np.nan
     r = float(np.sum(dx * dy) / (nx * ny))
@@ -123,11 +112,11 @@ def mean_abs_pct_error(original, reconstructed) -> MapeResult:
     o = _shares(original)
     r = _shares(reconstructed)
     if o.shape != r.shape:
-        raise LengthMismatch(f"share lengths {o.size} != {r.size}")
+        raise FlowReconError("shape", f"share lengths {o.size} != {r.size}")
     included = o > 0
     excluded = int(o.size - included.sum())
     if not included.any():
-        raise AllZeroOriginal("no slot with a positive original share")
+        raise FlowReconError("zero-total", "no slot with a positive original share")
     rel = np.abs(o[included] - r[included]) / o[included]
     return MapeResult(float(rel.mean() * 100.0), excluded)
 
@@ -138,5 +127,5 @@ def share_mean_abs_diff(original, reconstructed) -> float:
     o = _shares(original)
     r = _shares(reconstructed)
     if o.shape != r.shape:
-        raise LengthMismatch(f"share lengths {o.size} != {r.size}")
+        raise FlowReconError("shape", f"share lengths {o.size} != {r.size}")
     return float(np.abs(o - r).mean())

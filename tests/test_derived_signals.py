@@ -5,7 +5,7 @@ outputs without the public constructors' field checks, keeping only the
 finiteness check that arithmetic can break. These tests hold each output to
 the checked constructor on the same row, bitwise, for levels 1-5, both
 scenarios and both modes; pin that every output owns a fresh, writable array;
-and show that an overflow still raises ``NonFiniteValues``. The scoring
+and show that an overflow still raises ``"non-finite"``. The scoring
 divide skips ``np.errstate`` only below its bounds (a kept original share
 >= 1e-150, centred norms < 1e150); at those bounds ``evaluate_day`` matches
 the guarded path bitwise and warns nothing.
@@ -19,11 +19,12 @@ import numpy as np
 import pytest
 
 from flowrecon import ingest, metrics
-from flowrecon.errors import NonFiniteValues
 from flowrecon.ingest import SLOTS_PER_DAY, AggregatedSignal, DaySignal, aggregate
 from flowrecon.matrix import MatrixProfile, build_matrix_scenario1, build_matrix_scenario2
 from flowrecon.metrics import evaluate_day
 from flowrecon.reconstruct import reconstruct_day, staircase_baseline
+
+from refusal import refused
 
 DAY = date(2012, 4, 10)
 DONOR_DATES = (date(2012, 4, 3), date(2012, 4, 4), date(2012, 4, 5))
@@ -112,7 +113,7 @@ def test_aggregate_checks_its_level_once(monkeypatch):
 
 def test_an_overflowing_window_sum_is_not_finite():
     day = DaySignal(DAY, "s1", np.full(SLOTS_PER_DAY, 1e308))
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteValues):
+    with np.errstate(over="ignore"), refused("non-finite"):
         aggregate(day, 1)
 
 
@@ -122,7 +123,7 @@ def test_an_overflowing_residual_table_gives_no_reconstruction():
         profile = MatrixProfile(np.full(SLOTS_PER_DAY, 1e308), 1, ())
     assert np.isinf(profile.residual(1)).all()
     agg = aggregate(DaySignal(DAY, "s1", target_rows()[0]), 1)
-    with pytest.raises(NonFiniteValues):
+    with refused("non-finite"):
         reconstruct_day(profile, agg, 1)
 
 
@@ -139,7 +140,7 @@ def test_values_mutated_in_place_still_fail_the_finiteness_check(bad):
             lambda: staircase_baseline(agg),
             lambda: reconstruct_day(profile, agg, 2),
         ):
-            with pytest.raises(NonFiniteValues):
+            with refused("non-finite"):
                 build()
 
 

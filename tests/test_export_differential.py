@@ -10,8 +10,8 @@ slot, so near-empty days with negative shares too), adds all-zero and
 negated reconstructions, and writes each with and without an original
 day, on dates that include 29 February, 31 December, ``date.min`` and
 ``date.max``. Both sides must write the same bytes, return the same
-clamped count and raise the same exception type. Counts that are not
-finite raise ``NonFiniteValues``, and a negative total ``InvalidParams``,
+clamped count and raise an error of the same reason. Counts that are not
+finite raise ``"non-finite"``, and a negative total ``"bad-params"``,
 before any file is opened, so the strategies draw finite, non-negative
 totals only. ``GOLDEN_EXPORTS`` pins the sha256 of both files and the
 clamped count for four fixed days (a seeded synthetic day with and without
@@ -24,15 +24,15 @@ the bytes unseen.
 as they were, except for three things. The records writer hands each flow
 to ``csv.writer`` as it is: its ``repr`` spelled ``np.float64(3.0)`` for a
 numpy float, which no parse reads. Both now refuse, with
-``InvalidParams``, a record the parser would reject, by the parser's
+``"bad-params"``, a record the parser would reject, by the parser's
 former clause-by-clause rule (``reference_on_grid``, and for the writer a
 flow whose text ``float`` reads as negative, NaN or infinite); the writer
 then leaves no file. And the gap report takes the sensor id it is given
-and refuses a record of any other with ``MixedSensors`` (a drawn ``None``
+and refuses a record of any other with ``"mixed-sensors"`` (a drawn ``None``
 is an id no record carries). The gap report carries its own month
 calendar, sensor check and severity ladder; both sides are compared as
 ``(sensor_id, [(year, month, missing_slots, severity), ...])``, or as the
-type of the error raised. Hypothesis draws sensor ids that need quoting,
+reason of the error raised. Hypothesis draws sensor ids that need quoting,
 naive, tz-aware and second-bearing timestamps, int, float and numpy-scalar
 flows (``-0.0``, subnormal, huge, non-finite), and empty record lists for
 the writer; dense and sparse single- and two-sensor record sets with
@@ -58,13 +58,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowrecon.errors import (
-    FlowReconError,
-    InvalidParams,
-    MixedSensors,
-    NonFiniteValues,
-    ZeroDailyTotal,
-)
+from flowrecon.errors import FlowReconError
 from flowrecon.ingest import (
     MAX_AGGREGATION_LEVEL,
     SLOTS_PER_DAY,
@@ -142,13 +136,13 @@ def reference_json(path, reconstructed, total_vehicles, original=None):
 
 
 def outcome(write, *args):
-    """The written bytes and returned count, or the type of the error raised."""
+    """The written bytes and returned count, or the reason of the error raised."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "day.out"
         try:
             clamped = write(path, *args)
         except FlowReconError as exc:
-            return type(exc), path.exists()
+            return exc.reason, path.exists()
         return path.read_bytes(), clamped
 
 
@@ -198,7 +192,7 @@ def test_zero_total_raises_on_both_sides():
     zeros = DaySignal(date.max, "", np.zeros(SLOTS_PER_DAY))
     writers = (write_reconstruction_csv, reference_csv, write_reconstruction_json, reference_json)
     for write in writers:
-        assert outcome(write, zeros, 10.0, None) == (ZeroDailyTotal, False)
+        assert outcome(write, zeros, 10.0, None) == ("zero-total", False)
 
 
 @pytest.mark.parametrize("total", (np.inf, -np.inf, np.nan, 1e308))
@@ -207,14 +201,14 @@ def test_non_finite_counts_raise_before_the_file_is_opened(write, total):
     values = np.zeros(SLOTS_PER_DAY)
     values[:2] = (4.0, -2.0)  # shares 2 and -1: 2 * 1e308 overflows
     recon = DaySignal(date(2012, 2, 29), "", values)
-    assert outcome(write, recon, total, None) == (NonFiniteValues, False)
+    assert outcome(write, recon, total, None) == ("non-finite", False)
 
 
 @pytest.mark.parametrize("total", (-2880.0, -1e-300))
 @pytest.mark.parametrize("write", (write_reconstruction_csv, write_reconstruction_json))
 def test_negative_total_raises_before_the_file_is_opened(write, total):
     flat = DaySignal(date(2012, 2, 29), "", np.full(SLOTS_PER_DAY, 10.0))
-    assert outcome(write, flat, total, None) == (InvalidParams, False)
+    assert outcome(write, flat, total, None) == ("bad-params", False)
 
 
 @pytest.mark.parametrize("total", (0.0, -0.0))
@@ -294,7 +288,7 @@ def reference_on_grid(ts):
 def reference_records_csv(records, path):
     for rec in records:
         if not (reference_on_grid(rec.timestamp) and 0 <= float(str(rec.flow_total)) < np.inf):
-            raise InvalidParams("the parser would reject this record")
+            raise FlowReconError("bad-params", "the parser would reject this record")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "sensor_id", "flow_total"])
@@ -303,13 +297,13 @@ def reference_records_csv(records, path):
 
 
 def records_bytes(write, records):
-    """The written bytes, or the type of the error raised and whether a file is left."""
+    """The written bytes, or the reason of the error raised and whether a file is left."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.csv"
         try:
             write(records, path)
         except FlowReconError as exc:
-            return type(exc), path.exists()
+            return exc.reason, path.exists()
         return path.read_bytes()
 
 
@@ -356,10 +350,12 @@ def test_records_csv_bytes_match_reference_on_the_grid(records):
 
 def reference_single_sensor(records, sensor_id):
     if not isinstance(sensor_id, str):
-        raise InvalidParams(f"sensor id {sensor_id!r} is not a str")
+        raise FlowReconError("bad-params", f"sensor id {sensor_id!r} is not a str")
     others = {rec.sensor_id for rec in records} - {sensor_id}
     if others:
-        raise MixedSensors(f"records from {sorted(others)} labelled {sensor_id!r}")
+        raise FlowReconError(
+            "mixed-sensors", f"records from {sorted(others)} labelled {sensor_id!r}"
+        )
     return sensor_id
 
 
@@ -387,9 +383,9 @@ def reference_gap_report(records, start, end, sensor_id):
     records = list(records)
     sensor_id = reference_single_sensor(records, sensor_id)
     if end < start:
-        raise InvalidParams("span end precedes start")
+        raise FlowReconError("bad-params", "span end precedes start")
     if not all(reference_on_grid(rec.timestamp) for rec in records):
-        raise InvalidParams("a timestamp is off the day grid")
+        raise FlowReconError("bad-params", "a timestamp is off the day grid")
 
     present = {}
     for rec in records:
@@ -449,7 +445,7 @@ def gap_outcome(report, records, start, end, sensor_id):
     try:
         return report(records, start, end, sensor_id)
     except FlowReconError as exc:
-        return type(exc)
+        return exc.reason
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@ import codecs
 import inspect
 import io
 import math
+import re
 from collections import Counter, defaultdict
 from datetime import date, datetime, timedelta, timezone, tzinfo
 from fractions import Fraction
@@ -12,13 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowrecon import ingest
-from flowrecon.errors import (
-    EmptyInput,
-    InvalidParams,
-    LevelOutOfRange,
-    MissingColumn,
-    MixedSensors,
-)
+from flowrecon.errors import FlowReconError
 from flowrecon.ingest import (
     BASE_WINDOW_MINUTES,
     SLOT_TIMES,
@@ -35,6 +30,8 @@ from flowrecon.ingest import (
     parse_sensor_csv,
     write_records_csv,
 )
+
+from refusal import refused
 
 DAY = date(2012, 3, 13)
 
@@ -137,12 +134,12 @@ def test_parse_shares_one_id_string_per_sensor(as_bytes):
 
 
 def test_parse_missing_required_column():
-    with pytest.raises(MissingColumn):
+    with refused("missing-column"):
         parse_sensor_csv(csv_stream("timestamp,sensor\n2012-03-13T08:00,s1\n"))
 
 
 def test_parse_empty_stream():
-    with pytest.raises(EmptyInput):
+    with refused("no-header"):
         parse_sensor_csv(csv_stream(""))
 
 
@@ -239,12 +236,12 @@ def test_assemble_empty_records_gives_dead_day():
 
 def test_assemble_rejects_mixed_sensors():
     records = make_records() + [SensorRecord(datetime.combine(DAY, SLOT_TIMES[0]), "other", 1.0)]
-    with pytest.raises(MixedSensors, match=r"\['other'\] labelled 's1'"):
+    with refused("mixed-sensors", match=r"\['other'\] labelled 's1'"):
         assemble_day(records, DAY, "s1")
 
 
 def test_assemble_rejects_a_contradicting_sensor_label():
-    with pytest.raises(MixedSensors):
+    with refused("mixed-sensors"):
         assemble_day(make_records(sensor="s2"), DAY, sensor_id="s1")
 
 
@@ -310,7 +307,7 @@ def test_aggregate_block_sums():
 def test_aggregate_level_out_of_range():
     day = DaySignal(DAY, "s1", np.ones(SLOTS_PER_DAY))
     for bad in (0, 6):
-        with pytest.raises(LevelOutOfRange):
+        with refused("level", "is no int in"):
             aggregate(day, bad)
 
 
@@ -364,7 +361,7 @@ def test_gap_report_empty_thirty_day_month():
 
 
 def test_gap_report_rejects_a_contradicting_sensor_label():
-    with pytest.raises(MixedSensors):
+    with refused("mixed-sensors"):
         gap_report(make_records(sensor="s2"), DAY, DAY, sensor_id="s1")
 
 
@@ -375,9 +372,9 @@ def test_the_sensor_id_is_required(call):
 
 def test_gap_report_rejects_records_of_other_sensors():
     records = make_records() + make_records(sensor="s2") + make_records(sensor="s3")
-    with pytest.raises(MixedSensors, match=r"\['s2', 's3'\] labelled 's1'"):
+    with refused("mixed-sensors", match=r"\['s2', 's3'\] labelled 's1'"):
         gap_report(records, DAY, DAY, "s1")
-    with pytest.raises(MixedSensors):  # checked before the reversed span
+    with refused("mixed-sensors"):  # checked before the reversed span
         gap_report(make_records(sensor="s2"), DAY, date(2012, 3, 12), "s1")
 
 
@@ -419,19 +416,19 @@ def test_off_grid_records_raise_and_leave_no_file(tmp_path, ts):
     text = f"timestamp,sensor_id,flow_total\n{ts.isoformat()},s1,4\n"
     assert parse_sensor_csv(csv_stream(text)).rejected_rows == 1
     records = make_records() + [SensorRecord(ts, "s1", 4.0)]
-    with pytest.raises(InvalidParams):
+    with refused("bad-params", "off the day grid"):
         assemble_day(records, DAY, "s1")
-    with pytest.raises(InvalidParams):
+    with refused("bad-params", "off-grid"):
         gap_report(records, DAY, DAY, "s1")
     path = tmp_path / "records.csv"
-    with pytest.raises(InvalidParams):
+    with refused("bad-params", "parser would reject"):
         write_records_csv(records, path)
     assert not path.exists()
 
 
 def test_gap_report_rejects_a_second_stamp_in_a_slot():
     records = [SensorRecord(datetime(2012, 3, 13, 8, 15, s), "s1", 1.0) for s in (0, 30)]
-    with pytest.raises(InvalidParams):
+    with refused("bad-params", "off-grid"):
         gap_report(records, DAY, DAY, "s1")
 
 
@@ -451,7 +448,7 @@ def test_writer_refuses_the_flows_the_parser_drops(tmp_path, flow, kept):
         write_records_csv(records, path)
         assert parse_sensor_csv(path).records[-1] == (datetime(2012, 3, 14), "s1", float(str(flow)))
     else:
-        with pytest.raises(InvalidParams):
+        with refused("bad-params", "parser would reject"):
             write_records_csv(records, path)
         assert not path.exists()
 
@@ -463,7 +460,7 @@ def test_writer_refuses_the_flows_the_parser_drops(tmp_path, flow, kept):
 )
 def test_writer_refuses_a_record_that_is_no_datetime_row(tmp_path, record):
     path = tmp_path / "records.csv"
-    with pytest.raises(InvalidParams):
+    with refused("bad-params", "parser would reject"):
         write_records_csv(make_records()[:1] + [record], path)
     assert not path.exists()
 
@@ -472,7 +469,7 @@ def test_writer_refuses_a_record_that_is_no_datetime_row(tmp_path, record):
 def test_writer_refuses_a_sensor_id_that_is_no_str(tmp_path, sensor):
     """An int id would be written as text and parse back as another record (``"5"``)."""
     path = tmp_path / "records.csv"
-    with pytest.raises(InvalidParams):
+    with refused("bad-params", "parser would reject"):
         write_records_csv(make_records()[:1] + [SensorRecord(datetime(2012, 3, 6), sensor, 1.0)], path)
     assert not path.exists()
 
@@ -544,14 +541,14 @@ def test_gap_report_serialization(tmp_path):
 def test_gap_writer_refuses_a_month_that_is_no_month_gap(tmp_path, months):
     """Refused when the report is built, so no file is written."""
     path = tmp_path / "gaps.csv"
-    with pytest.raises(InvalidParams):
+    with refused("bad-params", "no sequence|no MonthGap"):
         GapReport("s1", months)
     assert not path.exists()
 
 
 @pytest.mark.parametrize("sensor", [5, None, b"s1"], ids=("int", "None", "bytes"))
 def test_gap_report_refuses_a_sensor_id_that_is_no_str(sensor):
-    with pytest.raises(InvalidParams):
+    with refused("bad-params", "is not a str"):
         GapReport(sensor, (MonthGap(2012, 3, 0),))
 
 
@@ -614,7 +611,9 @@ def test_write_records_csv_roundtrip(tmp_path_factory, records):
 def accepts(call):
     try:
         call()
-    except InvalidParams:
+    except FlowReconError as exc:
+        assert exc.reason == "bad-params", exc
+        assert re.search("off the day grid|off-grid|parser would reject", str(exc)), exc
         return False
     return True
 

@@ -3,7 +3,6 @@ from datetime import date
 import numpy as np
 import pytest
 
-from flowrecon.errors import EmptyDayList, NoTypicalDays
 from flowrecon.haar import haar_forward
 from flowrecon.ingest import SLOTS_PER_DAY, DaySignal
 from flowrecon.matrix import (
@@ -13,6 +12,8 @@ from flowrecon.matrix import (
     build_matrix_scenario2,
     select_typical_days,
 )
+
+from refusal import refused
 
 
 def constant_day(day, value, filled=frozenset(), sensor="s1"):
@@ -51,7 +52,7 @@ def test_every_typical_day_faulty_raises():
     calendar = [
         constant_day(d, 10.0, filled=frozenset({5})) for d in month_days(2012, 3)
     ]
-    with pytest.raises(NoTypicalDays):
+    with refused("empty", "no fault-free typical day"):
         select_typical_days(calendar, DaySelectionCriteria(2012, 3))
 
 
@@ -132,9 +133,9 @@ def test_both_scenarios_preserve_daily_total():
 
 
 def test_empty_day_list_rejected():
-    with pytest.raises(EmptyDayList):
+    with refused("empty", "at least one day"):
         build_matrix_scenario1([])
-    with pytest.raises(EmptyDayList):
+    with refused("empty", "at least one day"):
         build_matrix_scenario2([])
 
 

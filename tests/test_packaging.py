@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from flowrecon.errors import REASONS
 from flowrecon.haar import max_levels
 from flowrecon.ingest import MAX_AGGREGATION_LEVEL, SLOTS_PER_DAY
 
@@ -162,16 +163,12 @@ def documented_api() -> dict[str, set[str]]:
 
 
 def top_level_names(tree: ast.Module) -> tuple[set[str], set[str]]:
-    """(every top-level name a module binds, its public def/class names less
-    the ``FlowReconError`` subclasses)."""
+    """(every top-level name a module binds, its public def/class names)."""
     bound, public = set(), set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             bound.add(node.name)
-            is_error = isinstance(node, ast.ClassDef) and any(
-                isinstance(base, ast.Name) and base.id == "FlowReconError" for base in node.bases
-            )
-            if not node.name.startswith("_") and not is_error:
+            if not node.name.startswith("_"):
                 public.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -192,7 +189,44 @@ def test_package_docstring_lists_the_public_api():
         assert public - listed == set(), f"flowrecon.{module} has undocumented names"
 
 
-def test_top_level_names_exempt_only_error_subclasses():
+def test_top_level_names_finds_bound_and_public_names():
     tree = ast.parse("X = 1\nclass E(FlowReconError): pass\nclass A: pass\n"
                      "def _f(): pass\ndef g(): pass\n")
-    assert top_level_names(tree) == ({"X", "E", "A", "_f", "g"}, {"A", "g"})
+    assert top_level_names(tree) == ({"X", "E", "A", "_f", "g"}, {"E", "A", "g"})
+
+
+def test_errors_defines_one_exception_class():
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == [
+        "FlowReconError"
+    ]
+
+
+def reasons_raised(source: str) -> list[tuple[int, str | None]]:
+    """(line, reason) of each ``FlowReconError(...)`` call in a module; the reason is
+    None unless the first argument is a string literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "FlowReconError":
+            first = node.args[0] if node.args else None
+            literal = isinstance(first, ast.Constant) and isinstance(first.value, str)
+            found.append((node.lineno, first.value if literal else None))
+    return found
+
+
+def test_every_refusal_names_a_reason_and_every_reason_is_raised():
+    """The reasons are a closed set: each call passes one of them as a literal, so a
+    caller that counts drops by reason meets no other, and none is dead."""
+    raised = {
+        (path.name, line): reason
+        for path in PACKAGE.glob("*.py")
+        for line, reason in reasons_raised(path.read_text(encoding="utf-8"))
+    }
+    assert {site: r for site, r in raised.items() if r not in REASONS} == {}
+    assert set(REASONS) - set(raised.values()) == set()
+
+
+def test_reason_check_finds_each_call():
+    source = ('raise FlowReconError("shape", "x")\nraise FlowReconError(reason, "x")\n'
+              'FlowReconError()\nraise FlowReconError(b"shape", "x")\nValueError("shape")\n')
+    assert reasons_raised(source) == [(1, "shape"), (2, None), (3, None), (4, None)]

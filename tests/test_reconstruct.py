@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowrecon.errors import LevelMismatch, LevelOutOfRange, ZeroDailyTotal
 from flowrecon.haar import WaveletDecomposition, haar_forward, haar_inverse
 from flowrecon.ingest import (
     SLOT_CLOCKS,
@@ -26,6 +25,8 @@ from flowrecon.reconstruct import (
     write_reconstruction_csv,
     write_reconstruction_json,
 )
+
+from refusal import refused
 
 DAY = date(2012, 4, 10)
 
@@ -109,7 +110,7 @@ def test_extract_details_level1_matches_pair_differences():
 def test_extract_details_level_bounds():
     agg = aggregate(bimodal_day(np.random.default_rng(7)), 1)
     for bad in (0, 6):
-        with pytest.raises(LevelOutOfRange):
+        with refused("level", "is no int in"):
             reconstruct_day(constant_matrix(), agg, bad)
 
 
@@ -120,7 +121,7 @@ def test_substitute_shapes_and_mismatch():
     assert recon.values.shape == (SLOTS_PER_DAY,)
     assert recon.date == day.date
 
-    with pytest.raises(LevelMismatch):
+    with refused("level", "aggregated level 1 != levels 4"):
         reconstruct_day(constant_matrix(), aggregate(day, 1), 4)
 
 
@@ -200,7 +201,7 @@ def test_share_row_scale_invariance():
 
 
 def test_share_row_zero_total():
-    with pytest.raises(ZeroDailyTotal):
+    with refused("zero-total", "is not positive"):
         share_row(np.zeros(SLOTS_PER_DAY))
 
 

@@ -4,7 +4,6 @@ from datetime import date
 import numpy as np
 import pytest
 
-from flowrecon.errors import InvalidParams
 from flowrecon.ingest import (
     SLOTS_PER_DAY,
     assemble_day,
@@ -20,6 +19,8 @@ from flowrecon.synth import (
     generate_corpus,
     generate_day,
 )
+
+from refusal import refused
 
 DAY = date(2012, 3, 6)
 
@@ -86,32 +87,32 @@ def test_generated_days_are_non_negative():
 
 
 def test_invalid_params_rejected():
-    with pytest.raises(InvalidParams):
+    with refused("bad-params", "daily_total"):
         params_with(daily_total=0.0)
-    with pytest.raises(InvalidParams):
+    with refused("bad-params", "peak weights sum"):
         params_with(peaks=(PeakSpec(90.0, 10.0, 0.6), PeakSpec(200.0, 10.0, 0.6)))
-    with pytest.raises(InvalidParams):
+    with refused("bad-params", "peak center"):
         params_with(peaks=(PeakSpec(300.0, 10.0, 0.5),))
-    with pytest.raises(InvalidParams):
+    with refused("bad-params", "peak width"):
         params_with(peaks=(PeakSpec(90.0, -1.0, 0.5),))
-    with pytest.raises(InvalidParams):
+    with refused("bad-params", "noise_std"):
         params_with(noise_std=-0.1)
     nan, inf = float("nan"), float("inf")
-    for overrides in (
-        dict(noise_std=nan),
-        dict(noise_std=inf),
-        dict(daily_total=nan),
-        dict(daily_total=inf),
-        dict(peaks=(PeakSpec(90.0, nan, 0.5),)),
-        dict(peaks=(PeakSpec(90.0, inf, 0.5),)),
-        dict(peaks=(PeakSpec(90.0, 10.0, nan),)),
-        dict(seed=-1),
-        dict(seed=1.5),
+    for overrides, match in (
+        (dict(noise_std=nan), "noise_std"),
+        (dict(noise_std=inf), "noise_std"),
+        (dict(daily_total=nan), "daily_total"),
+        (dict(daily_total=inf), "daily_total"),
+        (dict(peaks=(PeakSpec(90.0, nan, 0.5),)), "peak width"),
+        (dict(peaks=(PeakSpec(90.0, inf, 0.5),)), "peak width"),
+        (dict(peaks=(PeakSpec(90.0, 10.0, nan),)), "peak weight"),
+        (dict(seed=-1), "seed"),
+        (dict(seed=1.5), "seed"),
     ):
-        with pytest.raises(InvalidParams):
+        with refused("bad-params", match):
             params_with(**overrides)
     for jitter in (-0.1, nan, inf):
-        with pytest.raises(InvalidParams):
+        with refused("bad-params", "jitter"):
             generate_corpus(DEFAULT_PARAMS, 2012, 3, jitter=jitter)
 
 
