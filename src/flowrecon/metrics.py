@@ -34,19 +34,15 @@ run plain, without the ``errstate`` and its cost. Either way the values are
 the same. The dot products are ``np.vdot``, which overflows to ``inf``
 without the warning that ``@`` prints.
 
-:func:`evaluate_day` builds its :class:`DayResult` through ``_result``, which
-sets the nine fields as the dataclass ``__init__`` does and keeps only the
-refusals that its caller or its arithmetic can break, in the constructor's
-order: ``check_level`` of the caller's level, ``"bad-params"`` for a NaN
-correlation, and ``"bad-params"`` for an error that is not finite. A
+:func:`evaluate_day` returns its result through the public :class:`DayResult`
+constructor, so a fault in its scores gets the refusal and the message that
+the constructor gives any caller: ``check_level`` of the level, then
+``"bad-params"`` for a correlation that is undefined or outside [-1, 1], then
+``"bad-params"`` for an error or share MAD that is not finite and >= 0. A
 correlation is clamped to [-1, 1] so that a NaN passes through, and it is
 NaN when the product of two centred norms overflows (as ``cross / inf`` it
-would read 0.0). Every other rule holds by construction: errors and MADs are
-sums of magnitudes; finite centred norms keep every share below 1.4e154, so
-the MADs are finite; and shares that sum to one keep a slot, so
-``excluded_slots`` is an int in 0..287. The public constructor keeps every
-check. Each sum is ``np.add.reduce``, the reduction that ``ndarray.sum``
-wraps in Python.
+would read 0.0). Each sum is ``np.add.reduce``, the reduction that
+``ndarray.sum`` wraps in Python.
 
 Every row passes :func:`flowrecon.reconstruct.share_row` first. The tests
 hold :func:`evaluate_day` to the scalar ``pearson``, ``mean_abs_pct_error``
@@ -87,10 +83,12 @@ class DayResult:
         check_level(self.level)
         r, br = self.correlation, self.baseline_correlation
         if not -1.0 <= r <= 1.0 >= br >= -1.0:  # NaN fails every comparison
-            raise FlowReconError("bad-params", f"correlation {r} or {br} outside [-1, 1]")
+            raise FlowReconError(
+                "bad-params", f"correlation {r} or {br} is undefined or outside [-1, 1]"
+            )
         e, be = self.error_pct, self.baseline_error_pct
         mad, bmad = self.share_mad, self.baseline_share_mad
-        if not 0 <= e < math.inf > be >= 0 <= mad < math.inf > bmad >= 0:
+        if not 0.0 <= e < math.inf > be >= 0.0 <= mad < math.inf > bmad >= 0.0:
             raise FlowReconError(
                 "bad-params", f"error {e}, {be}, {mad} or {bmad} is not finite and >= 0"
             )
@@ -234,7 +232,7 @@ def evaluate_day(
         raise FlowReconError("constant", "correlation undefined for a constant vector")
     d1, d2 = n0 * n1, n0 * n2
     size = orig.shares.size
-    return _result(
+    return DayResult(
         original.date,
         level,
         # NaN for overflowed norms; max and min pass on a NaN first argument
@@ -246,36 +244,6 @@ def evaluate_day(
         base_mad / size,
         size - orig.kept,
     )
-
-
-_set = object.__setattr__
-
-
-def _result(day, level, correlation, error_pct, baseline_correlation, baseline_error_pct,
-            share_mad, baseline_share_mad, excluded_slots) -> DayResult:
-    """The :class:`DayResult` of fields that :func:`evaluate_day` computed, set in field
-    order as the dataclass ``__init__`` sets them, with only the refusals that a caller
-    or the arithmetic can break (see the module docstring)."""
-    check_level(level)
-    if not -1.0 <= correlation <= 1.0 >= baseline_correlation >= -1.0:
-        raise FlowReconError(
-            "bad-params", f"correlation {correlation} or {baseline_correlation} is undefined"
-        )
-    if not error_pct < math.inf > baseline_error_pct:
-        raise FlowReconError(
-            "bad-params", f"error {error_pct} or {baseline_error_pct} is not finite"
-        )
-    result = object.__new__(DayResult)
-    _set(result, "date", day)
-    _set(result, "level", level)
-    _set(result, "correlation", correlation)
-    _set(result, "error_pct", error_pct)
-    _set(result, "baseline_correlation", baseline_correlation)
-    _set(result, "baseline_error_pct", baseline_error_pct)
-    _set(result, "share_mad", share_mad)
-    _set(result, "baseline_share_mad", baseline_share_mad)
-    _set(result, "excluded_slots", excluded_slots)
-    return result
 
 
 # the DayResult fields a LevelSummary row summarizes, in LevelSummary's order

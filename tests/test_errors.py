@@ -189,14 +189,22 @@ def test_evaluate_day_refuses_a_correlation_whose_norms_overflow():
     """Slots of 1e200 and -1e200 cancel in the total, so the shares pass ``share_row``,
     but the centred norms overflow to inf: the pair once scored a correlation of 1.0
     (``min(1.0, nan)``), and a finite row against it 0.0 (``cross / inf``). The refusal
-    comes with no numpy warning first, so a caller who turns warnings into errors gets it."""
+    comes with no numpy warning first, so a caller who turns warnings into errors gets it.
+    It is the refusal that ``DayResult`` gives the same NaN correlations, word for word:
+    one rule holds both."""
     values = np.ones(SLOTS_PER_DAY)
     values[:2] = (1e200, -1e200)
     day, ramp = DaySignal(DAY, "s1", values), DaySignal(DAY, "s1", np.arange(1.0, 289.0))
+    finite = evaluate_day(ramp, ramp, ramp, 3).correlation
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for days in ((day, day, ramp), (ramp, day, ramp), (ramp, ramp, day)):
-            raises("bad-params", lambda: evaluate_day(*days, 3), "is undefined")
+            with refused("bad-params", "is undefined") as scored:
+                evaluate_day(*days, 3)
+            r, br = (np.nan if days[0] is day or row is day else finite for row in days[1:])
+            with refused("bad-params", r"outside \[-1, 1\]") as built:
+                DayResult(DAY, 3, r, 0.0, br, 0.0, 0.0, 0.0, 0)
+            assert str(scored.value) == str(built.value)
 
 
 def test_gap_report_reversed_span():

@@ -284,8 +284,8 @@ def retained_bytes(build):
 
 
 def test_evaluate_day_results_retain_no_more_than_constructed_ones():
-    """A result that ``evaluate_day`` builds without its constructor holds no more memory
-    than one the constructor builds from fresh floats of the same values."""
+    """A result that ``evaluate_day`` builds holds no more memory than one the
+    constructor builds from fresh floats of the same values."""
     rng = np.random.default_rng(3)
     original, reconstructed = (day_of(rng.uniform(1.0, 300.0, SLOTS_PER_DAY)) for _ in range(2))
     baseline = staircase_baseline(aggregate(original, 2))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from code_lines import code_lines
 from flowrecon.errors import REASONS
 from flowrecon.haar import max_levels
 from flowrecon.ingest import MAX_AGGREGATION_LEVEL, SLOTS_PER_DAY
@@ -38,6 +39,18 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_code_lines_counts_code_outside_docstrings_comments_and_blanks():
+    source = (
+        '"""Module\ndocstring."""\n\nimport os  # kept\n\n\n# a comment alone\n'
+        "@staticmethod\ndef f(x,\n      y):\n    \"\"\"A docstring.\"\"\"\n"
+        '    s = """not a\ndocstring"""\n    return x\n\n\nclass A:\n    """Doc."""\n'
+        "    X = 1\n"
+    )
+    # import, decorator, def (two lines), s (two lines), return, class and X
+    assert code_lines(source) == 9
+    assert code_lines("") == 0
 
 
 @pytest.mark.parametrize(

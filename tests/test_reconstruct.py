@@ -68,7 +68,7 @@ def scaled_staircase(agg, level, rescale=False):
     return np.repeat(agg.values * scale, 1 << level)
 
 
-def test_extract_details_constant_matrix_is_all_zero():
+def test_a_constant_donor_reconstructs_the_scaled_staircase():
     # a constant donor has no detail, so the output is exactly c_k * staircase
     rng = np.random.default_rng(3)
     day = bimodal_day(rng)
@@ -79,7 +79,7 @@ def test_extract_details_constant_matrix_is_all_zero():
             assert np.array_equal(recon.values, scaled_staircase(agg, level, rescale))
 
 
-def test_extract_details_scenario2_zero_fine_levels():
+def test_a_scenario2_donor_adds_no_detail_at_levels_1_and_2():
     rng = np.random.default_rng(4)
     days = [
         DaySignal(date(2012, 3, 6 + i), "s1", rng.uniform(10, 300, SLOTS_PER_DAY))
@@ -96,7 +96,7 @@ def test_extract_details_scenario2_zero_fine_levels():
             assert np.max(np.abs(residual)) > 0
 
 
-def test_extract_details_level1_matches_pair_differences():
+def test_level1_detail_is_half_the_donor_pair_differences():
     rng = np.random.default_rng(6)
     days = [DaySignal(date(2012, 3, 6), "s1", rng.uniform(0, 300, SLOTS_PER_DAY))]
     profile = build_matrix_scenario1(days)
@@ -107,14 +107,14 @@ def test_extract_details_level1_matches_pair_differences():
     np.testing.assert_allclose(residual[1::2], -half_diff, atol=1e-12)
 
 
-def test_extract_details_level_bounds():
+def test_reconstruct_day_refuses_a_level_off_the_ladder():
     agg = aggregate(bimodal_day(np.random.default_rng(7)), 1)
     for bad in (0, 6):
         with refused("level", "is no int in"):
             reconstruct_day(constant_matrix(), agg, bad)
 
 
-def test_substitute_shapes_and_mismatch():
+def test_reconstruct_day_keeps_grid_and_date_and_refuses_a_mismatched_level():
     rng = np.random.default_rng(9)
     day = bimodal_day(rng)
     recon = reconstruct_day(constant_matrix(), aggregate(day, 4), 4)
@@ -125,7 +125,7 @@ def test_substitute_shapes_and_mismatch():
         reconstruct_day(constant_matrix(), aggregate(day, 1), 4)
 
 
-def test_zero_bank_inverse_is_scaled_staircase():
+def test_a_zero_detail_inverse_is_the_scaled_staircase():
     rng = np.random.default_rng(12)
     day = bimodal_day(rng)
     for level in (1, 2, 3, 4):
@@ -287,7 +287,7 @@ def test_scale_decomposition_of_scaled_input():
         assert np.max(np.abs(recon_c - (c * approx + detail))) < 1e-9
 
 
-def test_detail_bank_is_immutable_and_reused():
+def test_reconstruct_day_leaves_the_donor_unchanged_and_repeats_itself():
     # the donor profile is read, never written, and reuse gives identical output
     rng = np.random.default_rng(55)
     matrix = build_matrix_scenario1([bimodal_day(rng, date(2012, 3, 6))])
