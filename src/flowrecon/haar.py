@@ -6,7 +6,8 @@ the inverse rebuilds the input exactly (up to float rounding). Lengths
 that 2**levels does not divide are rejected rather than padded, because
 padding would silently distort boundary windows. No other module of the
 package imports this one: it is the oracle the closed-form reconstruction
-is tested against, and lends that code nothing.
+is tested against, and lends that code nothing. It borrows only
+``ingest.is_int``, the package's one int rule.
 """
 
 from __future__ import annotations
@@ -16,17 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlowReconError
+from .ingest import is_int
 
 SQRT2 = float(np.sqrt(2.0))
 
 
-def _is_int(value) -> bool:
-    """True for a Python or numpy integer; a bool or ``np.bool_`` is no int."""
-    return type(value) is int or isinstance(value, np.integer)
-
-
 def _check_levels(levels) -> None:
-    if not (_is_int(levels) and levels >= 1):
+    if not (is_int(levels) and levels >= 1):
         raise FlowReconError("level", f"levels must be an int >= 1, got {levels!r}")
 
 
@@ -45,7 +42,7 @@ def max_levels(length: int) -> int:
     >>> max_levels(288)
     5
     """
-    if not (_is_int(length) and length >= 1):
+    if not (is_int(length) and length >= 1):
         raise FlowReconError("shape", f"length must be an int >= 1, got {length!r}")
     n = int(length)  # a numpy int has no bit_length
     return (n & -n).bit_length() - 1  # count of trailing zero bits

@@ -20,20 +20,16 @@ Row rules of :func:`parse_sensor_csv`:
   ones are counted as duplicates.
 
 Every source is read as one byte buffer, a text stream's text as UTF-8, and
-its bytes decide which of two paths reads a row. Both fill one set of
-columns, one entry per row they accept: its line, sensor code, minute since
-1970 and flow. When the header is exactly ``RECORD_COLUMNS`` and the bytes
-hold no quote and no CR outside a CRLF, numpy classifies the lines at fixed
-offsets. A fast row is ``YYYY-MM-DD[ T]HH:MM[:00],<cell>,<flow>``: a date
-that exists, a clock on the grid, the same sensor cell as the file's first
-fast row, and a flow of 1 to 15 digits, optionally followed by ``.0`` as the
-writer writes a whole float (``12`` and ``12.0``, not ``12.00`` or ``12.5``),
-whose float is exact. Every other line, and every line of any other file, is
-read by ``csv``, ``datetime.fromisoformat`` and ``float``. One step then
-takes the columns in line order, dedupes them by ``np.unique`` of (sensor,
-minute) keys, which keeps each key's first row, and builds the kept
-records. So the records, both counts and the shared id strings do not
-depend on which path read a row.
+its bytes decide which of two paths reads a row. When the header is exactly
+``RECORD_COLUMNS`` and the bytes hold no quote and no CR outside a CRLF,
+numpy reads the fast rows that :func:`_fast_rows` defines at fixed offsets.
+Every other line, and every line of any other file, is read by ``csv``,
+``datetime.fromisoformat`` and ``float``. Both paths fill one set of
+columns, one entry per row they accept: its line, sensor code,
+``datetime64[m]`` minute and flow. One step then takes the columns in line
+order, dedupes them by ``np.unique`` of (sensor, minute) keys, which keeps
+each key's first row, and builds the kept records. So the records, both
+counts and the shared id strings do not depend on which path read a row.
 
 Kept rows are :class:`SensorRecord` named tuples, each built once from its
 row's columns: immutable, and they unpack like, and compare equal to, a
@@ -56,12 +52,8 @@ rules check the package's fields, each field raising its own error:
 (:func:`check_level` a level, :func:`check_month` a year and month),
 :func:`check_day` every day and :func:`check_sensor_id` every sensor id.
 Every signal built through the :class:`DaySignal` or :class:`AggregatedSignal`
-constructor, as outside input is, passes all of them. The signals that
-:func:`aggregate`, ``reconstruct.staircase_baseline`` and
-``reconstruct.reconstruct_day`` compute from checked signals inherit their
-date, level, empty sensor id and empty ``filled_slots``, and get their shape
-and float dtype from the arithmetic; so they pass the finiteness check only,
-which an overflow can fail.
+constructor, as outside input is, passes all of them; a signal the library
+computes from checked signals passes the finiteness check only (:func:`_derived`).
 """
 
 from __future__ import annotations
@@ -190,8 +182,8 @@ class DaySignal:
     indices (ints by :func:`is_int` in 0..287, else ``"shape"``) that
     carried no record and were set to zero. Ingested and synthetic days are
     non-negative; reconstructed days may carry negative raw values. The
-    constructor checks every field; a staircase or a reconstruction, whose
-    fields hold by construction, has only its values checked to be finite.
+    constructor checks every field; a staircase or a reconstruction is built
+    by :func:`_derived`.
     """
 
     date: date
@@ -217,10 +209,8 @@ class DaySignal:
 @dataclass(frozen=True, eq=False)
 class AggregatedSignal:
     """Flow counts re-windowed to 5 * 2**level minutes; ``source_date`` passes
-    :func:`check_day`, ``level`` :func:`check_level`, then ``values`` :func:`finite_row`.
-
-    :func:`aggregate` checks only the level it is given and its sums' finiteness: the
-    date and the row's shape and dtype come from a checked :class:`DaySignal`."""
+    :func:`check_day`, ``level`` :func:`check_level`, then ``values`` :func:`finite_row`;
+    :func:`aggregate` checks its level and builds the rest by :func:`_derived`."""
 
     values: np.ndarray
     source_date: date
@@ -233,15 +223,18 @@ class AggregatedSignal:
 
 
 def _derived(cls, values: np.ndarray, **fields):
-    """A ``cls`` signal that the library computed from signals it has already checked.
+    """A ``cls`` signal that the library computed from signals it has already checked,
+    as :func:`aggregate`, ``reconstruct.staircase_baseline`` and
+    ``reconstruct.reconstruct_day`` do.
 
-    ``values`` is a fresh float row of the class's shape and ``fields`` are its other
-    fields, taken from those signals, so every rule holds by construction except the
-    one that arithmetic can break: ``values`` must be finite, else ``"non-finite"``
-    as :func:`finite_row` raises it. The test is ``np.logical_and.reduce`` of
-    ``np.isfinite``, the reduction that ``ndarray.all`` wraps, called directly; a sum
-    of the values would test finiteness too, but a finite row whose sum overflows would
-    warn. Outside input goes through the class itself.
+    ``values`` is a fresh row whose shape and float dtype come from the arithmetic, and
+    ``fields`` are the other fields, inherited from those signals (a date, a level, an
+    empty sensor id and empty ``filled_slots``). So every rule holds by construction
+    except the one that arithmetic can break: an overflow can make ``values`` not
+    finite, which raises ``"non-finite"`` as :func:`finite_row` does. The test is
+    ``np.logical_and.reduce`` of ``np.isfinite``, the reduction that ``ndarray.all``
+    wraps, called directly; a sum of the values would test finiteness too, but a
+    finite row whose sum overflows would warn. Outside input goes through the class.
     """
     if not np.logical_and.reduce(np.isfinite(values)):
         raise FlowReconError("non-finite", "values must be finite")
@@ -255,13 +248,7 @@ _SHORTEST_FAST_ROW = 19  # "YYYY-MM-DDTHH:MM,,0"
 _FAST_CELL_BYTES = 64  # a longer sensor cell in the first fast row leaves its rows to the row rules
 _FLOW_DIGITS = 15  # a flow's digits; every int below 10**15 is an exact float
 _CODE_SHIFT = 33  # key (code << 33) + minute: the minutes of years 1..9999 span less than 2**33
-_EPOCH = date(1970, 1, 1).toordinal()
-_NO_FAST_ROWS = (np.zeros(0, np.intp), np.zeros(0, np.int64), np.zeros(0), b"")
-
-
-def _minute(ts: datetime) -> int:
-    """``ts``'s minutes since 1970-01-01 00:00."""
-    return (ts.toordinal() - _EPOCH) * 1440 + ts.hour * 60 + ts.minute
+_NO_FAST_ROWS = (np.zeros(0, np.intp), np.zeros(0, "datetime64[m]"), np.zeros(0), b"")
 
 
 def _read(source) -> bytes:
@@ -309,15 +296,16 @@ def _number(buf: np.ndarray, at: np.ndarray, count: int):
 
 
 def _fast_rows(data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """The body lines that hold a fast row, with their minutes since 1970, their flows
-    and the sensor cell they share, classified at fixed offsets by 1-D gathers.
+    """The body lines that hold a fast row, with their ``datetime64[m]`` minutes, their
+    flows and the sensor cell they share, classified at fixed offsets by 1-D gathers.
 
     A fast row is ``YYYY-MM-DD[ T]HH:MM[:00],<cell>,<flow>``: a date of years
-    1..9999 that exists, a time on the 5-minute grid, the sensor cell of the first
-    such row (at most ``_FAST_CELL_BYTES`` bytes) and a flow of 1 to
-    ``_FLOW_DIGITS`` digits, optionally followed by ``.0``: one such tail is dropped
-    before the digit checks, so ``24.0`` is fast and reads as 24; ``.0`` and ``24.00``
-    are not fast.
+    1..9999 that exists, a time on the 5-minute grid, the sensor cell of the file's
+    first such row (at most ``_FAST_CELL_BYTES`` bytes) and a flow of 1 to
+    ``_FLOW_DIGITS`` digits, whose float is exact, optionally followed by ``.0`` as
+    the writer writes a whole float: one such tail is dropped before the digit
+    checks, so ``24`` and ``24.0`` are fast and read as 24; ``.0``, ``24.00`` and
+    ``24.5`` are not fast.
     """
     line = np.flatnonzero(ends - starts >= _SHORTEST_FAST_ROW)
     at, end = starts[line], ends[line]
@@ -345,7 +333,7 @@ def _fast_rows(data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarra
     days = month_start.astype("datetime64[D]").astype(np.int64)
     month_days = (month_start + 1).astype("datetime64[D]").astype(np.int64) - days
     ok = (buf[cell_at - 1] == 44) & (day <= month_days)
-    minutes = (days + day - 1) * 1440 + minute
+    minutes = ((days + day - 1) * 1440 + minute).view("datetime64[m]")
     del month_start, month_days, days, day, minute
     for a, b in zip(cell_at[ok], end[ok]):  # numpy scalars, taken until the first fits
         cell, comma, flow = data[a:b].partition(b",")
@@ -420,11 +408,9 @@ def parse_sensor_csv(source) -> ParseResult:
 
     The source is read once, into one byte buffer, a text stream's text as
     UTF-8; so text parses exactly as its bytes do, and a lone CR ends a row.
-    The fast rows (module docstring) are read from the buffer at fixed
-    offsets, every other row by the row rules, into one set of columns; so
-    the records, both counts and the one id string per sensor are the same
-    whichever path reads a row. Below, the first row is a fast row, its twin
-    with seconds is read by the row rules, and the off-grid row is rejected:
+    Either of two paths reads a row into one set of columns (module docstring).
+    Below, the first row is a fast row (:func:`_fast_rows`), its twin with
+    seconds is read by the row rules, and the off-grid row is rejected:
 
     >>> parsed = parse_sensor_csv(io.BytesIO(b"timestamp,sensor_id,flow_total\n"
     ...     b"2012-03-13T08:05,s1,5\n2012-03-13 08:05:00.000,s1,6\n2012-03-13T08:07,s1,7\n"))
@@ -461,7 +447,7 @@ def parse_sensor_csv(source) -> ParseResult:
         del data, buf, body, starts, ends, others  # before the records are built
     fast_id = cell.decode("utf-8").strip() or UNKNOWN_SENSOR
     ids = {fast_id: 0}  # id -> its code in the dedupe key; the keys are the shared id strings
-    row_columns = row_lines, row_codes, row_minutes, row_flows = [], [], [], []
+    row_columns = row_lines, row_codes, row_stamps, row_flows = [], [], [], []
     rejected = 0
     for line, row in rows:
         if not row:
@@ -473,19 +459,20 @@ def parse_sensor_csv(source) -> ParseResult:
         ts, sensor, flow = values
         row_lines.append(line)
         row_codes.append(ids.setdefault(sensor, len(ids)))
-        row_minutes.append(_minute(ts))
+        row_stamps.append(ts)
         row_flows.append(flow)
     # one set of columns for the rows of both paths; the fast rows have code 0
     lines, codes, minutes, flows = (
         np.concatenate((fast, np.array(rule, fast.dtype)))
-        for fast, rule in zip((lines, np.zeros_like(minutes), minutes, flows), row_columns))
+        for fast, rule in zip((lines, np.zeros(len(lines), np.int64), minutes, flows), row_columns))
     order = np.argsort(lines)
     # first wins: of each (sensor, minute) key, the row that comes first in the file
-    _, first = np.unique((codes[order] << _CODE_SHIFT) + minutes[order], return_index=True)
+    _, first = np.unique((codes[order] << _CODE_SHIFT) + minutes[order].view(np.int64),
+                         return_index=True)
     kept = order[np.sort(first)]
     duplicates = len(order) - len(kept)
-    del row_columns, row_lines, row_codes, row_minutes, row_flows, lines, order, first
-    stamps = minutes[kept].astype("datetime64[m]").tolist()
+    del row_columns, row_lines, row_codes, row_stamps, row_flows, lines, order, first
+    stamps = minutes[kept].tolist()
     records = list(map(tuple.__new__, repeat(SensorRecord),
                        zip(stamps, map(list(ids).__getitem__, codes[kept].tolist()),
                            flows[kept].tolist())))
@@ -495,8 +482,7 @@ def parse_sensor_csv(source) -> ParseResult:
 def _check_sensor(records: list[SensorRecord], sensor_id: str) -> None:
     """:func:`check_sensor_id`, then ``"mixed-sensors"`` for a record of another sensor."""
     check_sensor_id(sensor_id)
-    if not {sensor_id}.issuperset(map(itemgetter(1), records)):
-        others = set(map(itemgetter(1), records)) - {sensor_id}
+    if others := set(map(itemgetter(1), records)) - {sensor_id}:
         raise FlowReconError(
             "mixed-sensors", f"records from {sorted(others)} labelled {sensor_id!r}"
         )
@@ -511,7 +497,10 @@ def assemble_day(records: Iterable[SensorRecord], day: date, sensor_id: str) -> 
     (:func:`check_day`) or a non-str ``sensor_id``, ``"mixed-sensors"`` for a
     record of another sensor, then ``"bad-params"`` for a record whose
     timestamp is no ``datetime``, or one dated ``day`` whose timestamp is
-    tz-aware or off the grid.
+    tz-aware or off the grid, then ``"bad-params"`` unless the placed flows,
+    as one numpy array, are int, uint or float numbers >= 0 (so text, bytes,
+    a lone bool, complex, ``None`` and ``-inf`` are refused); a NaN or
+    ``+inf`` flow is ``"non-finite"``, as :class:`DaySignal` raises it.
     """
     check_day(day)
     records = list(records)
@@ -527,8 +516,11 @@ def assemble_day(records: Iterable[SensorRecord], day: date, sensor_id: str) -> 
                 placed.setdefault(slot, flow)
     except (AttributeError, TypeError) as exc:
         raise FlowReconError("bad-params", f"a record's timestamp is no datetime: {exc!r}") from exc
+    flows = np.array(list(placed.values()))
+    if flows.dtype.kind not in "fiu" or np.minimum.reduce(flows, initial=0.0) < 0:
+        raise FlowReconError("bad-params", f"placed flows of dtype {flows.dtype} are no numbers >= 0")
     values = np.zeros(SLOTS_PER_DAY)
-    values[list(placed)] = list(placed.values())
+    values[list(placed)] = flows
     return DaySignal(day, sensor_id, values, _ALL_SLOTS.difference(placed))
 
 

@@ -47,15 +47,18 @@ class DaySelectionCriteria:
         check_month(self.year, self.month)
 
 
-def _detail_residual(row: np.ndarray, level: int) -> np.ndarray:
-    """The detail residual ``r_k`` of ``row`` at ``level``: the row minus its own
-    2**level-block means, spread over their slots by ``ingest._WINDOW_OF``, as one
-    read-only row of 288.
-
-    This is the inverse Haar transform of the row's details up to ``level``.
-    """
+def _block_means(row: np.ndarray, level: int) -> np.ndarray:
+    """The means of ``row``'s 2**level-slot blocks, spread over their slots by
+    ``ingest._WINDOW_OF``: the sum times ``1 / block``, which for a power-of-two
+    block is bitwise ``.mean(axis=1)``, at less cost."""
     block = 1 << level
-    residual = row - (row.reshape(-1, block).sum(axis=1) * (1.0 / block))[_WINDOW_OF[level - 1]]
+    return (row.reshape(-1, block).sum(axis=1) * (1.0 / block))[_WINDOW_OF[level - 1]]
+
+
+def _detail_residual(row: np.ndarray, level: int) -> np.ndarray:
+    """The detail residual ``r_k`` of ``row`` at ``level``, the inverse Haar transform of its
+    details up to ``level``: the row minus its :func:`_block_means`, as a read-only row."""
+    residual = row - _block_means(row, level)
     residual.flags.writeable = False
     return residual
 
@@ -137,10 +140,9 @@ def build_matrix_scenario1(days: Sequence[DaySignal]) -> MatrixProfile:
 def build_matrix_scenario2(days: Sequence[DaySignal]) -> MatrixProfile:
     """Per-slot mean widened to 20-minute equivalent flow rates.
 
-    Every level-2 window (``RATE_LEVEL``, 4 slots) takes its mean, spread over its
-    slots by ``ingest._WINDOW_OF``, so the profile keeps 288 samples but is
-    piecewise constant on 20-minute windows.
+    Every level-2 window (``RATE_LEVEL``, 4 slots) takes its mean
+    (:func:`_block_means`), so the profile keeps 288 samples but is piecewise
+    constant on 20-minute windows.
     """
-    mean = _slot_mean(days)
-    values = mean.reshape(-1, 1 << RATE_LEVEL).mean(axis=1)[_WINDOW_OF[RATE_LEVEL - 1]]
+    values = _block_means(_slot_mean(days), RATE_LEVEL)
     return MatrixProfile(values, SCENARIO_BLOCK_RATE, tuple(sorted(d.date for d in days)))

@@ -27,18 +27,13 @@ subtraction divides to NaN at an excluded slot; the result refuses each
 with ``"bad-params"``. So that a caller who turns warnings into errors gets
 that refusal and not a numpy ``RuntimeWarning``, the difference, the divide
 and both sums run under ``np.errstate(over="ignore", invalid="ignore")``
-unless none can overflow: when every kept share of the original is at least
-1e-150 and the centred norms of the original and the row are below 1e150,
-each ``|delta|`` is below 2e150 + 2 and each quotient below 1e301, and they
-run plain, without the ``errstate`` and its cost. Either way the values are
-the same. The dot products are ``np.vdot``, which overflows to ``inf``
-without the warning that ``@`` prints.
+unless the bound at ``_SHARE_FLOOR`` shows that none can overflow; either way
+the values are the same. The dot products are ``np.vdot``, which overflows to
+``inf`` without the warning that ``@`` prints.
 
 :func:`evaluate_day` returns its result through the public :class:`DayResult`
 constructor, so a fault in its scores gets the refusal and the message that
-the constructor gives any caller: ``check_level`` of the level, then
-``"bad-params"`` for a correlation that is undefined or outside [-1, 1], then
-``"bad-params"`` for an error or share MAD that is not finite and >= 0. A
+the constructor gives any caller (order in :func:`evaluate_day`). A
 correlation is clamped to [-1, 1] so that a NaN passes through, and it is
 NaN when the product of two centred norms overflows (as ``cross / inf`` it
 would read 0.0). Each sum is ``np.add.reduce``, the reduction that
@@ -152,9 +147,10 @@ def _centred_row(values: np.ndarray):
 # (original bytes, its terms, baseline bytes, its terms against the original)
 _memo: tuple[bytes, _Original, bytes | None, tuple[float, float, float, float] | None] | None = None
 
-# Below these bounds no quotient of the relative error can overflow: each |delta| is
-# at most the two centred norms plus the two share means, < 2e150 + 2, and each kept
-# share is >= 1e-150, so every quotient is < 1e301.
+# The relative error's terms run plain, without the errstate and its cost, when every
+# kept share of the original is >= _SHARE_FLOOR and the centred norms of the original
+# and the row are below _NORM_CEILING: then each |delta| is at most the two centred
+# norms plus the two share means, < 2e150 + 2, so every quotient is < 1e301.
 _SHARE_FLOOR = 1e-150
 _NORM_CEILING = 1e150
 
@@ -206,11 +202,13 @@ def evaluate_day(
     equals, up to float rounding, the scalar reference metrics of the three
     share rows (``tests/metric_reference.py``). The original is checked
     first, then the reconstruction, then the baseline, each raising what
-    ``share_row`` raises on it; then ``"constant"``, and last the
-    result's ``"level"``, or its ``"bad-params"`` for a correlation
-    whose centred norms overflow or for an error that overflows to inf (a
-    subnormal original share). Shares that sum to one hold a positive share,
-    so the original always keeps a slot for the relative error and no
+    ``share_row`` raises on it; then ``"constant"``; last the
+    :class:`DayResult` constructor, in its order: ``check_level`` of the
+    level, then ``"bad-params"`` for a correlation that is undefined (its
+    centred norms overflow) or outside [-1, 1], then ``"bad-params"`` for an
+    error or share MAD that is not finite and >= 0 (an error overflows to inf
+    over a subnormal original share). Shares that sum to one hold a positive
+    share, so the original always keeps a slot for the relative error and no
     all-zero original can reach it.
     """
     global _memo

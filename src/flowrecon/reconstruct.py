@@ -30,13 +30,8 @@ finite shares, shares summing to one); the export writers and
 :func:`flowrecon.metrics.evaluate_day` both apply it.
 The tests hold it to the separate normaliser of ``tests/metric_reference.py``.
 
-Each export file is one whole-day template per format, built once at import
-from ``ingest.SLOT_CLOCKS``: ``_CSV_DAY`` and ``_JSON_DAY`` hold the header
-or head and all 288 rows or slot objects, each slot's clock text in place.
-So a call of :func:`write_reconstruction_csv` or
-:func:`write_reconstruction_json` does three things: the share rule, the
-float formats (``%.6g`` in the CSV, ``repr`` in the JSON) in one ``%`` over
-one interleaved cell list, and one write.
+Each export writer does three things: the share rule, one ``%`` that fills
+its format's whole-day template (``_CSV_DAY``, ``_JSON_DAY``), and one write.
 """
 
 from __future__ import annotations
@@ -107,15 +102,16 @@ def _reconstruction_columns(reconstructed: DaySignal, total_vehicles: float):
     """One day's shares and clamped counts as lists, and the number of
     negative shares.
 
-    Raises ``"non-finite"`` when a count is not finite: a non-finite
-    ``total_vehicles``, or a finite one whose product with a share overflows;
-    then ``"bad-params"`` for a negative ``total_vehicles``.
+    Raises what :func:`share_row` raises, then ``"non-finite"`` when a count is
+    not finite: a non-finite ``total_vehicles``, or a finite one whose product
+    with a share overflows; then ``"bad-params"`` for a negative
+    ``total_vehicles``; each without a numpy warning.
     """
-    shares = share_row(reconstructed.values)[0]
-    clamped = int(np.count_nonzero(shares < 0))
     with np.errstate(over="ignore", invalid="ignore"):
+        shares = share_row(reconstructed.values)[0]
         # + 0.0 turns a -0.0 total into 0.0, so no count is written as -0
         counts = np.clip(shares, 0.0, None) * (total_vehicles + 0.0)
+    clamped = int(np.count_nonzero(shares < 0))
     if not np.isfinite(counts).all():
         raise FlowReconError(
             "non-finite", f"counts for total_vehicles {total_vehicles!r} are not finite"
@@ -125,9 +121,10 @@ def _reconstruction_columns(reconstructed: DaySignal, total_vehicles: float):
     return shares.tolist(), counts.tolist(), clamped
 
 
-# The whole CSV export of a day: the header, then per slot the date, the slot's
-# clock, share, count and the original count's cell ("%.6g" text, or "" without
-# an original day).
+# The whole CSV export of a day, built once at import from ingest.SLOT_CLOCKS: the
+# header, then per slot the date, the slot's clock text in place, share, count and
+# the original count's cell ("%.6g" text, or "" without an original day). A writer
+# fills every cell with one % over one interleaved cell list.
 _CSV_DAY = "timestamp,share,count,original_count\r\n" + "".join(
     "%s" + clock + ",%.6g,%.6g,%s\r\n" for clock in SLOT_CLOCKS
 )
@@ -146,12 +143,9 @@ def write_reconstruction_csv(
     The bytes are what ``csv.writer`` writes: CRLF line ends and minimal
     quoting, which no cell needs. Negative shares are clamped to zero in the
     count column only; the number of clamped slots is returned so reports
-    can disclose it. Non-finite counts raise ``"non-finite"``, a negative
-    total ``"bad-params"``, before the file is opened.
-
-    The file is one whole-day template with every slot's clock text in it,
-    so a call applies :func:`share_row`, fills the template's date, share,
-    count and original cells with one ``%`` and writes it at once.
+    can disclose it. The day is refused as :func:`share_row` refuses it, then
+    non-finite counts raise ``"non-finite"`` and a negative total
+    ``"bad-params"``, before the file is opened and with no numpy warning.
     """
     shares, counts, clamped = _reconstruction_columns(reconstructed, total_vehicles)
     cells = [reconstructed.date.isoformat(), None, None, ""] * len(shares)
@@ -164,10 +158,10 @@ def write_reconstruction_csv(
     return clamped
 
 
-# The whole JSON export of a day, keys in sorted order: the head, then per slot
-# the count, the original count's cell (its repr, or null without an original
-# day), the share and the date before the slot's clock. %r of a finite float is
-# its JSON form.
+# The whole JSON export of a day, built as _CSV_DAY is, keys in sorted order: the
+# head, then per slot the count, the original count's cell (its repr, or null
+# without an original day), the share and the date before the slot's clock. %r of
+# a finite float is its JSON form.
 _JSON_DAY = '{"clamped_slots": %d, "date": "%s", "slots": [' + ", ".join(
     '{"count": %r, "original_count": %s, "share": %r, "timestamp": "%s' + clock + '"}'
     for clock in SLOT_CLOCKS
@@ -185,13 +179,8 @@ def write_reconstruction_json(
     The bytes are ``json.dumps(payload, sort_keys=True)`` with the default
     separators, plus a newline, where ``payload`` holds ``clamped_slots``,
     ``date`` and one ``{count, original_count, share, timestamp}`` object per
-    slot (``original_count`` null without an original day). Non-finite
-    counts raise ``"non-finite"`` (so no ``Infinity`` or ``NaN`` token is
-    written), a negative total ``"bad-params"``, before the file is opened.
-
-    As for the CSV twin, the file is one whole-day template: a call applies
-    :func:`share_row`, fills the date, count, original and share cells with
-    one ``%`` (each float as its ``repr``) and writes it at once.
+    slot (``original_count`` null without an original day). It refuses as
+    the CSV twin does, so no ``Infinity`` or ``NaN`` token is written.
     """
     shares, counts, clamped = _reconstruction_columns(reconstructed, total_vehicles)
     day = reconstructed.date.isoformat()

@@ -252,6 +252,32 @@ def test_assemble_ignores_other_dates():
     assert np.array_equal(day.values, assemble_day(make_records(), DAY, "s1").values)
 
 
+@pytest.mark.parametrize("flow", ["5", b"5", -1.0, True, 1 + 2j, None, -math.inf],
+                         ids=["text", "bytes", "negative", "bool", "complex", "none", "minus-inf"])
+def test_assemble_refuses_a_hand_built_flow_that_is_no_number_at_least_zero(flow):
+    """Text, bytes, a bool, complex, None and negative flows are refused by the dtype
+    and minimum of the day's placed flows, not converted or read as not finite."""
+    with refused("bad-params", match="no numbers >= 0"):
+        assemble_day([SensorRecord(datetime.combine(DAY, SLOT_TIMES[7]), "s1", flow)], DAY, "s1")
+
+
+@pytest.mark.parametrize("flow", [math.nan, math.inf])
+def test_assemble_refuses_a_nan_or_infinite_flow_as_not_finite(flow):
+    records = make_records()
+    records[7] = records[7]._replace(flow_total=flow)
+    with refused("non-finite"):
+        assemble_day(records, DAY, "s1")
+
+
+def test_assemble_places_a_bool_among_floats_as_its_float():
+    """The placed flows [5.0, True] make a float64 array, as finite_row's dtype rule
+    reads such a row, so the bool is placed as 1.0."""
+    stamps = [datetime.combine(DAY, start) for start in SLOT_TIMES[:2]]
+    day = assemble_day([SensorRecord(stamps[0], "s1", 5.0), SensorRecord(stamps[1], "s1", True)],
+                       DAY, "s1")
+    assert day.values[:3].tolist() == [5.0, 1.0, 0.0]
+
+
 def test_flatten_roundtrip_is_a_fixpoint():
     original = assemble_day(make_records(skip={3, 200}), DAY, "s1")
     again = assemble_day(day_to_records(original), DAY, sensor_id=original.sensor_id)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from datetime import date, datetime, time, timedelta
 
 import numpy as np
@@ -332,6 +333,19 @@ def test_reconstruction_export_csv_and_json(tmp_path):
     assert len(payload["slots"]) == SLOTS_PER_DAY
     counts = np.array([s["count"] for s in payload["slots"]])
     assert np.all(counts >= 0)
+
+
+@pytest.mark.parametrize("writer", [write_reconstruction_csv, write_reconstruction_json])
+def test_export_writers_refuse_an_overflowing_total_without_a_warning(tmp_path, writer):
+    """288 finite slots of 1e307 sum to inf: the shares sum to 0, so the day is refused
+    as not normalized, with no numpy warning first, and no file is written."""
+    day = DaySignal(date(2012, 3, 13), "s1", np.full(SLOTS_PER_DAY, 1e307))
+    path = tmp_path / "recon"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with refused("not-normalized"):
+            writer(path, day, 100.0)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
